@@ -326,11 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    bound = os.environ.get(ENV_UNIVERSE_BOUND)
-    if bound is not None:
-        partitions.set_universe_bound(int(bound))
     args = build_parser().parse_args(argv)
     try:
+        bound = os.environ.get(ENV_UNIVERSE_BOUND)
+        if bound is not None:
+            if not bound.strip().isdecimal():
+                raise ValueError(
+                    f"{ENV_UNIVERSE_BOUND} must be a non-negative integer, got {bound!r}"
+                )
+            partitions.set_universe_bound(int(bound))
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"pfgames: error: {exc}", file=sys.stderr)

@@ -36,7 +36,9 @@ def coalition_to_list(mask: Coalition) -> list[int]:
 
 
 def coalition_from_list(data) -> Coalition:
-    if not isinstance(data, (list, tuple)):
+    if not isinstance(data, (list, tuple)) or not all(
+        isinstance(i, int) and not isinstance(i, bool) for i in data
+    ):
         raise ValueError(f"expected a list of player ids, got {data!r}")
     return partitions.mask_from(data)
 
@@ -48,7 +50,7 @@ def partition_to_lists(pi: Partition) -> list[list[int]]:
 def partition_from_lists(data) -> Partition:
     if not isinstance(data, (list, tuple)):
         raise ValueError(f"expected a list of blocks, got {data!r}")
-    return partitions.partition_from(data)
+    return partitions.canonical_partition(coalition_from_list(block) for block in data)
 
 
 def payoff_to_json(payoff) -> dict[str, str]:
@@ -104,7 +106,7 @@ def tux_game_from_json(data) -> TuxGame:
                 partition_from_lists(entry["pi"]),
             )
             worth[key] = parse_rational(entry["w"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"worth entry #{pos}: {exc}") from exc
     # empty-coalition cells are implied; the constructor checks full coverage
     worth = {key: x for key, x in worth.items() if key[0] != 0 or x != 0}
@@ -156,18 +158,22 @@ def family_table_from_json(data, label="table") -> RandomPartitionFamily:
     tables = {}
     items = data if isinstance(data, list) else [data]
     for pos, table in enumerate(items):
+        if not isinstance(table, dict):
+            raise ValueError(f"table #{pos}: expected an object, got {table!r}")
         if "players" in table:
             players = coalition_from_list(table["players"])
-        elif "n" in table:
-            players = partitions.mask_from(range(1, int(table["n"]) + 1))
+        elif type(table.get("n")) is int:  # not bool
+            players = partitions.mask_from(range(1, table["n"] + 1))
         else:
-            raise ValueError(f"table #{pos}: needs a 'players' or 'n' key")
+            raise ValueError(f"table #{pos}: needs a 'players' list or an integer 'n'")
+        if not isinstance(table.get("entries", []), list):
+            raise ValueError(f"table #{pos}: 'entries' must be an array")
         dist = {}
         for entry_pos, entry in enumerate(table.get("entries", [])):
             try:
                 pi = partition_from_lists(entry["partition"])
                 dist[pi] = parse_rational(entry["prob"])
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"table #{pos}, entry #{entry_pos}: {exc}") from exc
         tables[players] = dist
     return random_partitions.family_from_distributions(label, tables)

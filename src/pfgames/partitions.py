@@ -232,6 +232,11 @@ def insert_player(pi: Partition, i: int, target: Coalition = EMPTY) -> Partition
     return tuple(sorted(blocks, key=least_member))
 
 
+def with_block(pi: Partition, block: Coalition) -> Partition:
+    """``pi`` with a nonempty, disjoint ``block`` added (unchecked), canonical."""
+    return tuple(sorted(pi + (block,), key=least_member))
+
+
 def delete_players(pi: Partition, removed) -> Partition:
     """Drop the given players from every block, discarding emptied blocks."""
     mask = as_mask(removed)

@@ -16,17 +16,17 @@ from typing import Callable
 from . import partitions, tu_games
 from .errors import PositivityError
 from .partitions import Coalition, Partition
-from .random_partitions import RandomPartitionFamily
+from .random_partitions import ZERO, RandomPartitionFamily
 from .tu_games import PayoffVector, TuGame
 from .tux_games import TuxGame
-
-ZERO = Fraction(0)
 
 CellRule = Callable[[TuxGame, int, Coalition, Partition], Fraction]
 
 
 class RestrictionOperator:
-    """A rule producing subgames, plus the potential and value it induces."""
+    """A rule producing subgames, plus the potential and value it induces:
+    the TU potential and the Shapley value of its auxiliary game. For path
+    dependent operators (``biased``) both follow ``restrict_many``'s order."""
 
     def __init__(
         self,
@@ -67,31 +67,26 @@ class RestrictionOperator:
         return w
 
     def auxiliary_game(self, w: TuxGame) -> TuGame:
-        """TU game whose worth of S is what S earns once everyone else is removed."""
+        """TU game whose worth of S is what S earns once everyone else is removed.
+
+        Walks the lattice of removed sets D once, building the subgame of D
+        from that of D minus max(D): the ascending order of ``restrict_many``.
+        """
         worth = {}
-        for S in partitions.subsets(w.players):
-            sub = self.restrict_many(w, w.players & ~S)
-            worth[S] = sub.worth(S, ())
+
+        def walk(game: TuxGame, last: int) -> None:
+            worth[game.players] = game.worth(game.players, ())
+            for h in partitions.members(game.players):
+                if h > last:
+                    walk(self.restrict(game, h), h)
+
+        walk(w, -1)
         return TuGame(w.players, worth)
 
     def potential(self, w: TuxGame) -> Fraction:
-        """One-number summary via the efficiency recursion over removals."""
-        memo: dict = {}
-
-        def rec(game: TuxGame) -> Fraction:
-            if game.players == 0:
-                return ZERO
-            key = game._signature()
-            value = memo.get(key)
-            if value is None:
-                total = game.worth(game.players, ())
-                for i in game.member_ids():
-                    total += rec(self.restrict(game, i))
-                value = total / game.n
-                memo[key] = value
-            return value
-
-        return rec(w)
+        """TU potential of the auxiliary game: for path independent operators,
+        the efficiency recursion over one-player removals."""
+        return tu_games.potential(self.auxiliary_game(w))
 
     def shapley_value(self, w: TuxGame) -> PayoffVector:
         """Shapley value of the auxiliary TU game; equals the per-player
@@ -151,7 +146,7 @@ def probability_restriction(
         n = w.n
         s = S.bit_count()
         bit = 1 << i
-        base = tuple(sorted(pi + (S,), key=partitions.least_member))
+        base = partitions.with_block(pi, S)
         denominator = family.prob(w.players & ~bit, base)
         if denominator == 0:
             raise PositivityError(
@@ -165,8 +160,7 @@ def probability_restriction(
         total = ZERO
         for B in pi + (0,):
             grown = partitions.insert_player(pi, i, B)
-            key = tuple(sorted(grown + (S,), key=partitions.least_member))
-            total += dist[key] * w.worth(S, grown)
+            total += dist[partitions.with_block(grown, S)] * w.worth(S, grown)
         return Fraction(n, n - s) * total / denominator
 
     return RestrictionOperator(

@@ -14,8 +14,7 @@ from typing import Mapping
 
 from . import partitions, random_partitions
 from .partitions import Coalition
-
-ZERO = Fraction(0)
+from .random_partitions import ZERO
 
 PayoffVector = dict[int, Fraction]
 

@@ -14,13 +14,8 @@ from typing import Callable, Mapping
 
 from . import partitions, random_partitions, tu_games
 from .partitions import Coalition, EmbeddedCoalition, Partition
+from .random_partitions import ZERO
 from .tu_games import PayoffVector, TuGame
-
-ZERO = Fraction(0)
-
-
-def _add_block(pi: Partition, block: Coalition) -> Partition:
-    return tuple(sorted(pi + (block,), key=partitions.least_member))
 
 
 class TuxGame:
@@ -229,14 +224,14 @@ def p_shapley(w: TuxGame, family: random_partitions.RandomPartitionFamily, i: in
     dist = family.distribution(w.players)
     total = ZERO
     for T, tau in partitions.enumerate_embedded(rest):
-        total += dist[_add_block(tau, T | bit)] * w.worth(T | bit, tau)
+        total += dist[partitions.with_block(tau, T | bit)] * w.worth(T | bit, tau)
         if T == 0:
             continue
         t = T.bit_count()
         outer = ZERO
         for B in tau + (0,):
             grown = partitions.insert_player(tau, i, B)
-            outer += dist[_add_block(grown, T)] * w.worth(T, grown)
+            outer += dist[partitions.with_block(grown, T)] * w.worth(T, grown)
         total -= Fraction(t, n - t) * outer
     return total
 

@@ -19,10 +19,8 @@ from typing import Callable, Mapping
 
 from . import formats, partitions, tu_games, tux_games
 from .partitions import Coalition, Partition
-from .random_partitions import RandomPartitionFamily
+from .random_partitions import ZERO, RandomPartitionFamily
 from .tux_games import TuxGame
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -106,15 +104,13 @@ def reduction_identity(
     bit = partitions.singleton(i)
     rest = N & ~bit
     n, s = partitions.size(N), partitions.size(S)
-    lhs = ZERO
-    for pi in partitions.enumerate_partitions(rest & ~S):
-        lhs += family.prob(rest, tuple(sorted(pi + (S,), key=partitions.least_member)))
-    rhs = ZERO
+    lhs = rhs = ZERO
     dist = family.distribution(N)
     for pi in partitions.enumerate_partitions(rest & ~S):
+        lhs += family.prob(rest, partitions.with_block(pi, S))
         for B in pi + (0,):
             grown = partitions.insert_player(pi, i, B)
-            rhs += dist[tuple(sorted(grown + (S,), key=partitions.least_member))]
+            rhs += dist[partitions.with_block(grown, S)]
     return lhs, Fraction(n, n - s) * rhs
 
 

@@ -55,8 +55,7 @@ def conclude(number, name, collector):
     )
 
 
-def with_block(pi, B):
-    return tuple(sorted(pi + (B,), key=partitions.least_member))
+with_block = partitions.with_block
 
 
 def test_criterion_01_shapley_is_contribution_to_potential():

@@ -277,6 +277,51 @@ def test_universe_bound_env_var(capsys, monkeypatch, showcase_path):
         partitions.set_universe_bound(old)
 
 
+@pytest.mark.parametrize("bound", ["abc", "-1"])
+def test_bad_universe_bound_env_var_exits_two(capsys, monkeypatch, showcase_path, bound):
+    monkeypatch.setenv(cli.ENV_UNIVERSE_BOUND, bound)
+    old = partitions.universe_bound()
+    try:
+        code, out, err = run(capsys, "mpw", "--game", showcase_path)
+    finally:
+        partitions.set_universe_bound(old)
+    assert code == 2
+    assert out == ""
+    assert cli.ENV_UNIVERSE_BOUND in err and repr(bound) in err
+
+
+@pytest.mark.parametrize("entry", [7, {"S": ["a"], "pi": [[2, 3, 4]], "w": "1"}])
+def test_malformed_worth_entry_exits_two(capsys, tmp_path, entry):
+    data = formats.tux_game_to_json(tux_games.productive_pair_game())
+    data["worth"].append(entry)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "mpw", "--game", str(path))
+    assert code == 2
+    assert "malformed.json" in err
+    assert f"worth entry #{len(data['worth']) - 1}" in err
+
+
+@pytest.mark.parametrize(
+    "table, where",
+    [
+        ([3], "table #0"),
+        ({"n": 2, "entries": [{"partition": [[1, 2]], "prob": "1"}, 5]}, "entry #1"),
+        ({"n": [2], "entries": []}, "table #0"),
+        ({"n": True, "entries": []}, "table #0"),
+        ({"n": 2, "entries": [{"partition": [3], "prob": "1"}]}, "entry #0"),
+    ],
+)
+def test_malformed_family_table_exits_two(capsys, tmp_path, table, where):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(table))
+    code, _, err = run(
+        capsys, "verify", "--check", "gen", "--family", f"table:{path}", "--nmax", "2"
+    )
+    assert code == 2
+    assert "family.json" in err and where in err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main([])

@@ -113,24 +113,15 @@ def test_pstar_insertion_identity(n):
             if T == 0 or T == rest:
                 continue
             t = T.bit_count()
-            lhs = dist[
-                tuple(sorted(tau + (T | partitions.singleton(i),), key=partitions.least_member))
-            ]
+            lhs = dist[partitions.with_block(tau, T | partitions.singleton(i))]
             rhs = sum(
-                dist[
-                    tuple(
-                        sorted(
-                            partitions.insert_player(tau, i, B) + (T,),
-                            key=partitions.least_member,
-                        )
-                    )
-                ]
+                dist[partitions.with_block(partitions.insert_player(tau, i, B), T)]
                 for B in tau + (0,)
             )
             assert lhs == Fraction(t, n - t) * rhs
         # T = rest: the only placement of i outside is the singleton
-        lhs = dist[tuple(sorted((rest | partitions.singleton(i),), key=partitions.least_member))]
-        rhs = dist[tuple(sorted((rest, partitions.singleton(i)), key=partitions.least_member))]
+        lhs = dist[partitions.with_block((), rest | partitions.singleton(i))]
+        rhs = dist[partitions.with_block((rest,), partitions.singleton(i))]
         assert lhs == Fraction(n - 1, 1) * rhs
 
 

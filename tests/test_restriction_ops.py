@@ -8,6 +8,7 @@ from pfgames import partitions, tu_games, tux_games
 from pfgames.errors import PositivityError
 from pfgames.random_partitions import PSTAR, ewens_family, perturbed_family
 from pfgames.restriction_ops import (
+    RestrictionOperator,
     crp_restriction,
     nullifying_restriction,
     probability_restriction,
@@ -33,8 +34,7 @@ def blocks(*ids_lists):
     return partitions.partition_from(ids_lists)
 
 
-def with_block(pi, B):
-    return tuple(sorted(pi + (B,), key=partitions.least_member))
+with_block = partitions.with_block
 
 
 N4 = prefix(4)
@@ -281,29 +281,32 @@ def test_null_players_stay_unpaid_in_deeper_subgames():
                     assert mpw_value(RSTAR.restrict(witness, j))[i] == 0
 
 
+def lone_cell(w, i, S, pi):
+    return w.worth(S, partitions.insert_player(pi, i, 0))
+
+
+def doubled_cell(w, i, S, pi):
+    n, s = w.n, S.bit_count()
+    total = Fraction(2, n - s) * w.worth(S, partitions.insert_player(pi, i, 0))
+    for B in pi:
+        total += Fraction(2 * B.bit_count(), n - s) * w.worth(
+            S, partitions.insert_player(pi, i, B)
+        )
+    return total
+
+
+LONE = RestrictionOperator("lone", lone_cell)
+DOUBLED = RestrictionOperator("doubled", doubled_cell)
+
+
 def test_deviant_operators_lose_an_axiom_or_the_potential_identity():
     """Uniqueness spot checks: rules that differ from the probability-ratio
     operator on some Dirac game break path independence, null-game
     preservation, or the expected-accumulated-worth identity."""
-    from pfgames.restriction_ops import RestrictionOperator
     from pfgames.verify import check_restriction_axioms
 
-    def lone_cell(w, i, S, pi):
-        return w.worth(S, partitions.insert_player(pi, i, 0))
-
-    def doubled_cell(w, i, S, pi):
-        n, s = w.n, S.bit_count()
-        total = Fraction(2, n - s) * w.worth(S, partitions.insert_player(pi, i, 0))
-        for B in pi:
-            total += Fraction(2 * B.bit_count(), n - s) * w.worth(
-                S, partitions.insert_player(pi, i, B)
-            )
-        return total
-
-    lone = RestrictionOperator("lone", lone_cell)
-    doubled = RestrictionOperator("doubled", doubled_cell)
     delta = dirac_game(prefix(3), [3], blocks([1, 2]))
-    for op in (lone, doubled):
+    for op in (LONE, DOUBLED):
         # genuinely different from the CRP operator on a Dirac game
         assert op.restrict(delta, 1) != RSTAR.restrict(delta, 1)
         # still a well-behaved restriction concept
@@ -315,6 +318,26 @@ def test_deviant_operators_lose_an_axiom_or_the_potential_identity():
             if op.potential(d) != expected_accumulated_worth(d, PSTAR)
         ]
         assert mismatch
+
+
+def test_auxiliary_game_removes_players_in_ascending_order(rp_pstar):
+    """Each coalition's auxiliary worth is what ``restrict_many`` leaves it,
+    and the potential is the TU potential of that game, for the path
+    dependent ``biased`` operator too."""
+    ops = (RSTAR, rp_pstar, NULLIFY, removal_biased_restriction(), LONE, DOUBLED)
+    for n in range(1, 6):
+        for w in tux_corpus(2 if n < 5 else 1, n=n, seed=140 + n):
+            N = w.players
+            for op in ops:
+                expected = tu_games.TuGame(
+                    N,
+                    {
+                        S: op.restrict_many(w, N & ~S).worth(S, ())
+                        for S in partitions.subsets(N)
+                    },
+                )
+                assert op.auxiliary_game(w) == expected
+                assert op.potential(w) == tu_games.potential(expected)
 
 
 def test_biased_operator_breaks_path_independence():

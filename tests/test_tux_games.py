@@ -170,9 +170,7 @@ def test_mpw_of_dirac_closed_form():
     for n in (2, 3, 4):
         N = prefix(n)
         for (T, tau), delta in dirac_basis(N):
-            scale = PSTAR.prob(
-                N, tuple(sorted(tau + (T,), key=partitions.least_member))
-            )
+            scale = PSTAR.prob(N, partitions.with_block(tau, T))
             payoff = mpw_value(delta)
             t = T.bit_count()
             for i in partitions.members(N):
@@ -240,7 +238,7 @@ def marginal_form_payoff(w, i):
         t = T.bit_count()
         for B in tau + (0,):
             grown = partitions.insert_player(tau, i, B)
-            key = tuple(sorted(grown + (T,), key=partitions.least_member))
+            key = partitions.with_block(grown, T)
             total += (
                 Fraction(t, n - t)
                 * dist[key]
@@ -288,7 +286,7 @@ def test_perturbed_family_pays_some_null_player():
 def test_expected_accumulated_worth_of_dirac():
     families = (PSTAR, perturbed_family({4: Fraction(1, 8)}))
     for (T, tau), delta in dirac_basis(N4):
-        key = tuple(sorted(tau + (T,), key=partitions.least_member))
+        key = partitions.with_block(tau, T)
         for family in families:
             assert expected_accumulated_worth(delta, family) == family.prob(N4, key)
 
