@@ -260,34 +260,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, fn, *parents, **kwargs):
+        p = sub.add_parser(name, parents=list(parents), **kwargs)
         p.set_defaults(fn=fn)
         return p
 
-    p = add("shapley", _cmd_shapley, help="Shapley value of a TU game")
+    # the output options every exact-value command shares
+    exact = argparse.ArgumentParser(add_help=False)
+    exact.add_argument("--float", action="store_true")
+    exact.add_argument("--format", choices=["json", "table"], default="json")
+
+    p = add("shapley", _cmd_shapley, exact, help="Shapley value of a TU game")
     p.add_argument("--game", required=True)
     p.add_argument("--route", choices=["direct", "crp"], default="direct")
-    p.add_argument("--float", action="store_true")
-    p.add_argument("--format", choices=["json", "table"], default="json")
 
-    p = add("potential", _cmd_potential, help="potential of a game")
+    p = add("potential", _cmd_potential, exact, help="potential of a game")
     p.add_argument("--game", required=True)
     p.add_argument("--op", help="restriction operator for games with externalities")
-    p.add_argument("--float", action="store_true")
-    p.add_argument("--format", choices=["json", "table"], default="json")
 
-    p = add("mpw", _cmd_mpw, help="MPW solution of a partition-function game")
+    p = add("mpw", _cmd_mpw, exact, help="MPW solution of a partition-function game")
     p.add_argument("--game", required=True)
-    p.add_argument("--float", action="store_true")
-    p.add_argument("--format", choices=["json", "table"], default="json")
 
-    p = add("p-shapley", _cmd_p_shapley, help="p-Shapley value for a family")
+    p = add("p-shapley", _cmd_p_shapley, exact, help="p-Shapley value for a family")
     p.add_argument("--game", required=True)
     p.add_argument("--family", default="pstar")
     p.add_argument("--player", type=int)
-    p.add_argument("--float", action="store_true")
-    p.add_argument("--format", choices=["json", "table"], default="json")
 
     p = add("restrict", _cmd_restrict, help="subgame after removing players")
     p.add_argument("--game", required=True)
@@ -327,18 +324,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    old_bound = partitions.universe_bound()
     try:
         bound = os.environ.get(ENV_UNIVERSE_BOUND)
         if bound is not None:
-            if not bound.strip().isdecimal():
-                raise ValueError(
-                    f"{ENV_UNIVERSE_BOUND} must be a non-negative integer, got {bound!r}"
-                )
-            partitions.set_universe_bound(int(bound))
+            try:
+                partitions.set_universe_bound(int(bound))
+            except ValueError as exc:
+                raise ValueError(f"{ENV_UNIVERSE_BOUND}={bound!r}: {exc}") from None
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"pfgames: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        partitions.set_universe_bound(old_bound)
 
 
 if __name__ == "__main__":

@@ -133,16 +133,21 @@ def game_from_json(data):
     raise ValueError("'worth' must be an object (TU) or an array (partition function)")
 
 
-def load_game(path):
+def _load_json(path, parse):
+    """``parse`` applied to a JSON file; every error names the file."""
     with open(path) as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     try:
-        return game_from_json(data)
+        return parse(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def load_game(path):
+    return _load_json(path, game_from_json)
 
 
 # --- family tables: {"n": 4, "entries": [{"partition": .., "prob": ..}]} ---
@@ -180,12 +185,4 @@ def family_table_from_json(data, label="table") -> RandomPartitionFamily:
 
 
 def load_family_table(path) -> RandomPartitionFamily:
-    with open(path) as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    try:
-        return family_table_from_json(data, label=f"table:{path}")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return _load_json(path, lambda data: family_table_from_json(data, f"table:{path}"))

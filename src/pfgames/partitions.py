@@ -25,6 +25,9 @@ MAX_PLAYER_ID = 31
 DEFAULT_UNIVERSE_BOUND = 8
 _universe_bound = DEFAULT_UNIVERSE_BOUND
 
+# Bounds past this many embedded coalitions are refused: the ceiling is 10.
+MAX_EMBEDDED_COALITIONS = 10**6
+
 EMPTY: Coalition = 0
 EMPTY_PARTITION: Partition = ()
 
@@ -35,10 +38,14 @@ def universe_bound() -> int:
 
 
 def set_universe_bound(n: int) -> int:
-    """Set the cardinality bound; returns the previous value."""
+    """Set the bound, returning the old one; refused past MAX_EMBEDDED_COALITIONS."""
     global _universe_bound
     if n < 0:
         raise ValueError("universe bound must be non-negative")
+    # no player set is larger than MAX_PLAYER_ID + 1, and the count grows with n
+    if embedded_count(min(n, MAX_PLAYER_ID + 1)) > MAX_EMBEDDED_COALITIONS:
+        raise CapacityError(f"universe bound {n} admits player sets with more than "
+                            f"{MAX_EMBEDDED_COALITIONS} embedded coalitions")
     old = _universe_bound
     _universe_bound = n
     return old

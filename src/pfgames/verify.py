@@ -12,18 +12,19 @@ together with any player sets a table-backed family pins explicitly.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
 from . import formats, partitions, tu_games, tux_games
 from .partitions import Coalition, Partition
-from .random_partitions import ZERO, RandomPartitionFamily
+from .random_partitions import ONE, ZERO, RandomPartitionFamily
 from .tux_games import TuxGame
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Report:
     """Outcome of one check: pass/fail, instance count, optional witness."""
 
@@ -33,12 +34,7 @@ class Report:
     witness: dict | None = None
 
     def to_json(self) -> dict:
-        return {
-            "subject": self.subject,
-            "passed": self.passed,
-            "checked": self.checked,
-            "witness": self.witness,
-        }
+        return dataclasses.asdict(self)
 
 
 def _player_sets(n_max: int, explicit=frozenset()) -> list[Coalition]:
@@ -54,23 +50,24 @@ def _player_sets(n_max: int, explicit=frozenset()) -> list[Coalition]:
 
 
 def _nonempty_subsets_large_first(mask: Coalition) -> list[Coalition]:
-    # the grand coalition is the most informative probe, so it goes first
-    return sorted(
-        (S for S in partitions.subsets(mask) if S),
-        key=lambda S: (-S.bit_count(), S),
-    )
+    # the grand coalition is the most informative probe, so it goes first;
+    # the empty set sorts last and is dropped
+    return sorted(partitions.subsets(mask), key=lambda S: (-S.bit_count(), S))[:-1]
 
 
-def _coalition(mask):
-    return formats.coalition_to_list(mask)
-
-
-def _blocks(pi):
-    return formats.partition_to_lists(pi)
-
-
-def _frac(x):
-    return formats.format_rational(x)
+def _witness(check: str, **fields) -> dict:
+    """Witness dict for JSON: coalitions, partitions and rationals are
+    formatted by field name, other fields pass through."""
+    witness = {"check": check}
+    for name, value in fields.items():
+        if name in ("players", "block") or name.endswith("coalition"):
+            value = formats.coalition_to_list(value)
+        elif name.endswith(("partition", "outside")):
+            value = formats.partition_to_lists(value)
+        elif name in ("lhs", "rhs", "prob", "payoff"):
+            value = formats.format_rational(value)
+        witness[name] = value
+    return witness
 
 
 # --- potential generation -------------------------------------------------
@@ -128,14 +125,8 @@ def check_gen(family: RandomPartitionFamily, n_max: int) -> Report:
             lhs, rhs = gen_block_probability(family, N, T)
             checked += 1
             if lhs != rhs and w_block is None:
-                w_block = {
-                    "check": "gen",
-                    "route": "block-probability",
-                    "players": _coalition(N),
-                    "coalition": _coalition(T),
-                    "lhs": _frac(lhs),
-                    "rhs": _frac(rhs),
-                }
+                w_block = _witness("gen", route="block-probability", players=N,
+                                   coalition=T, lhs=lhs, rhs=rhs)
             dirac = tu_games.dirac_game(N, T)
             expected = tux_games.expected_accumulated_worth(
                 tux_games.lift_tu_game(dirac), family
@@ -143,28 +134,16 @@ def check_gen(family: RandomPartitionFamily, n_max: int) -> Report:
             pot = tu_games.potential(dirac)
             checked += 1
             if expected != pot and w_expected is None:
-                w_expected = {
-                    "check": "gen",
-                    "route": "expected-accumulated-worth",
-                    "players": _coalition(N),
-                    "coalition": _coalition(T),
-                    "lhs": _frac(expected),
-                    "rhs": _frac(pot),
-                }
+                w_expected = _witness("gen", route="expected-accumulated-worth",
+                                      players=N, coalition=T, lhs=expected, rhs=pot)
         for i in partitions.members(N):
             for S in _nonempty_subsets_large_first(N & ~(1 << i)):
                 lhs, rhs = reduction_identity(family, N, i, S)
                 checked += 1
                 if lhs != rhs and w_reduction is None:
-                    w_reduction = {
-                        "check": "gen",
-                        "route": "one-player-reduction",
-                        "players": _coalition(N),
-                        "player": i,
-                        "coalition": _coalition(S),
-                        "lhs": _frac(lhs),
-                        "rhs": _frac(rhs),
-                    }
+                    w_reduction = _witness("gen", route="one-player-reduction",
+                                           players=N, player=i, coalition=S, lhs=lhs,
+                                           rhs=rhs)
     witness = w_block or w_expected or w_reduction
     if w_block is None and witness is not None:
         witness = dict(witness, note="routes disagree with block-probability")
@@ -198,14 +177,8 @@ def check_ci(family: RandomPartitionFamily, n_max: int) -> Report:
                 lhs, rhs = ci_instance(family, N, pi, B)
                 checked += 1
                 if lhs != rhs and witness is None:
-                    witness = {
-                        "check": "ci",
-                        "players": _coalition(N),
-                        "partition": _blocks(pi),
-                        "block": _coalition(B),
-                        "lhs": _frac(lhs),
-                        "rhs": _frac(rhs),
-                    }
+                    witness = _witness("ci", players=N, partition=pi, block=B,
+                                       lhs=lhs, rhs=rhs)
     return Report(f"ci[{family.label}]", witness is None, checked, witness)
 
 
@@ -220,120 +193,160 @@ def check_pos(family: RandomPartitionFamily, n_max: int) -> Report:
         for pi, p in family.distribution(N).items():
             checked += 1
             if p <= 0 and witness is None:
-                witness = {
-                    "check": "pos",
-                    "players": _coalition(N),
-                    "partition": _blocks(pi),
-                    "prob": _frac(p),
-                }
+                witness = _witness("pos", players=N, partition=pi, prob=p)
     return Report(f"pos[{family.label}]", witness is None, checked, witness)
 
 
 # --- restriction operator axioms -------------------------------------------
 
 
-def _first_cell_difference(g1: TuxGame, g2: TuxGame):
-    for (S, pi), x in g1.cells():
-        y = g2.worth(S, pi)
-        if x != y:
-            return S, pi, x, y
-    return None
+class _LinearForm:
+    """Exact linear form {embedded coalition: coefficient} in a game's worths.
+
+    Only sums and differences of forms, and products and quotients by exact
+    scalars, are defined; truth tests, comparisons, products of worths and
+    nonzero constant terms raise TypeError.
+    """
+
+    def __init__(self, coef):
+        self.coef = coef
+
+    def __add__(self, other):
+        if not isinstance(other, _LinearForm):
+            if isinstance(other, (int, Fraction)) and other == 0:
+                return self
+            raise TypeError(f"constant term {other!r}")
+        a, b = self.coef, other.coef
+        return _LinearForm({c: a.get(c, ZERO) + b.get(c, ZERO) for c in {**a, **b}})
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, k):
+        if not isinstance(k, (int, Fraction)):
+            return NotImplemented
+        return _LinearForm({cell: x * k for cell, x in self.coef.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k):
+        return self * Fraction(1, k)
+
+    def __bool__(self):
+        raise TypeError("the truth value of a worth depends on the game")
+
+    def __eq__(self, other):
+        raise TypeError("comparing worths is not linear")
+
+
+class _SymbolicGame:
+    """Stands in for the TuxGame a cell rule reads: each worth is the given
+    row of linear forms in an underlying game's worths, else the unit form."""
+
+    def __init__(self, players: Coalition, rows=None):
+        self.players, self.n, self.rows = players, partitions.size(players), rows
+
+    def worth(self, coalition, pi: Partition) -> _LinearForm:
+        cell = (partitions.as_mask(coalition), pi)
+        if not cell[0]:
+            return _LinearForm({})
+        return _LinearForm({cell: ONE} if self.rows is None else self.rows[cell])
+
+
+class _Violation(Exception):
+    """Carries the witness of the first failed restriction axiom."""
+
+    def __init__(self, **fields):
+        super().__init__(_witness("restriction-axioms", **fields))
+
+
+def _symbolic_restrict(op, game: _SymbolicGame, i: int) -> dict:
+    """The cell rule on a symbolic game: {subgame cell: {underlying cell: x}}."""
+    rows = {}
+    for S, pi in partitions.enumerate_embedded(game.players & ~(1 << i)):
+        if not S:
+            continue
+        try:
+            form = _LinearForm({}) + op.restricted_worth(game, i, S, pi)
+        except TypeError as exc:
+            raise _Violation(axiom="LIN", players=game.players, player=i,
+                             cell_coalition=S, cell_partition=pi, error=str(exc)) from None
+        rows[(S, pi)] = {cell: x for cell, x in form.coef.items() if x}
+    return rows
+
+
+def _removal_map(op, N: Coalition, i: int) -> dict:
+    """Rows of the exact matrix of removing ``i`` from ``N``, judged for LIN
+    and RES row by row."""
+    rows = _symbolic_restrict(op, _SymbolicGame(N), i)
+    cells = [cell for cell in partitions.enumerate_embedded(N) if cell[0]]
+    probe = TuxGame(N, {cell: Fraction(1, k) for k, cell in enumerate(cells, 1)})
+    restricted = op.restrict(probe, i)
+    for (S, pi), row in rows.items():
+        where = dict(players=N, player=i, cell_coalition=S, cell_partition=pi)
+        lhs = sum((x * probe.worth(*cell) for cell, x in row.items()), ZERO)
+        if lhs != restricted.worth(S, pi):
+            raise _Violation(axiom="LIN", **where, lhs=lhs, rhs=restricted.worth(S, pi))
+        admissible = {(S, partitions.insert_player(pi, i, B)) for B in pi + (0,)}
+        for cell in row:
+            if cell not in admissible:
+                base = tux_games.dirac_game(N, S, partitions.insert_player(pi, i, 0))
+                bumped = base + tux_games.dirac_game(N, *cell)
+                raise _Violation(
+                    axiom="RES", **where, probe_coalition=cell[0], probe_outside=cell[1],
+                    lhs=op.restricted_worth(base, i, S, pi),
+                    rhs=op.restricted_worth(bumped, i, S, pi))
+    return rows
 
 
 def check_restriction_axioms(op, n_max: int) -> Report:
-    """Path independence, preservation of null games, and cell locality.
+    """Linearity, cell locality, null-game preservation and path independence.
 
-    Path independence is checked on the full Dirac basis (enough, since
-    restriction acts linearly on worths); locality by perturbing a Dirac game
-    outside the cells a restricted worth may read.
+    The cell rule runs on a game whose worths are unit linear forms, giving
+    the exact matrix of each removal. LIN: the rule evaluates on forms (no
+    truth tests, comparisons, products of worths or constant terms) and its
+    matrix matches ``op.restrict`` on the game with worth 1/k at the k-th
+    nonempty cell of ``enumerate_embedded(N)``. RES: each row reads only the
+    cells where the removed player joins an outside block or stays alone.
+    PNG: the null game restricts to the null game. PI: rerunning the rule on
+    the rows of the first removal composes the matrices, so both removal
+    orders agree on every game at once; the witness names a Dirac game
+    (``coalition``, ``outside``) and a cell where they differ.
     """
     checked = 0
-    witness = None
-    sets = _player_sets(n_max, getattr(op, "explicit_player_sets", frozenset()))
-
-    for N in sets:
-        ids = partitions.members(N)
-        for (T, tau), delta in tux_games.dirac_basis(N):
-            for a in range(len(ids)):
-                for b in range(a + 1, len(ids)):
-                    i, j = ids[a], ids[b]
-                    first = op.restrict(op.restrict(delta, i), j)
-                    second = op.restrict(op.restrict(delta, j), i)
-                    checked += 1
-                    if witness is None and first != second:
-                        S, pi, lhs, rhs = _first_cell_difference(first, second)
-                        witness = {
-                            "check": "restriction-axioms",
-                            "axiom": "PI",
-                            "players": _coalition(N),
-                            "coalition": _coalition(T),
-                            "outside": _blocks(tau),
-                            "first_removed": i,
-                            "second_removed": j,
-                            "cell_coalition": _coalition(S),
-                            "cell_partition": _blocks(pi),
-                            "lhs": _frac(lhs),
-                            "rhs": _frac(rhs),
-                        }
-    if witness is None:
-        for N in sets:
-            null = tux_games.null_game(N)
-            for i in partitions.members(N):
-                restricted = op.restrict(null, i)
-                checked += 1
-                if witness is None and restricted != tux_games.null_game(N & ~(1 << i)):
-                    S, pi, lhs, _ = _first_cell_difference(
-                        restricted, tux_games.null_game(N & ~(1 << i))
-                    )
-                    witness = {
-                        "check": "restriction-axioms",
-                        "axiom": "PNG",
-                        "players": _coalition(N),
-                        "player": i,
-                        "cell_coalition": _coalition(S),
-                        "cell_partition": _blocks(pi),
-                        "lhs": _frac(lhs),
-                        "rhs": "0",
-                    }
-    if witness is None:
-        for N in sets:
-            for i in partitions.members(N):
-                rest = N & ~(1 << i)
-                for S, pi in partitions.enumerate_embedded(rest):
-                    if S == 0:
-                        continue
-                    readable = {
-                        (S, partitions.insert_player(pi, i, B)) for B in pi + (0,)
-                    }
-                    probe = next(
-                        (
-                            cell
-                            for cell in partitions.enumerate_embedded(N)
-                            if cell[0] and cell not in readable
-                        ),
-                        None,
-                    )
-                    if probe is None:
-                        continue
-                    base = tux_games.dirac_game(N, S, partitions.insert_player(pi, i, 0))
-                    bumped = base + tux_games.dirac_game(N, *probe)
-                    lhs = op.restricted_worth(base, i, S, pi)
-                    rhs = op.restricted_worth(bumped, i, S, pi)
-                    checked += 1
-                    if witness is None and lhs != rhs:
-                        witness = {
-                            "check": "restriction-axioms",
-                            "axiom": "RES",
-                            "players": _coalition(N),
-                            "player": i,
-                            "cell_coalition": _coalition(S),
-                            "cell_partition": _blocks(pi),
-                            "probe_coalition": _coalition(probe[0]),
-                            "probe_outside": _blocks(probe[1]),
-                            "lhs": _frac(lhs),
-                            "rhs": _frac(rhs),
-                        }
-    return Report(f"restriction-axioms[{op.label}]", witness is None, checked, witness)
+    try:
+        for N in _player_sets(n_max, getattr(op, "explicit_player_sets", frozenset())):
+            ids = partitions.members(N)
+            maps = {i: _removal_map(op, N, i) for i in ids}
+            for i in ids:
+                checked += len(maps[i]) + 1
+                for (S, pi), x in op.restrict(tux_games.null_game(N), i).cells():
+                    if x:
+                        raise _Violation(axiom="PNG", players=N, player=i, lhs=x,
+                                         rhs=ZERO, cell_coalition=S, cell_partition=pi)
+            for i, j in itertools.combinations(ids, 2):
+                first = _symbolic_restrict(op, _SymbolicGame(N & ~(1 << i), maps[i]), j)
+                second = _symbolic_restrict(op, _SymbolicGame(N & ~(1 << j), maps[j]), i)
+                checked += len(first)
+                for (S, pi), row in first.items():
+                    for col in row.keys() | second[(S, pi)].keys():
+                        lhs, rhs = row.get(col, ZERO), second[(S, pi)].get(col, ZERO)
+                        if lhs != rhs:
+                            raise _Violation(
+                                axiom="PI", players=N, coalition=col[0], outside=col[1],
+                                first_removed=i, second_removed=j, cell_coalition=S,
+                                cell_partition=pi, lhs=lhs, rhs=rhs)
+    except _Violation as violation:
+        return Report(f"restriction-axioms[{op.label}]", False, checked, *violation.args)
+    return Report(f"restriction-axioms[{op.label}]", True, checked)
 
 
 # --- null player ------------------------------------------------------------
@@ -385,27 +398,16 @@ def check_null_player_axiom(
                     payoff = solution(game)[i]
                     checked += 1
                     if payoff != 0 and witness is None:
-                        witness = {
-                            "check": "null-player",
-                            "kind": "witness-family",
-                            "players": _coalition(N),
-                            "player": i,
-                            "partition": _blocks(pi),
-                            "block": _coalition(B),
-                            "payoff": _frac(payoff),
-                        }
+                        witness = _witness("null-player", kind="witness-family",
+                                           players=N, player=i, partition=pi, block=B,
+                                           payoff=payoff)
     if n_max >= 4:
         showcase = tux_games.productive_pair_game()
         payoff = solution(showcase)[1]
         checked += 1
         if payoff != 0 and witness is None:
-            witness = {
-                "check": "null-player",
-                "kind": "showcase-game",
-                "players": _coalition(showcase.players),
-                "player": 1,
-                "payoff": _frac(payoff),
-            }
+            witness = _witness("null-player", kind="showcase-game",
+                               players=showcase.players, player=1, payoff=payoff)
     return Report(f"null-player[{label}]", witness is None, checked, witness)
 
 
@@ -445,15 +447,9 @@ def check_monotonicity_conditions(family: RandomPartitionFamily, n_max: int) -> 
                     lhs, rhs = monotonicity_instance(family, N, i, pi, B)
                     checked += 1
                     if lhs != rhs and witness is None:
-                        witness = {
-                            "check": "monotonicity-conditions",
-                            "players": _coalition(N),
-                            "player": i,
-                            "partition": _blocks(pi),
-                            "block": _coalition(B),
-                            "lhs": _frac(lhs),
-                            "rhs": _frac(rhs),
-                        }
+                        witness = _witness("monotonicity-conditions", players=N,
+                                           player=i, partition=pi, block=B, lhs=lhs,
+                                           rhs=rhs)
     return Report(
         f"monotonicity-conditions[{family.label}]", witness is None, checked, witness
     )

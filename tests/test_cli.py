@@ -290,6 +290,25 @@ def test_bad_universe_bound_env_var_exits_two(capsys, monkeypatch, showcase_path
     assert cli.ENV_UNIVERSE_BOUND in err and repr(bound) in err
 
 
+def test_main_restores_the_universe_bound(capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_UNIVERSE_BOUND, "5")
+    before = partitions.universe_bound()
+    code, _, _ = run(capsys, "enumerate", "--players", "1,2")
+    assert code == 0
+    assert partitions.universe_bound() == before
+
+
+@pytest.mark.parametrize("bound", ["11", "20", "1000000000"])
+def test_explosive_universe_bound_env_var_exits_two(capsys, monkeypatch, bound):
+    monkeypatch.setenv(cli.ENV_UNIVERSE_BOUND, bound)
+    before = partitions.universe_bound()
+    code, out, err = run(capsys, "enumerate", "--players", "1,2")
+    assert code == 2
+    assert out == ""
+    assert cli.ENV_UNIVERSE_BOUND in err and "embedded coalitions" in err
+    assert partitions.universe_bound() == before
+
+
 @pytest.mark.parametrize("entry", [7, {"S": ["a"], "pi": [[2, 3, 4]], "w": "1"}])
 def test_malformed_worth_entry_exits_two(capsys, tmp_path, entry):
     data = formats.tux_game_to_json(tux_games.productive_pair_game())

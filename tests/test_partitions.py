@@ -209,3 +209,15 @@ def test_mask_utilities():
         mask_from([1, 1])
     with pytest.raises(ValueError):
         mask_from([-1])
+
+
+def test_universe_bound_is_refused_past_the_embedded_coalition_budget():
+    # judged by the count alone: nothing is enumerated
+    assert embedded_count(10) <= partitions.MAX_EMBEDDED_COALITIONS < embedded_count(11)
+    before = partitions.universe_bound()
+    for n in (11, 12, 40, 10**9):
+        with pytest.raises(CapacityError):
+            set_universe_bound(n)
+        assert partitions.universe_bound() == before
+    assert set_universe_bound(10) == before
+    assert set_universe_bound(before) == 10

@@ -6,6 +6,7 @@ import pytest
 from pfgames import formats, partitions, tux_games
 from pfgames.random_partitions import PSTAR, ewens_family, perturbed_family
 from pfgames.restriction_ops import (
+    RestrictionOperator,
     crp_restriction,
     nullifying_restriction,
     probability_restriction,
@@ -279,3 +280,92 @@ def test_null_player_witness_validates_arguments():
         null_player_witness(N, 9, pi, partitions.mask_from([2]))
     with pytest.raises(ValueError):
         null_player_witness(N, 1, pi, partitions.mask_from([9]))
+
+
+def copy_grand_coalition(w, i, S, pi):
+    # every subgame cell copies the grand coalition's worth: path independent
+    # and null preserving, but it reads a cell no restricted worth may read
+    return w.worth(w.players, ()) if S else 0
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4])
+def test_non_local_operator_fails_locality_with_replayable_witness(n_max):
+    op = RestrictionOperator("copy-grand", copy_grand_coalition)
+    report = check_restriction_axioms(op, n_max)
+    assert not report.passed
+    witness = report.witness
+    assert witness["axiom"] == "RES"
+    N = formats.coalition_from_list(witness["players"])
+    i = witness["player"]
+    S = formats.coalition_from_list(witness["cell_coalition"])
+    pi = formats.partition_from_lists(witness["cell_partition"])
+    probe = (
+        formats.coalition_from_list(witness["probe_coalition"]),
+        formats.partition_from_lists(witness["probe_outside"]),
+    )
+    assert probe != (S, partitions.insert_player(pi, i, 0))
+    base = tux_games.dirac_game(N, S, partitions.insert_player(pi, i, 0))
+    bumped = base + tux_games.dirac_game(N, *probe)
+    lhs, rhs = op.restricted_worth(base, i, S, pi), op.restricted_worth(bumped, i, S, pi)
+    assert (lhs, rhs) == tuple(replay_fracs(witness, "lhs", "rhs"))
+    assert lhs != rhs
+
+
+def clipped_cell(w, i, S, pi):
+    return max(w.worth(S, partitions.insert_player(pi, i, 0)), 0)
+
+
+@pytest.mark.parametrize(
+    "cell", [clipped_cell, lambda w, i, S, pi: 1], ids=["compares-worths", "constant"]
+)
+def test_non_linear_rules_fail_linearity(cell):
+    report = check_restriction_axioms(RestrictionOperator("non-linear", cell), 3)
+    assert not report.passed
+    assert report.witness["axiom"] == "LIN"
+    assert report.witness["error"]
+
+
+def test_rule_that_is_linear_only_symbolically_fails_linearity():
+    """The removal map is checked against ``restrict`` on the dense game with
+    worth 1/k at the k-th nonempty embedded coalition."""
+
+    def cell(w, i, S, pi):
+        worth = w.worth(S, partitions.insert_player(pi, i, 0))
+        return worth if isinstance(w, tux_games.TuxGame) else 2 * worth
+
+    op = RestrictionOperator("two-faced", cell)
+    report = check_restriction_axioms(op, 3)
+    assert not report.passed
+    witness = report.witness
+    assert witness["axiom"] == "LIN"
+    N = formats.coalition_from_list(witness["players"])
+    cells = [c for c in partitions.enumerate_embedded(N) if c[0]]
+    dense = tux_games.TuxGame(N, {c: Fraction(1, k) for k, c in enumerate(cells, 1)})
+    S = formats.coalition_from_list(witness["cell_coalition"])
+    pi = formats.partition_from_lists(witness["cell_partition"])
+    rhs = op.restricted_worth(dense, witness["player"], S, pi)
+    assert Fraction(witness["rhs"]) == rhs
+    assert Fraction(witness["lhs"]) == 2 * rhs
+
+
+def test_rule_that_moves_only_the_null_game_fails_null_game_preservation():
+    def cell(w, i, S, pi):
+        worth = w.worth(S, partitions.insert_player(pi, i, 0))
+        null = isinstance(w, tux_games.TuxGame) and w == tux_games.null_game(w.players)
+        return worth + 1 if null else worth
+
+    op = RestrictionOperator("null-mover", cell)
+    report = check_restriction_axioms(op, 3)
+    assert not report.passed
+    witness = report.witness
+    assert witness["axiom"] == "PNG"
+    N = formats.coalition_from_list(witness["players"])
+    S = formats.coalition_from_list(witness["cell_coalition"])
+    pi = formats.partition_from_lists(witness["cell_partition"])
+    restricted = op.restrict(tux_games.null_game(N), witness["player"])
+    assert restricted.worth(S, pi) == Fraction(witness["lhs"]) != 0
+
+
+def test_builtin_operators_pass_at_six_players():
+    assert check_restriction_axioms(crp_restriction(), 6).passed
+    assert check_restriction_axioms(probability_restriction(PSTAR), 6).passed
