@@ -116,11 +116,14 @@ def _load_tu(path) -> tu_games.TuGame:
     return game
 
 
-def _load_tux(path) -> tux_games.TuxGame:
-    game = formats.load_game(path)
+def _as_tux(game) -> tux_games.TuxGame:
     if isinstance(game, tu_games.TuGame):
         return tux_games.lift_tu_game(game)
     return game
+
+
+def _load_tux(path) -> tux_games.TuxGame:
+    return _as_tux(formats.load_game(path))
 
 
 def _cmd_shapley(args) -> int:
@@ -132,14 +135,14 @@ def _cmd_shapley(args) -> int:
 
 def _cmd_potential(args) -> int:
     game = formats.load_game(args.game)
-    if isinstance(game, tux_games.TuxGame) and tux_games.externality_free_tu(game) is None:
-        if args.op is None:
-            raise ValueError("a game with externalities needs --op to fix its subgames")
-        value = parse_operator(args.op).potential(game)
-    elif args.op is not None:
-        value = parse_operator(args.op).potential(_load_tux(args.game))
+    if args.op is not None:
+        value = parse_operator(args.op).potential(_as_tux(game))
+    elif isinstance(game, tu_games.TuGame):
+        value = tu_games.potential(game)
+    elif (tu := tux_games.externality_free_tu(game)) is not None:
+        value = tu_games.potential(tu)
     else:
-        value = tu_games.potential(_load_tu(args.game))
+        raise ValueError("a game with externalities needs --op to fix its subgames")
     _emit({"potential": _scalar(value, args.float)}, args.format)
     return 0
 

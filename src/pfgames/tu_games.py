@@ -23,13 +23,16 @@ class TuGame:
     """A characteristic function on the subsets of a player set.
 
     Coalitions omitted from the worth mapping default to zero; the empty
-    coalition always has worth zero.
+    coalition always has worth zero. Twenty or more players are refused.
     """
 
     __slots__ = ("players", "_worth")
 
     def __init__(self, players, worth: Mapping = ()):
         self.players = partitions.as_mask(players)
+        if 1 << self.n > partitions.MAX_EMBEDDED_COALITIONS:
+            raise partitions.CapacityError(f"a TU game on {self.n} players has more than "
+                                           f"{partitions.MAX_EMBEDDED_COALITIONS} coalitions")
         table = {S: ZERO for S in partitions.subsets(self.players)}
         for key, value in dict(worth).items():
             S = partitions.as_mask(key)

@@ -3,12 +3,14 @@
 A partition-function game assigns a worth to every embedded coalition
 ``(S, pi)``: a coalition together with a partition of the outside players.
 The module provides the Dirac basis, averaging into a TU game, the MPW
-solution, p-Shapley values, the expected accumulated worth of a random
-partition, and the null-player test.
+solution, and the null-player test. p-Shapley values and the expected
+accumulated worth of a random partition share one pass over the family's
+distribution; MPW stays a separate route, through the average game.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -194,52 +196,43 @@ def mpw_value(w: TuxGame) -> PayoffVector:
     return tu_games.shapley_value(average_game(w, random_partitions.PSTAR))
 
 
+def _block_mass(
+    w: TuxGame, family: random_partitions.RandomPartitionFamily
+) -> dict[Coalition, Fraction]:
+    """Block mass M(S): sum of p(pi) worth(S, pi - S) over partitions pi with block S."""
+    mass: dict[Coalition, Fraction] = {}
+    for pi, p in family.distribution(w.players).items():
+        if p == 0:
+            continue
+        for k, S in enumerate(pi):
+            if x := w.worth(S, pi[:k] + pi[k + 1 :]):
+                mass[S] = mass.get(S, ZERO) + p * x
+    return mass
+
+
 def expected_accumulated_worth(
     w: TuxGame, family: random_partitions.RandomPartitionFamily
 ) -> Fraction:
     """Expected sum of block worths when the players split along a random partition."""
-    total = ZERO
-    for pi, p in family.distribution(w.players).items():
-        if p == 0:
-            continue
-        acc = ZERO
-        for k, S in enumerate(pi):
-            acc += w.worth(S, pi[:k] + pi[k + 1 :])
-        total += p * acc
-    return total
+    return sum(_block_mass(w, family).values(), ZERO)
 
 
 def p_shapley(w: TuxGame, family: random_partitions.RandomPartitionFamily, i: int) -> Fraction:
-    """Payoff of player ``i`` under the p-Shapley value for the given family.
-
-    Sums, over the embedded coalitions (T, tau) of the game without i, the
-    probability-weighted worth of T with i inside minus t/(n-t) times the
-    probability-weighted worths of T with i merged outside.
-    """
-    bit = partitions.singleton(i)
-    if not w.players & bit:
+    """Payoff of player ``i`` under the p-Shapley value for the given family."""
+    if not w.players & partitions.singleton(i):
         raise ValueError(f"player {i} is not in the game")
-    n = w.n
-    rest = w.players & ~bit
-    dist = family.distribution(w.players)
-    total = ZERO
-    for T, tau in partitions.enumerate_embedded(rest):
-        total += dist[partitions.with_block(tau, T | bit)] * w.worth(T | bit, tau)
-        if T == 0:
-            continue
-        t = T.bit_count()
-        outer = ZERO
-        for B in tau + (0,):
-            grown = partitions.insert_player(tau, i, B)
-            outer += dist[partitions.with_block(grown, T)] * w.worth(T, grown)
-        total -= Fraction(t, n - t) * outer
-    return total
+    return p_shapley_vector(w, family)[i]
 
 
 def p_shapley_vector(
     w: TuxGame, family: random_partitions.RandomPartitionFamily
 ) -> PayoffVector:
-    return {i: p_shapley(w, family, i) for i in w.member_ids()}
+    """Shapley value of S -> M(S) / beta(s), M the block mass and beta(s) =
+    (s-1)!(n-s)!/n! = 1/(s C(n, s)) the uniform-CRP probability that S is a
+    block; at ``PSTAR`` this TU game is the average game, so the value is MPW."""
+    mass = _block_mass(w, family)
+    game = {S: S.bit_count() * math.comb(w.n, S.bit_count()) * m for S, m in mass.items()}
+    return tu_games.shapley_value(TuGame(w.players, game))
 
 
 def is_null_player(w: TuxGame, i: int) -> bool:

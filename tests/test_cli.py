@@ -155,6 +155,10 @@ def test_potential_command(capsys, dirac_path, showcase_path):
     code, _, err = run(capsys, "potential", "--game", showcase_path)
     assert code == 2
     assert "--op" in err
+    # a TU file with an operator is lifted; its potential is unchanged
+    code, out, _ = run(capsys, "potential", "--game", dirac_path, "--op", "rstar")
+    assert code == 0
+    assert json.loads(out)["potential"] == "1/2"
 
 
 def test_p_shapley_matches_mpw(capsys, showcase_path):
@@ -264,6 +268,21 @@ def test_usage_errors_exit_two(capsys, tmp_path, showcase_path):
     code, _, err = run(capsys, "shapley", "--game", showcase_path)
     assert code == 2
     assert "externalities" in err
+
+
+@pytest.mark.parametrize("n", [20, 32])
+def test_oversized_tu_game_file_exits_two(capsys, monkeypatch, tmp_path, n):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"players": list(range(n)), "worth": {}}))
+
+    def refuse(mask):
+        raise AssertionError("a refused TU game must not be tabulated")
+
+    monkeypatch.setattr(partitions, "subsets", refuse)
+    code, out, err = run(capsys, "potential", "--game", str(path))
+    assert code == 2
+    assert out == ""
+    assert "big.json" in err and f"{n} players" in err
 
 
 def test_universe_bound_env_var(capsys, monkeypatch, showcase_path):

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from pfgames import partitions, tu_games
-from pfgames.random_partitions import PSTAR, perturbed_family
+from pfgames.random_partitions import (
+    PSTAR,
+    ewens_family,
+    family_from_distributions,
+    perturbed_family,
+)
 from pfgames.tux_games import (
     TuxGame,
     average_game,
@@ -255,6 +260,65 @@ def test_marginal_form_equals_mpw():
         payoff = mpw_value(w)
         for i in partitions.members(w.players):
             assert marginal_form_payoff(w, i) == payoff[i]
+
+
+def placement_p_shapley(w, family, i):
+    """Reference p-Shapley payoff of player ``i``, one placement at a time.
+
+    Sums, over the embedded coalitions (T, tau) of the game without i, the
+    probability-weighted worth of T with i inside minus t/(n-t) times the
+    probability-weighted worths of T with i placed in each outside block.
+    """
+    bit = partitions.singleton(i)
+    n = w.n
+    rest = w.players & ~bit
+    dist = family.distribution(w.players)
+    total = Fraction(0)
+    for T, tau in partitions.enumerate_embedded(rest):
+        total += dist[partitions.with_block(tau, T | bit)] * w.worth(T | bit, tau)
+        if T == 0:
+            continue
+        t = T.bit_count()
+        outer = Fraction(0)
+        for B in tau + (0,):
+            grown = partitions.insert_player(tau, i, B)
+            outer += dist[partitions.with_block(grown, T)] * w.worth(T, grown)
+        total -= Fraction(t, n - t) * outer
+    return total
+
+
+def skewed_table_family():
+    """A table family on players 1..3 that favours the pair {1, 2}."""
+    probs = {
+        blocks([1], [2], [3]): Fraction(1, 12),
+        blocks([1, 2], [3]): Fraction(1, 2),
+        blocks([1, 3], [2]): Fraction(1, 12),
+        blocks([1], [2, 3]): 0,
+        blocks([1, 2, 3]): Fraction(1, 3),
+    }
+    return family_from_distributions("skewed", {prefix(3): probs})
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        PSTAR,
+        ewens_family(Fraction(1, 2)),
+        ewens_family(2),
+        perturbed_family({4: Fraction(1, 24)}),
+        perturbed_family({4: Fraction(1, 8)}),
+        skewed_table_family(),
+    ],
+    ids=lambda family: family.label,
+)
+def test_p_shapley_matches_placement_reference(family):
+    rng = random.Random(41)
+    for n in range(1, 7):
+        w = random_tux_game(prefix(n), rng)
+        reference = {i: placement_p_shapley(w, family, i) for i in w.member_ids()}
+        assert p_shapley_vector(w, family) == reference
+        for i in w.member_ids():
+            assert p_shapley(w, family, i) == reference[i]
 
 
 def test_p_shapley_null_game_and_errors():
