@@ -106,24 +106,15 @@ def _emit(obj, fmt: str = "json") -> None:
 
 
 def _load_tu(path) -> tu_games.TuGame:
-    game = formats.load_game(path)
-    if isinstance(game, tux_games.TuxGame):
-        tu = tux_games.externality_free_tu(game)
-        if tu is None:
-            raise ValueError(f"{path}: this command needs a TU game, and the "
-                             "partition function has externalities")
-        return tu
-    return game
-
-
-def _as_tux(game) -> tux_games.TuxGame:
-    if isinstance(game, tu_games.TuGame):
-        return tux_games.lift_tu_game(game)
-    return game
+    tu = tux_games.as_tu_game(formats.load_game(path))
+    if tu is None:
+        raise ValueError(f"{path}: this command needs a TU game, and the "
+                         "partition function has externalities")
+    return tu
 
 
 def _load_tux(path) -> tux_games.TuxGame:
-    return _as_tux(formats.load_game(path))
+    return tux_games.as_tux_game(formats.load_game(path))
 
 
 def _cmd_shapley(args) -> int:
@@ -136,10 +127,8 @@ def _cmd_shapley(args) -> int:
 def _cmd_potential(args) -> int:
     game = formats.load_game(args.game)
     if args.op is not None:
-        value = parse_operator(args.op).potential(_as_tux(game))
-    elif isinstance(game, tu_games.TuGame):
-        value = tu_games.potential(game)
-    elif (tu := tux_games.externality_free_tu(game)) is not None:
+        value = parse_operator(args.op).potential(tux_games.as_tux_game(game))
+    elif (tu := tux_games.as_tu_game(game)) is not None:
         value = tu_games.potential(tu)
     else:
         raise ValueError("a game with externalities needs --op to fix its subgames")

@@ -179,6 +179,25 @@ def externality_free_tu(w: TuxGame) -> TuGame | None:
     return TuGame(w.players, worth)
 
 
+def as_tu_game(game: TuGame | TuxGame) -> TuGame | None:
+    """A TU game itself, or the TU game of an externality-free partition
+    function; None when the partition function has externalities."""
+    if isinstance(game, TuGame):
+        return game
+    if isinstance(game, TuxGame):
+        return externality_free_tu(game)
+    raise ValueError(f"expected a TU or partition-function game, got {type(game).__name__}")
+
+
+def as_tux_game(game: TuGame | TuxGame) -> TuxGame:
+    """A partition-function game itself, or a TU game lifted to one."""
+    if isinstance(game, TuxGame):
+        return game
+    if isinstance(game, TuGame):
+        return lift_tu_game(game)
+    raise ValueError(f"expected a TU or partition-function game, got {type(game).__name__}")
+
+
 def average_game(w: TuxGame, family: random_partitions.RandomPartitionFamily) -> TuGame:
     """TU game giving each coalition its expected worth over outside partitions."""
     worth: dict[Coalition, Fraction] = {}

@@ -407,3 +407,24 @@ def test_sample_mpw_on_tu_game_file(capsys, dirac_path):
     )
     assert code == 0
     assert json.loads(out)["samples"] == 400
+
+
+def test_bad_seed_exits_two_naming_the_seed(capsys, showcase_path):
+    code, out, err = run(capsys, "sample", "--game", showcase_path, "--target", "mpw",
+                         "--player", "1", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "seed" in err
+
+
+def test_game_kind_refusals_keep_their_messages(capsys, showcase_path):
+    code, _, err = run(capsys, "shapley", "--game", showcase_path)
+    assert (code, err) == (2, f"pfgames: error: {showcase_path}: this command needs a TU "
+                              "game, and the partition function has externalities\n")
+    code, _, err = run(capsys, "potential", "--game", showcase_path)
+    assert (code, err) == (2, "pfgames: error: a game with externalities needs --op to fix "
+                              "its subgames\n")
+    code, _, err = run(capsys, "sample", "--game", showcase_path, "--target", "shapley",
+                       "--player", "1")
+    assert (code, err) == (2, "pfgames: error: shapley target needs a TU game; this one "
+                              "has externalities\n")

@@ -2,10 +2,11 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from scipy import stats
 
-from pfgames import partitions, tu_games
+from pfgames import partitions, sampling, tu_games, tux_games
 from pfgames.random_partitions import PSTAR
 from pfgames.sampling import GENERATOR_ID, SampleEstimate, estimate_payoff, sample_crp
 from pfgames.tux_games import lift_tu_game, mpw_value, null_game, productive_pair_game
@@ -50,7 +51,7 @@ def test_grand_coalition_frequency_four_players():
     assert abs(grand / count - p) <= 4 * se
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_crp_marginals_chi_square(n):
     """Empirical partition counts match the exact law at significance 0.001."""
     count = 100_000
@@ -144,3 +145,142 @@ def test_bad_arguments_rejected():
         estimate_payoff(null_game(prefix(2)), 1, "mpw", n_samples=0, seed=1)
     with pytest.raises(ValueError):
         sample_crp(prefix(2), seed=1, count=0)
+
+
+def seat_reference(choice, ids):
+    """The seating rule one arrival at a time: arrival t founds a table when
+    choice[t] < 0, else joins the table of earlier arrival choice[t]."""
+    tables, table_of = [], []
+    for t, p in enumerate(ids):
+        j = int(choice[t])
+        if j < 0:
+            table_of.append(len(tables))
+            tables.append(1 << p)
+        else:
+            table_of.append(table_of[j])
+            tables[table_of[j]] |= 1 << p
+    return tuple(tables)
+
+
+def choices(rng, m, k):
+    """The (m, k) arrival choices of one seating, drawn column by column."""
+    j = np.empty((m, k), dtype=np.int64)
+    for t in range(k):
+        j[:, t] = rng.integers(-1, t, size=m)
+    return j
+
+
+def restricted(pi, mask):
+    return partitions.canonical_partition(B & mask for B in pi if B & mask)
+
+
+def test_sample_crp_matches_the_one_draw_reference(monkeypatch):
+    monkeypatch.setattr(sampling, "_SHARD", 7)
+    ids = (0, 3, 4, 9, 31)
+    rng = np.random.Generator(np.random.Philox(5))
+    j = np.concatenate([choices(rng, 7, 5), choices(rng, 7, 5), choices(rng, 2, 5)])
+    assert sample_crp(ids, seed=5, count=16) == [seat_reference(row, ids) for row in j]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_mpw_samples_match_the_one_draw_reference(n):
+    w = random_tux_game(prefix(n), random.Random(n))
+    ids = w.member_ids()
+    for me, i in enumerate(ids):
+        m = 300
+        got = sampling._mpw_samples(w, i)(np.random.Generator(np.random.Philox(n)), m)
+        rng = np.random.Generator(np.random.Philox(n))
+        arrival = rng.permuted(np.tile(np.arange(n, dtype=np.int16), (m, 1)), axis=1)
+        j = choices(rng, 2 * m, n)
+        for d in range(m):
+            order = arrival[d].tolist()
+            S = partitions.mask_from(ids[p] for p in order[: order.index(me)])
+            with_i = restricted(seat_reference(j[d], ids), w.players & ~(S | 1 << i))
+            without_i = restricted(seat_reference(j[m + d], ids), w.players & ~S)
+            expected = float(w.worth(S | 1 << i, with_i)) - float(w.worth(S, without_i))
+            assert got[d] == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_shapley_samples_match_the_one_draw_reference(n):
+    v = random_tu_game(prefix(n), random.Random(n))
+    ids = v.member_ids()
+    for i in ids:
+        m = 300
+        got = sampling._crp_shapley_samples(v, i)(np.random.Generator(np.random.Philox(n)), m)
+        j = choices(np.random.Generator(np.random.Philox(n)), m, n - 1)
+        others = tuple(p for p in ids if p != i)
+        for d in range(m):
+            expected = float(v.worth(1 << i)) / n + sum(
+                B.bit_count() / n * (float(v.worth(B | 1 << i)) - float(v.worth(B)))
+                for B in seat_reference(j[d], others)
+            )
+            assert got[d] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_estimates_track_exact_values_on_larger_games(n):
+    """Every player of a seeded game at n = 6..8 lands within 4 standard errors."""
+    rng = random.Random(600 + n)
+    v = random_tu_game(prefix(n), rng)
+    w = random_tux_game(prefix(n), rng)
+    shapley, mpw = tu_games.shapley_value(v), mpw_value(w)
+    for i in v.member_ids():
+        est = estimate_payoff(v, i, "shapley", n_samples=20_000, seed=3000 + 10 * n + i)
+        assert abs(est.mean - float(shapley[i])) <= 4 * est.std_error + 1e-9
+        est = estimate_payoff(w, i, "mpw", n_samples=20_000, seed=4000 + 10 * n + i)
+        assert abs(est.mean - float(mpw[i])) <= 4 * est.std_error + 1e-9
+
+
+def relabelled(mask, ids_from, ids_to):
+    return sum(1 << q for p, q in zip(ids_from, ids_to) if mask >> p & 1)
+
+
+@pytest.mark.parametrize("target", ["shapley", "mpw"])
+def test_estimates_ignore_player_labels(target):
+    """Same game under ids {1, 2, 3, 4} and {0, 5, 17, 31}: identical estimates."""
+    small, spread = (1, 2, 3, 4), (0, 5, 17, 31)
+    if target == "shapley":
+        v = random_tu_game(prefix(4), random.Random(44))
+        moved = tu_games.TuGame(
+            partitions.mask_from(spread),
+            {relabelled(S, small, spread): v.worth(S) for S in partitions.subsets(v.players)},
+        )
+    else:
+        v = random_tux_game(prefix(4), random.Random(44))
+        moved = tux_games.TuxGame(
+            partitions.mask_from(spread),
+            {
+                (relabelled(S, small, spread),
+                 partitions.canonical_partition(relabelled(B, small, spread) for B in pi)): x
+                for (S, pi), x in v.cells()
+            },
+        )
+    for i, j in zip(small, spread):
+        assert estimate_payoff(v, i, target, 5000, seed=8) == estimate_payoff(
+            moved, j, target, 5000, seed=8
+        )
+
+
+def test_shards_are_seeded_lazily_from_spawned_children(monkeypatch):
+    """Three full shards and a remainder pool the per-shard results of the
+    children SeedSequence(seed).spawn would give."""
+    monkeypatch.setattr(sampling, "_SHARD", 50)
+    w = random_tux_game(prefix(4), random.Random(50))
+    est = estimate_payoff(w, 2, "mpw", n_samples=170, seed=12)
+    draw = sampling._mpw_samples(w, 2)
+    children = np.random.SeedSequence(12).spawn(4)
+    stats = [
+        sampling._moments(draw(np.random.Generator(np.random.Philox(child)), m))
+        for child, m in zip(children, [50, 50, 50, 20])
+    ]
+    count, mean, m2 = sampling._pool(stats)
+    assert est == SampleEstimate(mean, math.sqrt(m2 / (count - 1) / count), 170, 12)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_bad_seed_rejected_naming_the_seed(seed):
+    with pytest.raises(ValueError, match="seed"):
+        estimate_payoff(null_game(prefix(2)), 1, "mpw", n_samples=10, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        sample_crp(prefix(2), seed=seed, count=10)

@@ -12,6 +12,8 @@ from pfgames.random_partitions import (
 )
 from pfgames.tux_games import (
     TuxGame,
+    as_tu_game,
+    as_tux_game,
     average_game,
     dirac_basis,
     dirac_coefficients,
@@ -145,6 +147,19 @@ def test_lifted_tu_game_round_trips():
     )
     assert externality_free_tu(lift_tu_game(v)) == v
     assert externality_free_tu(null_game(N4)) == tu_games.null_game(N4)
+
+
+def test_game_kind_conversions():
+    v = tu_games.unanimity_game(prefix(3), prefix(2))
+    w = productive_pair_game()
+    assert as_tu_game(v) is v
+    assert as_tu_game(lift_tu_game(v)) == v
+    assert as_tu_game(w) is None
+    assert as_tux_game(w) is w
+    assert as_tux_game(v) == lift_tu_game(v)
+    for convert in (as_tu_game, as_tux_game):
+        with pytest.raises(ValueError, match="dict"):
+            convert({})
 
 
 def test_average_game_of_dirac():
