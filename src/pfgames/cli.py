@@ -36,18 +36,24 @@ ENV_UNIVERSE_BOUND = "PFGAMES_UNIVERSE_BOUND"
 def parse_family(spec: str) -> random_partitions.RandomPartitionFamily:
     if spec == "pstar":
         return random_partitions.PSTAR
-    if spec.startswith("ewens:"):
-        return random_partitions.ewens_family(formats.parse_rational(spec[6:]))
-    if spec.startswith("eps:"):
-        values = {}
-        for piece in spec[4:].split(","):
-            k, _, eps = piece.partition("=")
-            if not _:
-                raise ValueError(f"bad eps entry {piece!r}; expected k=p/q")
-            values[int(k)] = formats.parse_rational(eps)
-        return random_partitions.perturbed_family(values)
     if spec.startswith("table:"):
         return formats.load_family_table(spec[6:])
+    try:
+        if spec.startswith("ewens:"):
+            return random_partitions.ewens_family(formats.parse_rational(spec[6:]))
+        if spec.startswith("eps:"):
+            values = {}
+            for piece in spec[4:].split(","):
+                k, eq, eps = piece.partition("=")
+                if not eq or not k.strip().isdecimal():
+                    raise ValueError(f"bad eps entry {piece!r}; expected k=p/q with an integer k")
+                k = int(k)
+                if k in values:
+                    raise ValueError(f"eps_{k} is given twice")
+                values[k] = formats.parse_rational(eps)
+            return random_partitions.perturbed_family(values)
+    except ValueError as exc:
+        raise ValueError(f"family spec {spec!r}: {exc}") from None
     raise ValueError(f"unknown family spec {spec!r}")
 
 
@@ -75,8 +81,11 @@ def parse_solution(spec: str):
     raise ValueError(f"unknown solution spec {spec!r}")
 
 
-def _parse_players(text: str):
-    return partitions.mask_from(int(x) for x in text.split(",") if x != "")
+def _parse_players(text: str, option: str):
+    try:
+        return partitions.mask_from(int(x) for x in text.split(",") if x != "")
+    except ValueError as exc:
+        raise ValueError(f"{option} {text!r}: {exc}") from None
 
 
 def _payoffs(payoff, as_float: bool):
@@ -156,7 +165,7 @@ def _cmd_p_shapley(args) -> int:
 def _cmd_restrict(args) -> int:
     w = _load_tux(args.game)
     op = parse_operator(args.op)
-    removed = _parse_players(args.remove)
+    removed = _parse_players(args.remove, "--remove")
     _emit(formats.tux_game_to_json(op.restrict_many(w, removed)))
     return 0
 
@@ -219,7 +228,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    players = _parse_players(args.players)
+    players = _parse_players(args.players, "--players")
     if args.embedded:
         _emit(
             {

@@ -3,9 +3,10 @@
 Players are small non-negative integers. A coalition is an int bitmask with
 bit ``i`` set for player ``i``; a partition is a tuple of pairwise disjoint
 nonempty block masks sorted by least member; an embedded coalition is a pair
-``(S, pi)`` where ``pi`` partitions the complement of ``S``. Everything is an
-immutable value, so all operations here are pure and safe to share across
-threads.
+``(S, pi)`` where ``pi`` partitions the complement of ``S``. ``placements``
+is the one way a partition grows by a player: the player joins a block or
+stays alone. Everything is an immutable value, so all operations here are
+pure and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -222,6 +223,23 @@ def enumerate_embedded(players) -> tuple[EmbeddedCoalition, ...]:
     return cached
 
 
+def placements(pi: Partition, i: int) -> Iterator[tuple[Coalition, Partition]]:
+    """The ways to add a player ``i`` that ``pi`` does not cover (unchecked).
+
+    Yields ``(B, grown)`` with ``i`` merged into each block ``B`` of ``pi`` in
+    order, then ``(0, grown)`` with ``i`` alone; every ``grown`` is canonical.
+    """
+    bit = 1 << i
+    at = 0  # i's block goes after the blocks whose least member is below i
+    for k, B in enumerate(pi):
+        if B & -B < bit:
+            at = k + 1
+            yield B, pi[:k] + (B | bit,) + pi[k + 1 :]
+        else:
+            yield B, pi[:at] + (B | bit,) + pi[at:k] + pi[k + 1 :]
+    yield EMPTY, pi[:at] + (bit,) + pi[at:]
+
+
 def insert_player(pi: Partition, i: int, target: Coalition = EMPTY) -> Partition:
     """Add player ``i`` to block ``target`` of ``pi``, or as a singleton.
 
@@ -230,13 +248,9 @@ def insert_player(pi: Partition, i: int, target: Coalition = EMPTY) -> Partition
     bit = singleton(i)
     if union_of(pi) & bit:
         raise ValueError(f"player {i} is already covered by the partition")
-    if target == EMPTY:
-        blocks = pi + (bit,)
-    else:
-        if target not in pi:
-            raise ValueError("target is not a block of the partition")
-        blocks = tuple(block | bit if block == target else block for block in pi)
-    return tuple(sorted(blocks, key=least_member))
+    if target != EMPTY and target not in pi:
+        raise ValueError("target is not a block of the partition")
+    return next(grown for B, grown in placements(pi, i) if B == target)
 
 
 def with_block(pi: Partition, block: Coalition) -> Partition:

@@ -204,15 +204,13 @@ def perturbed_family(eps) -> RandomPartitionFamily:
 
 
 def family_from_distributions(
-    label: str,
-    tables: Mapping[Coalition, Distribution],
-    fallback: RandomPartitionFamily = PSTAR,
+    label: str, tables: Mapping[Coalition, Distribution]
 ) -> RandomPartitionFamily:
-    """Family backed by explicit tables, deferring to ``fallback`` elsewhere.
+    """Family backed by explicit tables, deferring to ``PSTAR`` elsewhere.
 
     Tables are validated immediately against the distribution invariants
     (full coverage, non-negativity, total exactly 1). Player sets without a
-    table are answered by the fallback family, so a table for a single
+    table are answered by the uniform CRP law, so a table for a single
     cardinality still yields a family defined everywhere.
     """
     tables = {
@@ -226,7 +224,7 @@ def family_from_distributions(
         table = tables.get(mask)
         if table is not None:
             return table
-        return dict(fallback.distribution(mask))
+        return dict(PSTAR.distribution(mask))
 
     return RandomPartitionFamily(
         label, rule, explicit_player_sets=frozenset(tables)

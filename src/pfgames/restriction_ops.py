@@ -104,36 +104,29 @@ def crp_restriction() -> RestrictionOperator:
     """
 
     def cell(w: TuxGame, i: int, S: Coalition, pi: Partition) -> Fraction:
-        n = w.n
-        s = S.bit_count()
-        total = Fraction(1, n - s) * w.worth(S, partitions.insert_player(pi, i, 0))
-        for B in pi:
-            total += Fraction(B.bit_count(), n - s) * w.worth(
-                S, partitions.insert_player(pi, i, B)
-            )
+        outside = w.n - S.bit_count()
+        total = ZERO
+        for B, grown in partitions.placements(pi, i):
+            # alone (B = 0) weighs like a block of one
+            total += Fraction(B.bit_count() or 1, outside) * w.worth(S, grown)
         return total
 
     return RestrictionOperator("rstar", cell)
 
 
-def probability_restriction(
-    family: RandomPartitionFamily, gen_check_up_to: int | None = None
-) -> RestrictionOperator:
+def probability_restriction(family: RandomPartitionFamily) -> RestrictionOperator:
     """Restriction operator weighting original worths by probability ratios.
 
     The subgame worth at (S, pi) is n/(n-s) times the sum over target blocks
     B of p_N({S} + pi with the removed player in B) / p_{N-i}({S} + pi) times
     the original worth. The family must generate the TU potential; this is
-    checked up to ``gen_check_up_to`` players (default 5, capped by the
-    universe bound) at construction time. Probabilities appearing in
-    denominators must be nonzero and are checked per query.
+    checked at construction time on up to 5 players (fewer when the universe
+    bound is lower). Probabilities appearing in denominators must be nonzero
+    and are checked per query.
     """
     from . import verify
 
-    bound = gen_check_up_to
-    if bound is None:
-        bound = min(5, partitions.universe_bound())
-    report = verify.check_gen(family, bound)
+    report = verify.check_gen(family, min(5, partitions.universe_bound()))
     if not report.passed:
         raise ValueError(
             f"family {family.label!r} does not generate the TU potential; "
@@ -158,8 +151,7 @@ def probability_restriction(
             )
         dist = family.distribution(w.players)
         total = ZERO
-        for B in pi + (0,):
-            grown = partitions.insert_player(pi, i, B)
+        for _, grown in partitions.placements(pi, i):
             total += dist[partitions.with_block(grown, S)] * w.worth(S, grown)
         return Fraction(n, n - s) * total / denominator
 
@@ -186,9 +178,10 @@ def removal_biased_restriction() -> RestrictionOperator:
     """
 
     def cell(w: TuxGame, i: int, S: Coalition, pi: Partition) -> Fraction:
-        total = w.worth(S, partitions.insert_player(pi, i, 0))
-        for B in pi:
-            total += (i + 1) * w.worth(S, partitions.insert_player(pi, i, B))
+        total = ZERO
+        for B, grown in partitions.placements(pi, i):
+            worth = w.worth(S, grown)
+            total += (i + 1) * worth if B else worth
         return total
 
     return RestrictionOperator("biased", cell)

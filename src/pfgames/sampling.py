@@ -32,7 +32,7 @@ import numpy as np
 
 from . import partitions, tux_games
 from .partitions import Coalition, Partition
-from .tu_games import TuGame
+from .tu_games import Game, TuGame
 from .tux_games import TuxGame
 
 GENERATOR_ID = "numpy-philox-v2"
@@ -168,15 +168,17 @@ def _cell_codes(players: Coalition):
     return cached
 
 
-def _mpw_samples(w: TuxGame, i: int):
+def _mpw_samples(w: TuGame | TuxGame, i: int):
     """Sampler ``(rng, m) -> m draws`` of the mpw target on ``w``.
 
     A draw takes the predecessors S of i in a uniform arrival order and
     seats N twice; the first seating restricted to N - S - i and the second
     restricted to N - S give the outside partitions, and the draw is
     w(S + i, first) - w(S, second). Only the worths of drawn cells are
-    converted to float, once each.
+    converted to float, once each; a TU game's cell (S, pi) is worth w(S),
+    read without lifting the game.
     """
+    cell_worth = w.worth if isinstance(w, TuxGame) else lambda S, pi: w.worth(S)
     n = w.n
     me = w.member_ids().index(i)
     codes, rows, labels = _cell_codes(w.players)
@@ -202,7 +204,7 @@ def _mpw_samples(w: TuxGame, i: int):
         seen = np.zeros(len(cells), dtype=bool)
         seen[drawn] = True
         new = np.flatnonzero(seen & np.isnan(worth))
-        fractions = (w.worth(*cells[r]) for r in new.tolist())
+        fractions = (cell_worth(*cells[r]) for r in new.tolist())
         # exact int division: the float(Fraction) result without its dispatch
         worth[new] = [x.numerator / x.denominator for x in fractions]
         x = worth[drawn]
@@ -233,7 +235,9 @@ def estimate_payoff(game, i: int, target: str, n_samples: int, seed: int) -> Sam
             raise ValueError("shapley target needs a TU game; this one has externalities")
         sampler = _crp_shapley_samples
     elif target == "mpw":
-        game = tux_games.as_tux_game(game)
+        if not isinstance(game, Game):
+            raise ValueError("expected a TU or partition-function game, "
+                             f"got {type(game).__name__}")
         sampler = _mpw_samples
     else:
         raise ValueError(f"unknown target {target!r}; expected 'shapley' or 'mpw'")

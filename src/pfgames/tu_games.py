@@ -9,6 +9,7 @@ size, and the expected accumulated worth of a uniform random partition.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping
 
@@ -19,14 +20,57 @@ from .random_partitions import ZERO
 PayoffVector = dict[int, Fraction]
 
 
-class TuGame:
+class Game:
+    """A worth table over a player set: what TU and partition-function games
+    share. Equal games have equal tables; sums, differences and scalar
+    multiples are taken cell by cell and rebuilt through the constructor."""
+
+    __slots__ = ("players", "_worth")
+
+    @property
+    def n(self) -> int:
+        return partitions.size(self.players)
+
+    def member_ids(self) -> tuple[int, ...]:
+        return partitions.members(self.players)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._worth == other._worth
+
+    def __hash__(self):
+        return hash((type(self), frozenset(self._worth.items())))
+
+    def __repr__(self):
+        nonzero = sum(1 for x in self._worth.values() if x)
+        return f"{type(self).__name__}(players={list(self.member_ids())}, nonzero={nonzero})"
+
+    def _combine(self, other, op):
+        if type(other) is not type(self) or other.players != self.players:
+            return NotImplemented
+        table = {key: op(x, other._worth[key]) for key, x in self._worth.items()}
+        return type(self)(self.players, table)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub)
+
+    def __mul__(self, scalar):
+        scalar = Fraction(scalar)
+        return type(self)(self.players, {key: scalar * x for key, x in self._worth.items()})
+
+    __rmul__ = __mul__
+
+
+class TuGame(Game):
     """A characteristic function on the subsets of a player set.
 
     Coalitions omitted from the worth mapping default to zero; the empty
     coalition always has worth zero. Twenty or more players are refused.
     """
 
-    __slots__ = ("players", "_worth")
+    __slots__ = ()
 
     def __init__(self, players, worth: Mapping = ()):
         self.players = partitions.as_mask(players)
@@ -57,47 +101,8 @@ class TuGame:
                 "of the player set"
             ) from None
 
-    @property
-    def n(self) -> int:
-        return partitions.size(self.players)
-
-    def member_ids(self) -> tuple[int, ...]:
-        return partitions.members(self.players)
-
     def nonzero_worths(self) -> dict[Coalition, Fraction]:
         return {S: x for S, x in self._worth.items() if x != 0}
-
-    def _signature(self):
-        return (self.players, tuple(sorted(self._worth.items())))
-
-    def __eq__(self, other):
-        return isinstance(other, TuGame) and self._signature() == other._signature()
-
-    def __hash__(self):
-        return hash(self._signature())
-
-    def __repr__(self):
-        return f"TuGame(players={list(self.member_ids())}, nonzero={len(self.nonzero_worths())})"
-
-    def __add__(self, other):
-        if not isinstance(other, TuGame) or other.players != self.players:
-            return NotImplemented
-        return TuGame(
-            self.players, {S: x + other._worth[S] for S, x in self._worth.items()}
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, TuGame) or other.players != self.players:
-            return NotImplemented
-        return TuGame(
-            self.players, {S: x - other._worth[S] for S, x in self._worth.items()}
-        )
-
-    def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        return TuGame(self.players, {S: scalar * x for S, x in self._worth.items()})
-
-    __rmul__ = __mul__
 
 
 def null_game(players) -> TuGame:
@@ -189,18 +194,11 @@ def potential_via_size_weights(v: TuGame) -> Fraction:
     return total
 
 
-def potential_via_random_partition(v: TuGame, family=None) -> Fraction:
-    """Potential as the expected accumulated worth of a random partition.
-
-    Defaults to the uniform CRP law; any potential-generating family gives
-    the same number.
-    """
-    if family is None:
-        family = random_partitions.PSTAR
+def potential_via_random_partition(v: TuGame) -> Fraction:
+    """Potential as the expected accumulated worth of a uniform CRP partition
+    (any potential-generating family gives the same number)."""
     total = ZERO
-    for pi, p in family.distribution(v.players).items():
-        if p == 0:
-            continue
+    for pi, p in random_partitions.PSTAR.distribution(v.players).items():
         total += p * sum((v.worth(B) for B in pi), ZERO)
     return total
 

@@ -17,17 +17,17 @@ from typing import Callable, Mapping
 from . import partitions, random_partitions, tu_games
 from .partitions import Coalition, EmbeddedCoalition, Partition
 from .random_partitions import ZERO
-from .tu_games import PayoffVector, TuGame
+from .tu_games import Game, PayoffVector, TuGame
 
 
-class TuxGame:
+class TuxGame(Game):
     """A partition function defined on every embedded coalition of a player set.
 
     The worth table is dense: a missing embedded coalition is a construction
     error, not an implicit zero. Empty coalitions always have worth zero.
     """
 
-    __slots__ = ("players", "_worth")
+    __slots__ = ()
 
     def __init__(self, players, worth: Mapping[EmbeddedCoalition, Fraction]):
         self.players = partitions.as_mask(players)
@@ -74,53 +74,8 @@ class TuxGame:
                 "embedded coalition of this game"
             ) from None
 
-    @property
-    def n(self) -> int:
-        return partitions.size(self.players)
-
-    def member_ids(self) -> tuple[int, ...]:
-        return partitions.members(self.players)
-
     def cells(self):
         return self._worth.items()
-
-    def _signature(self):
-        return (self.players, tuple(sorted(self._worth.items())))
-
-    def __eq__(self, other):
-        return isinstance(other, TuxGame) and self._signature() == other._signature()
-
-    def __hash__(self):
-        return hash(self._signature())
-
-    def __repr__(self):
-        nonzero = sum(1 for x in self._worth.values() if x != 0)
-        return f"TuxGame(players={list(self.member_ids())}, nonzero={nonzero})"
-
-    def __add__(self, other):
-        if not isinstance(other, TuxGame) or other.players != self.players:
-            return NotImplemented
-        return TuxGame(
-            self.players,
-            {key: x + other._worth[key] for key, x in self._worth.items() if key[0]},
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, TuxGame) or other.players != self.players:
-            return NotImplemented
-        return TuxGame(
-            self.players,
-            {key: x - other._worth[key] for key, x in self._worth.items() if key[0]},
-        )
-
-    def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        return TuxGame(
-            self.players,
-            {key: scalar * x for key, x in self._worth.items() if key[0]},
-        )
-
-    __rmul__ = __mul__
 
 
 def _pi_repr(pi: Partition) -> list[list[int]]:
@@ -264,12 +219,10 @@ def is_null_player(w: TuxGame, i: int) -> bool:
     bit = partitions.singleton(i)
     if not w.players & bit:
         raise ValueError(f"player {i} is not in the game")
-    rest = w.players & ~bit
-    for S, pi in partitions.enumerate_embedded(rest):
+    for S, pi in partitions.enumerate_embedded(w.players & ~bit):
         inside = w.worth(S | bit, pi)
-        for B in pi + (0,):
-            if inside != w.worth(S, partitions.insert_player(pi, i, B)):
-                return False
+        if any(inside != w.worth(S, grown) for _, grown in partitions.placements(pi, i)):
+            return False
     return True
 
 

@@ -105,8 +105,7 @@ def reduction_identity(
     dist = family.distribution(N)
     for pi in partitions.enumerate_partitions(rest & ~S):
         lhs += family.prob(rest, partitions.with_block(pi, S))
-        for B in pi + (0,):
-            grown = partitions.insert_player(pi, i, B)
+        for _, grown in partitions.placements(pi, i):
             rhs += dist[partitions.with_block(grown, S)]
     return lhs, Fraction(n, n - s) * rhs
 
@@ -295,10 +294,11 @@ def _removal_map(op, N: Coalition, i: int) -> dict:
         lhs = sum((x * probe.worth(*cell) for cell, x in row.items()), ZERO)
         if lhs != restricted.worth(S, pi):
             raise _Violation(axiom="LIN", **where, lhs=lhs, rhs=restricted.worth(S, pi))
-        admissible = {(S, partitions.insert_player(pi, i, B)) for B in pi + (0,)}
+        admissible = [(S, grown) for _, grown in partitions.placements(pi, i)]
         for cell in row:
             if cell not in admissible:
-                base = tux_games.dirac_game(N, S, partitions.insert_player(pi, i, 0))
+                # the last placement leaves i alone
+                base = tux_games.dirac_game(N, *admissible[-1])
                 bumped = base + tux_games.dirac_game(N, *cell)
                 raise _Violation(
                     axiom="RES", **where, probe_coalition=cell[0], probe_outside=cell[1],
@@ -352,13 +352,9 @@ def check_restriction_axioms(op, n_max: int) -> Report:
 # --- null player ------------------------------------------------------------
 
 
-def null_player_witness(players, i: int, pi: Partition, block, alpha=1) -> TuxGame:
-    """Game in which player ``i`` is null by construction.
-
-    Puts worth ``alpha`` on the embedded coalition where i joined the given
-    block, and the same worth on every way of placing i outside the block.
-    A solution with the null player property must pay i nothing here.
-    """
+def _placement_args(players, i: int, pi: Partition, block) -> tuple[Coalition, Coalition]:
+    """The masks of ``players`` and ``block``, once ``pi`` is known to
+    partition the players other than ``i`` and to contain the block."""
     N = partitions.as_mask(players)
     B = partitions.as_mask(block)
     bit = partitions.singleton(i)
@@ -366,11 +362,21 @@ def null_player_witness(players, i: int, pi: Partition, block, alpha=1) -> TuxGa
         raise ValueError(f"player {i} is not in the player set")
     if not partitions.is_partition_of(pi, N & ~bit) or B not in pi:
         raise ValueError("pi must partition the other players and contain the block")
-    alpha = Fraction(alpha)
+    return N, B
+
+
+def null_player_witness(players, i: int, pi: Partition, block) -> TuxGame:
+    """Game in which player ``i`` is null by construction.
+
+    Puts worth 1 on the embedded coalition where i joined the given block,
+    and worth 1 on every way of placing i outside the block. A solution with
+    the null player property must pay i nothing here.
+    """
+    N, B = _placement_args(players, i, pi, block)
     remainder = tuple(C for C in pi if C != B)
-    coefficients = {(B | bit, remainder): alpha}
-    for C in remainder + (0,):
-        coefficients[(B, partitions.insert_player(remainder, i, C))] = alpha
+    coefficients = {(B | 1 << i, remainder): ONE}
+    for _, grown in partitions.placements(remainder, i):
+        coefficients[(B, grown)] = ONE
     return tux_games.game_from_dirac_coefficients(N, coefficients)
 
 
@@ -423,17 +429,12 @@ def monotonicity_instance(
     times the total probability of i landing anywhere else. All instances
     hold exactly for the uniform CRP law and pin the family down to it.
     """
-    N = partitions.as_mask(players)
-    B = partitions.as_mask(block)
-    if B not in pi:
-        raise ValueError("block is not part of the partition")
+    N, B = _placement_args(players, i, pi, block)
     n, b = partitions.size(N), partitions.size(B)
     dist = family.distribution(N)
-    lhs = dist[partitions.insert_player(pi, i, B)]
-    rhs = ZERO
-    for C in tuple(C for C in pi if C != B) + (0,):
-        rhs += dist[partitions.insert_player(pi, i, C)]
-    return lhs, Fraction(b, n - b) * rhs
+    prob = {C: dist[grown] for C, grown in partitions.placements(pi, i)}
+    lhs = prob.pop(B)
+    return lhs, Fraction(b, n - b) * sum(prob.values(), ZERO)
 
 
 def check_monotonicity_conditions(family: RandomPartitionFamily, n_max: int) -> Report:

@@ -270,6 +270,26 @@ def test_usage_errors_exit_two(capsys, tmp_path, showcase_path):
     assert "externalities" in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["verify", "--check", "gen", "--family", "eps:x=1/2"], "'eps:x=1/2'"),
+        (["verify", "--check", "gen", "--family", "eps:4=1/24,4=1/8"], "given twice"),
+        (["verify", "--check", "gen", "--family", "eps:4=zz"], "'eps:4=zz'"),
+        (["verify", "--check", "gen", "--family", "ewens:0"], "'ewens:0'"),
+        (["p-shapley", "--game", "{game}", "--family", "eps:3=1/2"], "'eps:3=1/2'"),
+        (["enumerate", "--players", "1,a"], "--players '1,a'"),
+        (["restrict", "--game", "{game}", "--op", "rstar", "--remove", "1,a"], "--remove '1,a'"),
+    ],
+)
+def test_spec_errors_exit_two_naming_the_spec_or_option(capsys, showcase_path, argv, named):
+    argv = [arg.replace("{game}", showcase_path) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
 @pytest.mark.parametrize("n", [20, 32])
 def test_oversized_tu_game_file_exits_two(capsys, monkeypatch, tmp_path, n):
     path = tmp_path / "big.json"

@@ -15,6 +15,7 @@ from pfgames.partitions import (
     is_partition_of,
     mask_from,
     members,
+    placements,
     set_universe_bound,
     subsets,
 )
@@ -140,8 +141,8 @@ def partition_with_insertion(draw):
     n = draw(st.integers(min_value=1, max_value=6))
     ids = draw(st.sets(st.integers(min_value=0, max_value=7), min_size=n, max_size=n))
     ids = sorted(ids)
-    new = ids[0]
-    rest = ids[1:]
+    new = ids.pop(draw(st.integers(min_value=0, max_value=n - 1)))
+    rest = ids
     # restricted-growth assignment over the remaining ids
     assignment = []
     top = 0
@@ -170,6 +171,23 @@ def test_insert_produces_canonical_partition(case):
     grown = insert_player(pi, i, target)
     assert canonical_partition(grown) == grown
     assert is_partition_of(grown, partitions.union_of(pi) | (1 << i))
+
+
+@given(partition_with_insertion())
+def test_placements_are_the_insertions_in_block_order(case):
+    pi, i, _ = case
+    assert list(placements(pi, i)) == [(B, insert_player(pi, i, B)) for B in pi + (0,)]
+
+
+def test_placements_keep_blocks_canonical():
+    pi = blocks([1], [4, 5], [6])
+    assert list(placements(pi, 3)) == [
+        (mask_from([1]), (mask_from([1, 3]), mask_from([4, 5]), mask_from([6]))),
+        (mask_from([4, 5]), (mask_from([1]), mask_from([3, 4, 5]), mask_from([6]))),
+        (mask_from([6]), (mask_from([1]), mask_from([3, 6]), mask_from([4, 5]))),
+        (0, (mask_from([1]), mask_from([3]), mask_from([4, 5]), mask_from([6]))),
+    ]
+    assert list(placements((), 3)) == [(0, blocks([3]))]
 
 
 def test_canonical_partition_rejects_overlap_and_empty():

@@ -262,6 +262,22 @@ def test_estimates_ignore_player_labels(target):
         )
 
 
+@pytest.mark.parametrize("n", [2, 8])
+@pytest.mark.parametrize("seed", [3, 19])
+def test_mpw_estimate_on_a_tu_game_reads_it_without_the_lift(monkeypatch, n, seed):
+    v = random_tu_game(prefix(n), random.Random(60 + n))
+    lifted = lift_tu_game(v)
+
+    def refuse(game):
+        raise AssertionError("the mpw target must not lift a TU game")
+
+    monkeypatch.setattr(tux_games, "lift_tu_game", refuse)
+    for i in partitions.members(v.players):
+        assert estimate_payoff(v, i, "mpw", 2000, seed) == estimate_payoff(
+            lifted, i, "mpw", 2000, seed
+        )
+
+
 def test_shards_are_seeded_lazily_from_spawned_children(monkeypatch):
     """Three full shards and a remainder pool the per-shard results of the
     children SeedSequence(seed).spawn would give."""

@@ -31,7 +31,7 @@ from pfgames.tux_games import (
 )
 from pfgames.verify import null_player_witness
 
-from .corpus import prefix, random_tux_game, tux_corpus
+from .corpus import prefix, random_tu_game, random_tux_game, tux_corpus
 
 
 def blocks(*ids_lists):
@@ -394,3 +394,31 @@ def test_null_player_detection_in_showcase():
 def test_every_player_null_in_null_game():
     null = null_game(N4)
     assert all(is_null_player(null, i) for i in partitions.members(N4))
+
+
+@pytest.mark.parametrize("kind", ["tu", "tux"])
+def test_games_compare_and_hash_by_table(kind):
+    rng = random.Random(31)
+    if kind == "tu":
+        w = random_tu_game(prefix(3), rng)
+        table = {S: w.worth(S) for S in partitions.subsets(w.players)}
+    else:
+        w = random_tux_game(prefix(3), rng)
+        table = {cell: x for cell, x in w.cells() if cell[0]}
+    game = type(w)
+    forward = game(w.players, table)
+    backward = game(w.players, dict(reversed(list(table.items()))))
+    assert forward == backward == w
+    assert hash(forward) == hash(backward)
+    zero = tu_games.null_game(w.players) if kind == "tu" else null_game(w.players)
+    assert w - w == zero
+    assert w + zero == w == 1 * w
+    assert 2 * w != w
+
+
+def test_tu_game_never_equals_a_partition_function_game():
+    for n in range(4):
+        v = tu_games.null_game(prefix(n))
+        assert v != null_game(prefix(n)) and null_game(prefix(n)) != v
+    v = random_tu_game(prefix(3), random.Random(32))
+    assert lift_tu_game(v) != v and v != lift_tu_game(v)

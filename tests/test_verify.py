@@ -282,6 +282,25 @@ def test_null_player_witness_validates_arguments():
         null_player_witness(N, 1, pi, partitions.mask_from([9]))
 
 
+@pytest.mark.parametrize(
+    "i, pi, block",
+    [
+        (9, [[2], [3]], [2]),  # player outside the player set
+        (1, [[2], [3]], [9]),  # block not in the partition
+        (2, [[2], [3]], [3]),  # player already placed
+        (1, [[2]], [2]),  # partition misses player 3
+        (40, [[2], [3]], [2]),  # player id out of range
+    ],
+)
+def test_placement_instances_validate_arguments(i, pi, block):
+    N = prefix(3)
+    pi, block = partitions.partition_from(pi), partitions.mask_from(block)
+    with pytest.raises(ValueError):
+        null_player_witness(N, i, pi, block)
+    with pytest.raises(ValueError):
+        monotonicity_instance(PSTAR, N, i, pi, block)
+
+
 def copy_grand_coalition(w, i, S, pi):
     # every subgame cell copies the grand coalition's worth: path independent
     # and null preserving, but it reads a cell no restricted worth may read
