@@ -223,6 +223,19 @@ def enumerate_embedded(players) -> tuple[EmbeddedCoalition, ...]:
     return cached
 
 
+_embedded_index_cache: dict[Coalition, dict[EmbeddedCoalition, int]] = {}
+
+
+def embedded_index(players) -> dict[EmbeddedCoalition, int]:
+    """Position of each embedded coalition in ``enumerate_embedded`` order."""
+    mask = as_mask(players)
+    index = _embedded_index_cache.get(mask)
+    if index is None:
+        index = {cell: k for k, cell in enumerate(enumerate_embedded(mask))}
+        _embedded_index_cache[mask] = index
+    return index
+
+
 def placements(pi: Partition, i: int) -> Iterator[tuple[Coalition, Partition]]:
     """The ways to add a player ``i`` that ``pi`` does not cover (unchecked).
 

@@ -6,6 +6,11 @@ Chinese-restaurant law (Ewens with rate 1, called ``pstar`` throughout), the
 general one-parameter Ewens family, a perturbed family that stays
 potential-generating while deviating from pstar on four or more players, and
 table-backed families for counterexample experiments.
+
+Exact kernels read a distribution over one common denominator: the
+``integer_distribution`` of a player set is (den, nums) with den the lcm of
+its probabilities' denominators and nums the integer numerators in
+``enumerate_partitions`` order, cached beside the Fraction memo.
 """
 
 from __future__ import annotations
@@ -22,6 +27,15 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 Distribution = dict[Partition, Fraction]
+IntegerView = tuple[int, tuple[int, ...]]
+
+
+def over_common_denominator(values) -> IntegerView:
+    """(den, nums): den the lcm of the denominators of the exact values, and
+    nums[k] = values[k] * den, in order."""
+    ratios = [x.as_integer_ratio() for x in values]
+    den = math.lcm(*{d for _, d in ratios})
+    return den, tuple(n * (den // d) for n, d in ratios)
 
 
 class RandomPartitionFamily:
@@ -30,7 +44,8 @@ class RandomPartitionFamily:
     The rule is evaluated lazily and memoized per player set; every computed
     distribution is validated to be non-negative and to sum exactly to 1.
     Memo writes are idempotent (identical values), so concurrent fills are
-    harmless.
+    harmless. ``integer_distribution`` memoizes the same distribution over one
+    common denominator.
     """
 
     def __init__(
@@ -43,6 +58,7 @@ class RandomPartitionFamily:
         self._rule = rule
         self.explicit_player_sets = explicit_player_sets
         self._cache: dict[Coalition, Distribution] = {}
+        self._int_cache: dict[Coalition, IntegerView] = {}
 
     def __repr__(self):
         return f"RandomPartitionFamily({self.label!r})"
@@ -55,6 +71,18 @@ class RandomPartitionFamily:
             _validate_distribution(mask, dist, self.label)
             self._cache[mask] = dist
         return dist
+
+    def integer_distribution(self, players) -> IntegerView:
+        """The distribution as (den, nums), nums in ``enumerate_partitions`` order."""
+        mask = partitions.as_mask(players)
+        view = self._int_cache.get(mask)
+        if view is None:
+            dist = self.distribution(mask)
+            view = over_common_denominator(
+                dist[pi] for pi in partitions.enumerate_partitions(mask)
+            )
+            self._int_cache[mask] = view
+        return view
 
     def prob(self, players, pi: Partition) -> Fraction:
         mask = partitions.as_mask(players)

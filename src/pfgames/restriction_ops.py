@@ -6,27 +6,157 @@ removed player joins an outside block or stays alone. The operators here are
 the probability-ratio operator built from a potential-generating random
 partition, its closed form for the uniform CRP law, the nullifying operator,
 and a deliberately order-biased operator used to exercise the axiom checks.
+
+``restrict`` applies an operator's cell rule to a concrete game. Running the
+same rule on a game whose worths are unit linear forms gives the exact
+matrix of each removal (N, i); the operator caches it, the restriction-axiom
+check judges it, and the auxiliary game (hence the operator's potential and
+value) walks the lattice of removed sets applying those matrices to integer
+worth tables over one common denominator.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import partitions, tu_games
 from .errors import PositivityError
 from .partitions import Coalition, Partition
-from .random_partitions import ZERO, RandomPartitionFamily
+from .random_partitions import ONE, ZERO, RandomPartitionFamily, over_common_denominator
 from .tu_games import PayoffVector, TuGame
 from .tux_games import TuxGame
 
 CellRule = Callable[[TuxGame, int, Coalition, Partition], Fraction]
 
 
+class _LinearForm:
+    """Exact linear form {embedded coalition: coefficient} in a game's worths.
+
+    Only sums and differences of forms, and products and quotients by exact
+    scalars, are defined; truth tests, comparisons, products of worths and
+    nonzero constant terms raise TypeError.
+    """
+
+    def __init__(self, coef):
+        self.coef = coef
+
+    def __add__(self, other):
+        if not isinstance(other, _LinearForm):
+            if isinstance(other, (int, Fraction)) and other == 0:
+                return self
+            raise TypeError(f"constant term {other!r}")
+        big, small = self.coef, other.coef
+        if len(big) < len(small):
+            big, small = small, big
+        total = dict(big)
+        for cell, x in small.items():
+            total[cell] = total[cell] + x if cell in total else x
+        return _LinearForm(total)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, k):
+        if not isinstance(k, (int, Fraction)):
+            return NotImplemented
+        return _LinearForm({cell: x * k for cell, x in self.coef.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k):
+        return self * Fraction(1, k)
+
+    def __bool__(self):
+        raise TypeError("the truth value of a worth depends on the game")
+
+    def __eq__(self, other):
+        raise TypeError("comparing worths is not linear")
+
+
+class _SymbolicGame:
+    """Stands in for the TuxGame a cell rule reads: each worth is the given
+    row of linear forms in an underlying game's worths, else the unit form."""
+
+    def __init__(self, players: Coalition, rows=None):
+        self.players, self.n, self.rows = players, partitions.size(players), rows
+
+    def worth(self, coalition, pi: Partition) -> _LinearForm:
+        cell = (partitions.as_mask(coalition), pi)
+        if not cell[0]:
+            return _LinearForm({})
+        return _LinearForm({cell: ONE} if self.rows is None else self.rows[cell])
+
+
+class NonLinearRuleError(ValueError):
+    """A cell rule failed on linear forms, so it is no linear map of the worths.
+
+    Carries the player set, the removed player, the subgame cell and the
+    rule's error message.
+    """
+
+    def __init__(self, label: str, players: Coalition, player: int, cell, error: str):
+        S, pi = cell
+        super().__init__(
+            f"restriction operator {label!r} is not linear: removing player {player} "
+            f"from {list(partitions.members(players))}, its rule at "
+            f"({list(partitions.members(S))}, {[list(partitions.members(B)) for B in pi]}) "
+            f"failed on linear forms: {error}"
+        )
+        self.players, self.player, self.cell, self.error = players, player, cell, error
+
+
+def _symbolic_restrict(op, game: _SymbolicGame, i: int) -> dict:
+    """The cell rule on a symbolic game: {subgame cell: {underlying cell: x}}."""
+    rows = {}
+    for S, pi in partitions.enumerate_embedded(game.players & ~(1 << i)):
+        if not S:
+            continue
+        try:
+            form = _LinearForm({}) + op.restricted_worth(game, i, S, pi)
+        except TypeError as exc:
+            raise NonLinearRuleError(op.label, game.players, i, (S, pi), str(exc)) from None
+        rows[(S, pi)] = {cell: x for cell, x in form.coef.items() if x}
+    return rows
+
+
+class RemovalMatrix(NamedTuple):
+    """The exact matrix of removing one player from a player set.
+
+    ``rows`` maps each nonempty subgame cell to {game cell: coefficient};
+    ``int_rows`` is the same matrix times ``den``, the lcm of its
+    denominators: one (game cell positions, integer coefficients) pair per
+    subgame cell, both in ``enumerate_embedded`` order.
+    """
+
+    rows: dict
+    den: int
+    int_rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+def _apply(row, nums) -> int:
+    positions, coefficients = row
+    return sum(map(operator.mul, coefficients, map(nums.__getitem__, positions)))
+
+
 class RestrictionOperator:
     """A rule producing subgames, plus the potential and value it induces:
     the TU potential and the Shapley value of its auxiliary game. For path
-    dependent operators (``biased``) both follow ``restrict_many``'s order."""
+    dependent operators (``biased``) both follow ``restrict_many``'s order.
+
+    The rule reads the game only through ``worth``, ``players`` and ``n``;
+    the potential and value need it to be linear in the worths.
+    """
 
     def __init__(
         self,
@@ -37,6 +167,7 @@ class RestrictionOperator:
         self.label = label
         self._cell_rule = cell_rule
         self.explicit_player_sets = explicit_player_sets
+        self._matrices: dict[tuple[Coalition, int], RemovalMatrix] = {}
 
     def __repr__(self):
         return f"RestrictionOperator({self.label!r})"
@@ -49,9 +180,12 @@ class RestrictionOperator:
         bit = partitions.singleton(i)
         if not w.players & bit:
             raise ValueError(f"player {i} is not in the game")
-        return TuxGame.from_function(
-            w.players & ~bit, lambda S, pi: self._cell_rule(w, i, S, pi)
-        )
+        rest = w.players & ~bit
+        rule = self._cell_rule
+        return TuxGame._from_table(rest, {
+            (S, pi): Fraction(rule(w, i, S, pi)) if S else ZERO
+            for S, pi in partitions.enumerate_embedded(rest)
+        })
 
     def restrict_many(self, w: TuxGame, removed) -> TuxGame:
         """Remove several players, in ascending id order.
@@ -66,22 +200,59 @@ class RestrictionOperator:
             w = self.restrict(w, i)
         return w
 
+    def removal_matrix(self, players: Coalition, i: int) -> RemovalMatrix:
+        """The exact matrix of removing ``i`` from ``players``: the cell rule
+        run once on unit linear forms, then cached.
+
+        Raises NonLinearRuleError when the rule fails on linear forms.
+        """
+        key = (players, i)
+        matrix = self._matrices.get(key)
+        if matrix is None:
+            if not players & partitions.singleton(i):
+                raise ValueError(f"player {i} is not in the player set")
+            rows = _symbolic_restrict(self, _SymbolicGame(players), i)
+            ordered = [rows.get(cell, {})
+                       for cell in partitions.enumerate_embedded(players & ~(1 << i))]
+            den, flat = over_common_denominator(x for row in ordered for x in row.values())
+            coefficients = iter(flat)
+            at = partitions.embedded_index(players)
+            int_rows = tuple(
+                (tuple(at[cell] for cell in row), tuple(itertools.islice(coefficients, len(row))))
+                for row in ordered
+            )
+            matrix = self._matrices[key] = RemovalMatrix(rows, den, int_rows)
+        return matrix
+
     def auxiliary_game(self, w: TuxGame) -> TuGame:
         """TU game whose worth of S is what S earns once everyone else is removed.
 
         Walks the lattice of removed sets D once, building the subgame of D
         from that of D minus max(D): the ascending order of ``restrict_many``.
+        Each subgame is an integer worth table over one common denominator,
+        obtained by applying the removal matrix; a subgame with no further
+        removals needs only its grand-coalition row. A rule that is not linear
+        raises NonLinearRuleError, a ValueError naming the operator.
         """
-        worth = {}
-
-        def walk(game: TuxGame, last: int) -> None:
-            worth[game.players] = game.worth(game.players, ())
-            for h in partitions.members(game.players):
-                if h > last:
-                    walk(self.restrict(game, h), h)
-
-        walk(w, -1)
+        worth: dict[Coalition, Fraction] = {}
+        self._walk(worth, w.players, *w._ints(), -1)
         return TuGame(w.players, worth)
+
+    def _walk(self, worth, players: Coalition, den: int, nums, last: int) -> None:
+        """Record the grand-coalition worth of the subgame on ``players``, then
+        descend to the subgames that remove one more player above ``last``."""
+        worth[players] = Fraction(nums[-1], den)
+        for h in partitions.members(players):
+            if h <= last:
+                continue
+            matrix = self.removal_matrix(players, h)
+            child = players & ~(1 << h)
+            if child >> (h + 1):
+                self._walk(worth, child, den * matrix.den,
+                           [_apply(row, nums) for row in matrix.int_rows], h)
+            else:
+                # the grand coalition's cell comes last in enumerate_embedded
+                worth[child] = Fraction(_apply(matrix.int_rows[-1], nums), den * matrix.den)
 
     def potential(self, w: TuxGame) -> Fraction:
         """TU potential of the auxiliary game: for path independent operators,

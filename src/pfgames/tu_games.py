@@ -4,6 +4,10 @@ Worths are exact rationals; every solution and summary here is computed
 without rounding. The potential has three routes that must agree: the
 efficiency recursion over subgames, the closed form weighting coalitions by
 size, and the expected accumulated worth of a uniform random partition.
+
+The kernels run over one common denominator: a game's worth table is read
+as integer numerators over the lcm of its denominators (cached on the game),
+probabilities likewise, and each result is one Fraction built at the end.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Mapping
 
 from . import partitions, random_partitions
 from .partitions import Coalition
-from .random_partitions import ZERO
+from .random_partitions import ZERO, IntegerView, over_common_denominator
 
 PayoffVector = dict[int, Fraction]
 
@@ -25,7 +29,7 @@ class Game:
     share. Equal games have equal tables; sums, differences and scalar
     multiples are taken cell by cell and rebuilt through the constructor."""
 
-    __slots__ = ("players", "_worth")
+    __slots__ = ("players", "_worth", "_view")
 
     @property
     def n(self) -> int:
@@ -33,6 +37,14 @@ class Game:
 
     def member_ids(self) -> tuple[int, ...]:
         return partitions.members(self.players)
+
+    def _ints(self) -> IntegerView:
+        """The worth table as (den, nums), nums in table order; cached."""
+        try:
+            return self._view
+        except AttributeError:
+            self._view = over_common_denominator(self._worth.values())
+            return self._view
 
     def __eq__(self, other):
         return type(other) is type(self) and self._worth == other._worth
@@ -140,67 +152,75 @@ def subgame(v: TuGame, removed) -> TuGame:
     return TuGame(rest, {S: v.worth(S) for S in partitions.subsets(rest)})
 
 
+def _factorials(n: int) -> list[int]:
+    return [math.factorial(k) for k in range(n + 1)]
+
+
 def shapley_value(v: TuGame) -> PayoffVector:
     """Shapley payoffs: marginal contributions weighted by s!(n-s-1)!/n!."""
+    # the worth table is in subsets order, so the k-th numerator belongs to
+    # the coalition whose members are bit j of k mapped to the j-th player
+    den, nums = v._ints()
     n = v.n
-    fact_n = math.factorial(n)
-    weight = [
-        Fraction(math.factorial(s) * math.factorial(n - s - 1), fact_n)
-        for s in range(n)
-    ]
+    fact = _factorials(n)
+    weight = [fact[s] * fact[n - s - 1] for s in range(n)]
+    everyone = (1 << n) - 1
     payoff: PayoffVector = {}
-    for i in v.member_ids():
-        bit = 1 << i
-        rest = v.players & ~bit
-        payoff[i] = sum(
-            (
-                weight[S.bit_count()] * (v.worth(S | bit) - v.worth(S))
-                for S in partitions.subsets(rest)
-            ),
-            ZERO,
-        )
+    for j, i in enumerate(v.member_ids()):
+        bit = 1 << j
+        total = 0
+        for S in partitions.subsets(everyone & ~bit):
+            total += weight[S.bit_count()] * (nums[S | bit] - nums[S])
+        payoff[i] = Fraction(total, fact[n] * den)
     return payoff
 
 
 def potential(v: TuGame) -> Fraction:
-    """Potential via the efficiency recursion over one-player removals."""
-    memo: dict[Coalition, Fraction] = {0: ZERO}
+    """Potential via the efficiency recursion over one-player removals.
 
-    def pot(mask: Coalition) -> Fraction:
-        value = memo.get(mask)
-        if value is None:
-            total = v.worth(mask)
-            for i in partitions.members(mask):
-                total += pot(mask & ~(1 << i))
-            value = total / mask.bit_count()
-            memo[mask] = value
-        return value
-
-    return pot(v.players)
+    With P(S) = Q(S) / (s! den), the recursion P(S) = (worth(S) + sum of
+    P(S - i)) / s becomes Q(S) = (s-1)! num(S) + sum of Q(S - i) on integers.
+    """
+    den, nums = v._ints()
+    n = v.n
+    fact = _factorials(n)
+    q = [0] * (1 << n)
+    for S in range(1, 1 << n):
+        total = fact[S.bit_count() - 1] * nums[S]
+        rest = S
+        while rest:
+            low = rest & -rest
+            total += q[S ^ low]
+            rest ^= low
+        q[S] = total
+    return Fraction(q[-1], fact[n] * den)
 
 
 def potential_via_size_weights(v: TuGame) -> Fraction:
     """Potential as the closed form sum of s!(n-s)!/n! * worth(S)/s."""
+    den, nums = v._ints()
     n = v.n
-    if n == 0:
-        return ZERO
-    fact_n = math.factorial(n)
-    total = ZERO
-    for S in partitions.subsets(v.players):
-        s = S.bit_count()
-        if s == 0:
-            continue
-        total += Fraction(math.factorial(s) * math.factorial(n - s), fact_n * s) * v.worth(S)
-    return total
+    fact = _factorials(n)
+    # s!/s = (s-1)!, so the empty coalition carries no term
+    total = sum(fact[S.bit_count() - 1] * fact[n - S.bit_count()] * nums[S]
+                for S in range(1, 1 << n))
+    return Fraction(total, fact[n] * den)
+
+
+def _numerators_by_mask(v: TuGame) -> tuple[int, dict[Coalition, int]]:
+    den, nums = v._ints()
+    return den, dict(zip(v._worth, nums))
 
 
 def potential_via_random_partition(v: TuGame) -> Fraction:
     """Potential as the expected accumulated worth of a uniform CRP partition
     (any potential-generating family gives the same number)."""
-    total = ZERO
-    for pi, p in random_partitions.PSTAR.distribution(v.players).items():
-        total += p * sum((v.worth(B) for B in pi), ZERO)
-    return total
+    den, num = _numerators_by_mask(v)
+    pden, pnums = random_partitions.PSTAR.integer_distribution(v.players)
+    total = 0
+    for pi, p in zip(partitions.enumerate_partitions(v.players), pnums):
+        total += p * sum(num[B] for B in pi)
+    return Fraction(total, pden * den)
 
 
 def shapley_via_crp(v: TuGame) -> PayoffVector:
@@ -212,16 +232,19 @@ def shapley_via_crp(v: TuGame) -> PayoffVector:
     exactly with ``shapley_value``.
     """
     n = v.n
+    den, num = _numerators_by_mask(v)
     pstar = random_partitions.PSTAR
     payoff: PayoffVector = {}
     for i in v.member_ids():
         bit = 1 << i
         rest = v.players & ~bit
-        total = ZERO
-        for pi, p in pstar.distribution(rest).items():
-            inner = Fraction(1, n) * v.worth(bit)
+        pden, pnums = pstar.integer_distribution(rest)
+        total = 0
+        for pi, p in zip(partitions.enumerate_partitions(rest), pnums):
+            # n times the marginal contribution, so every weight is an integer
+            inner = num[bit]
             for B in pi:
-                inner += Fraction(B.bit_count(), n) * (v.worth(B | bit) - v.worth(B))
+                inner += B.bit_count() * (num[B | bit] - num[B])
             total += p * inner
-        payoff[i] = total
+        payoff[i] = Fraction(total, n * pden * den)
     return payoff

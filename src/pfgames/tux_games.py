@@ -6,11 +6,16 @@ The module provides the Dirac basis, averaging into a TU game, the MPW
 solution, and the null-player test. p-Shapley values and the expected
 accumulated worth of a random partition share one pass over the family's
 distribution; MPW stays a separate route, through the average game.
+
+These kernels read the worth table and the family's distributions over one
+common denominator each (integer numerators, cached on the game and the
+family), accumulate integers and build one Fraction per result.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -54,6 +59,16 @@ class TuxGame(Game):
         self._worth = table
 
     @classmethod
+    def _from_table(cls, players: Coalition, table: dict[EmbeddedCoalition, Fraction]):
+        """A game over a table the caller built (unchecked): keyed by every
+        embedded coalition of ``players`` in ``enumerate_embedded`` order,
+        Fraction worths, zero on empty coalitions."""
+        game = cls.__new__(cls)
+        game.players = players
+        game._worth = table
+        return game
+
+    @classmethod
     def from_function(cls, players, fn: Callable[[Coalition, Partition], Fraction]):
         """Tabulate a worth rule; consulted only for nonempty coalitions."""
         mask = partitions.as_mask(players)
@@ -83,7 +98,8 @@ def _pi_repr(pi: Partition) -> list[list[int]]:
 
 
 def null_game(players) -> TuxGame:
-    return TuxGame.from_function(players, lambda S, pi: ZERO)
+    mask = partitions.as_mask(players)
+    return TuxGame._from_table(mask, dict.fromkeys(partitions.enumerate_embedded(mask), ZERO))
 
 
 def dirac_game(players, coalition, outside: Partition) -> TuxGame:
@@ -94,10 +110,9 @@ def dirac_game(players, coalition, outside: Partition) -> TuxGame:
         raise ValueError("Dirac games need a nonempty coalition")
     if T & ~mask or not partitions.is_partition_of(outside, mask & ~T):
         raise ValueError("not an embedded coalition of the given player set")
-    target = (T, outside)
-    return TuxGame.from_function(
-        mask, lambda S, pi: Fraction(1) if (S, pi) == target else ZERO
-    )
+    table = dict.fromkeys(partitions.enumerate_embedded(mask), ZERO)
+    table[(T, outside)] = Fraction(1)
+    return TuxGame._from_table(mask, table)
 
 
 def dirac_basis(players):
@@ -114,13 +129,22 @@ def dirac_coefficients(w: TuxGame) -> dict[EmbeddedCoalition, Fraction]:
 
 
 def game_from_dirac_coefficients(players, coefficients) -> TuxGame:
-    table = dict(coefficients)
-    return TuxGame.from_function(players, lambda S, pi: table.get((S, pi), ZERO))
+    """The game with the given worths on nonempty embedded coalitions and
+    zero elsewhere; coefficients of other cells are ignored."""
+    mask = partitions.as_mask(players)
+    table = dict.fromkeys(partitions.enumerate_embedded(mask), ZERO)
+    for cell, x in dict(coefficients).items():
+        if cell in table and cell[0]:
+            table[cell] = Fraction(x)
+    return TuxGame._from_table(mask, table)
 
 
 def lift_tu_game(v: TuGame) -> TuxGame:
     """Embed a TU game as the partition-independent partition function."""
-    return TuxGame.from_function(v.players, lambda S, pi: v.worth(S))
+    worth = v._worth
+    return TuxGame._from_table(
+        v.players, {cell: worth[cell[0]] for cell in partitions.enumerate_embedded(v.players)}
+    )
 
 
 def externality_free_tu(w: TuxGame) -> TuGame | None:
@@ -155,13 +179,14 @@ def as_tux_game(game: TuGame | TuxGame) -> TuxGame:
 
 def average_game(w: TuxGame, family: random_partitions.RandomPartitionFamily) -> TuGame:
     """TU game giving each coalition its expected worth over outside partitions."""
+    den, nums = w._ints()
     worth: dict[Coalition, Fraction] = {}
+    at = 0  # the cells of S are the next ones in enumerate_embedded order
     for S in partitions.subsets(w.players):
-        outside = w.players & ~S
-        worth[S] = sum(
-            (p * w.worth(S, pi) for pi, p in family.distribution(outside).items()),
-            ZERO,
-        )
+        pden, pnums = family.integer_distribution(w.players & ~S)
+        end = at + len(pnums)
+        worth[S] = Fraction(sum(map(operator.mul, pnums, nums[at:end])), pden * den)
+        at = end
     return TuGame(w.players, worth)
 
 
@@ -172,23 +197,28 @@ def mpw_value(w: TuxGame) -> PayoffVector:
 
 def _block_mass(
     w: TuxGame, family: random_partitions.RandomPartitionFamily
-) -> dict[Coalition, Fraction]:
-    """Block mass M(S): sum of p(pi) worth(S, pi - S) over partitions pi with block S."""
-    mass: dict[Coalition, Fraction] = {}
-    for pi, p in family.distribution(w.players).items():
+) -> tuple[int, dict[Coalition, int]]:
+    """Block mass M(S): sum of p(pi) worth(S, pi - S) over partitions pi with
+    block S, as (den, {S: numerator})."""
+    den, nums = w._ints()
+    pden, pnums = family.integer_distribution(w.players)
+    at = partitions.embedded_index(w.players)
+    mass: dict[Coalition, int] = {}
+    for pi, p in zip(partitions.enumerate_partitions(w.players), pnums):
         if p == 0:
             continue
         for k, S in enumerate(pi):
-            if x := w.worth(S, pi[:k] + pi[k + 1 :]):
-                mass[S] = mass.get(S, ZERO) + p * x
-    return mass
+            if x := nums[at[(S, pi[:k] + pi[k + 1 :])]]:
+                mass[S] = mass.get(S, 0) + p * x
+    return pden * den, mass
 
 
 def expected_accumulated_worth(
     w: TuxGame, family: random_partitions.RandomPartitionFamily
 ) -> Fraction:
     """Expected sum of block worths when the players split along a random partition."""
-    return sum(_block_mass(w, family).values(), ZERO)
+    den, mass = _block_mass(w, family)
+    return Fraction(sum(mass.values()), den)
 
 
 def p_shapley(w: TuxGame, family: random_partitions.RandomPartitionFamily, i: int) -> Fraction:
@@ -204,8 +234,9 @@ def p_shapley_vector(
     """Shapley value of S -> M(S) / beta(s), M the block mass and beta(s) =
     (s-1)!(n-s)!/n! = 1/(s C(n, s)) the uniform-CRP probability that S is a
     block; at ``PSTAR`` this TU game is the average game, so the value is MPW."""
-    mass = _block_mass(w, family)
-    game = {S: S.bit_count() * math.comb(w.n, S.bit_count()) * m for S, m in mass.items()}
+    den, mass = _block_mass(w, family)
+    game = {S: Fraction(S.bit_count() * math.comb(w.n, S.bit_count()) * m, den)
+            for S, m in mass.items()}
     return tu_games.shapley_value(TuGame(w.players, game))
 
 
@@ -219,9 +250,12 @@ def is_null_player(w: TuxGame, i: int) -> bool:
     bit = partitions.singleton(i)
     if not w.players & bit:
         raise ValueError(f"player {i} is not in the game")
+    # one common denominator, so equal numerators are equal worths
+    _, nums = w._ints()
+    at = partitions.embedded_index(w.players)
     for S, pi in partitions.enumerate_embedded(w.players & ~bit):
-        inside = w.worth(S | bit, pi)
-        if any(inside != w.worth(S, grown) for _, grown in partitions.placements(pi, i)):
+        inside = nums[at[(S | bit, pi)]]
+        if any(inside != nums[at[(S, grown)]] for _, grown in partitions.placements(pi, i)):
             return False
     return True
 

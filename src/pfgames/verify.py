@@ -21,6 +21,7 @@ from typing import Callable, Mapping
 from . import formats, partitions, tu_games, tux_games
 from .partitions import Coalition, Partition
 from .random_partitions import ONE, ZERO, RandomPartitionFamily
+from .restriction_ops import NonLinearRuleError, _symbolic_restrict, _SymbolicGame
 from .tux_games import TuxGame
 
 
@@ -199,67 +200,6 @@ def check_pos(family: RandomPartitionFamily, n_max: int) -> Report:
 # --- restriction operator axioms -------------------------------------------
 
 
-class _LinearForm:
-    """Exact linear form {embedded coalition: coefficient} in a game's worths.
-
-    Only sums and differences of forms, and products and quotients by exact
-    scalars, are defined; truth tests, comparisons, products of worths and
-    nonzero constant terms raise TypeError.
-    """
-
-    def __init__(self, coef):
-        self.coef = coef
-
-    def __add__(self, other):
-        if not isinstance(other, _LinearForm):
-            if isinstance(other, (int, Fraction)) and other == 0:
-                return self
-            raise TypeError(f"constant term {other!r}")
-        a, b = self.coef, other.coef
-        return _LinearForm({c: a.get(c, ZERO) + b.get(c, ZERO) for c in {**a, **b}})
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, k):
-        if not isinstance(k, (int, Fraction)):
-            return NotImplemented
-        return _LinearForm({cell: x * k for cell, x in self.coef.items()})
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, k):
-        return self * Fraction(1, k)
-
-    def __bool__(self):
-        raise TypeError("the truth value of a worth depends on the game")
-
-    def __eq__(self, other):
-        raise TypeError("comparing worths is not linear")
-
-
-class _SymbolicGame:
-    """Stands in for the TuxGame a cell rule reads: each worth is the given
-    row of linear forms in an underlying game's worths, else the unit form."""
-
-    def __init__(self, players: Coalition, rows=None):
-        self.players, self.n, self.rows = players, partitions.size(players), rows
-
-    def worth(self, coalition, pi: Partition) -> _LinearForm:
-        cell = (partitions.as_mask(coalition), pi)
-        if not cell[0]:
-            return _LinearForm({})
-        return _LinearForm({cell: ONE} if self.rows is None else self.rows[cell])
-
-
 class _Violation(Exception):
     """Carries the witness of the first failed restriction axiom."""
 
@@ -267,25 +207,10 @@ class _Violation(Exception):
         super().__init__(_witness("restriction-axioms", **fields))
 
 
-def _symbolic_restrict(op, game: _SymbolicGame, i: int) -> dict:
-    """The cell rule on a symbolic game: {subgame cell: {underlying cell: x}}."""
-    rows = {}
-    for S, pi in partitions.enumerate_embedded(game.players & ~(1 << i)):
-        if not S:
-            continue
-        try:
-            form = _LinearForm({}) + op.restricted_worth(game, i, S, pi)
-        except TypeError as exc:
-            raise _Violation(axiom="LIN", players=game.players, player=i,
-                             cell_coalition=S, cell_partition=pi, error=str(exc)) from None
-        rows[(S, pi)] = {cell: x for cell, x in form.coef.items() if x}
-    return rows
-
-
 def _removal_map(op, N: Coalition, i: int) -> dict:
-    """Rows of the exact matrix of removing ``i`` from ``N``, judged for LIN
-    and RES row by row."""
-    rows = _symbolic_restrict(op, _SymbolicGame(N), i)
+    """Rows of the operator's exact matrix of removing ``i`` from ``N``,
+    judged for LIN and RES row by row."""
+    rows = op.removal_matrix(N, i).rows
     cells = [cell for cell in partitions.enumerate_embedded(N) if cell[0]]
     probe = TuxGame(N, {cell: Fraction(1, k) for k, cell in enumerate(cells, 1)})
     restricted = op.restrict(probe, i)
@@ -310,20 +235,21 @@ def _removal_map(op, N: Coalition, i: int) -> dict:
 def check_restriction_axioms(op, n_max: int) -> Report:
     """Linearity, cell locality, null-game preservation and path independence.
 
-    The cell rule runs on a game whose worths are unit linear forms, giving
-    the exact matrix of each removal. LIN: the rule evaluates on forms (no
-    truth tests, comparisons, products of worths or constant terms) and its
-    matrix matches ``op.restrict`` on the game with worth 1/k at the k-th
-    nonempty cell of ``enumerate_embedded(N)``. RES: each row reads only the
-    cells where the removed player joins an outside block or stays alone.
-    PNG: the null game restricts to the null game. PI: rerunning the rule on
-    the rows of the first removal composes the matrices, so both removal
-    orders agree on every game at once; the witness names a Dirac game
-    (``coalition``, ``outside``) and a cell where they differ.
+    Judges ``op.removal_matrix``: the exact matrix of each removal, from the
+    cell rule run on unit linear forms, which is also what the operator's
+    auxiliary game, potential and value apply. LIN: the rule evaluates on
+    forms (no truth tests, comparisons, products of worths or constant
+    terms) and its matrix matches ``op.restrict`` on the game with worth 1/k
+    at the k-th nonempty cell of ``enumerate_embedded(N)``. RES: each row
+    reads only the cells where the removed player joins an outside block or
+    stays alone. PNG: the null game restricts to the null game. PI: rerunning
+    the rule on the rows of the first removal composes the matrices, so both
+    removal orders agree on every game at once; the witness names a Dirac
+    game (``coalition``, ``outside``) and a cell where they differ.
     """
     checked = 0
     try:
-        for N in _player_sets(n_max, getattr(op, "explicit_player_sets", frozenset())):
+        for N in _player_sets(n_max, op.explicit_player_sets):
             ids = partitions.members(N)
             maps = {i: _removal_map(op, N, i) for i in ids}
             for i in ids:
@@ -344,9 +270,15 @@ def check_restriction_axioms(op, n_max: int) -> Report:
                                 axiom="PI", players=N, coalition=col[0], outside=col[1],
                                 first_removed=i, second_removed=j, cell_coalition=S,
                                 cell_partition=pi, lhs=lhs, rhs=rhs)
+    except NonLinearRuleError as exc:
+        witness = _witness("restriction-axioms", axiom="LIN", players=exc.players,
+                           player=exc.player, cell_coalition=exc.cell[0],
+                           cell_partition=exc.cell[1], error=exc.error)
     except _Violation as violation:
-        return Report(f"restriction-axioms[{op.label}]", False, checked, *violation.args)
-    return Report(f"restriction-axioms[{op.label}]", True, checked)
+        (witness,) = violation.args
+    else:
+        return Report(f"restriction-axioms[{op.label}]", True, checked)
+    return Report(f"restriction-axioms[{op.label}]", False, checked, witness)
 
 
 # --- null player ------------------------------------------------------------

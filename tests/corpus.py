@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 from pfgames import partitions, tu_games, tux_games
+from pfgames.random_partitions import family_from_distributions
 
 
 def random_fraction(rng, span=6):
@@ -61,3 +62,17 @@ def unanimity_tu_basis(n):
 def dirac_tux_basis_up_to(n_max):
     for n in range(1, n_max + 1):
         yield from tux_games.dirac_basis(prefix(n))
+
+
+def skewed_table_family():
+    """A table family on players 1..3 that favours the pair {1, 2} and gives
+    the partition {1}, {2, 3} probability zero."""
+    blocks = partitions.partition_from
+    probs = {
+        blocks([[1], [2], [3]]): Fraction(1, 12),
+        blocks([[1, 2], [3]]): Fraction(1, 2),
+        blocks([[1, 3], [2]]): Fraction(1, 12),
+        blocks([[1], [2, 3]]): 0,
+        blocks([[1, 2, 3]]): Fraction(1, 3),
+    }
+    return family_from_distributions("skewed", {prefix(3): probs})

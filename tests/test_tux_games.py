@@ -4,12 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pfgames import partitions, tu_games
-from pfgames.random_partitions import (
-    PSTAR,
-    ewens_family,
-    family_from_distributions,
-    perturbed_family,
-)
+from pfgames.random_partitions import PSTAR, ewens_family, perturbed_family
 from pfgames.tux_games import (
     TuxGame,
     as_tu_game,
@@ -31,7 +26,7 @@ from pfgames.tux_games import (
 )
 from pfgames.verify import null_player_witness
 
-from .corpus import prefix, random_tu_game, random_tux_game, tux_corpus
+from .corpus import prefix, random_tu_game, random_tux_game, skewed_table_family, tux_corpus
 
 
 def blocks(*ids_lists):
@@ -300,18 +295,6 @@ def placement_p_shapley(w, family, i):
             outer += dist[partitions.with_block(grown, T)] * w.worth(T, grown)
         total -= Fraction(t, n - t) * outer
     return total
-
-
-def skewed_table_family():
-    """A table family on players 1..3 that favours the pair {1, 2}."""
-    probs = {
-        blocks([1], [2], [3]): Fraction(1, 12),
-        blocks([1, 2], [3]): Fraction(1, 2),
-        blocks([1, 3], [2]): Fraction(1, 12),
-        blocks([1], [2, 3]): 0,
-        blocks([1, 2, 3]): Fraction(1, 3),
-    }
-    return family_from_distributions("skewed", {prefix(3): probs})
 
 
 @pytest.mark.parametrize(
