@@ -30,7 +30,6 @@ _universe_bound = DEFAULT_UNIVERSE_BOUND
 MAX_EMBEDDED_COALITIONS = 10**6
 
 EMPTY: Coalition = 0
-EMPTY_PARTITION: Partition = ()
 
 
 def universe_bound() -> int:

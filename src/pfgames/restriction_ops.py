@@ -27,7 +27,7 @@ from .errors import PositivityError
 from .partitions import Coalition, Partition
 from .random_partitions import ONE, ZERO, RandomPartitionFamily, over_common_denominator
 from .tu_games import PayoffVector, TuGame
-from .tux_games import TuxGame
+from .tux_games import TuxGame, cell_index
 
 CellRule = Callable[[TuxGame, int, Coalition, Partition], Fraction]
 
@@ -93,6 +93,7 @@ class _SymbolicGame:
 
     def worth(self, coalition, pi: Partition) -> _LinearForm:
         cell = (partitions.as_mask(coalition), pi)
+        cell_index(self.players, *cell)
         if not cell[0]:
             return _LinearForm({})
         return _LinearForm({cell: ONE} if self.rows is None else self.rows[cell])
@@ -182,10 +183,8 @@ class RestrictionOperator:
             raise ValueError(f"player {i} is not in the game")
         rest = w.players & ~bit
         rule = self._cell_rule
-        return TuxGame._from_table(rest, {
-            (S, pi): Fraction(rule(w, i, S, pi)) if S else ZERO
-            for S, pi in partitions.enumerate_embedded(rest)
-        })
+        return TuxGame._from_values(
+            rest, [rule(w, i, S, pi) if S else 0 for S, pi in partitions.enumerate_embedded(rest)])
 
     def restrict_many(self, w: TuxGame, removed) -> TuxGame:
         """Remove several players, in ascending id order.
@@ -235,8 +234,8 @@ class RestrictionOperator:
         raises NonLinearRuleError, a ValueError naming the operator.
         """
         worth: dict[Coalition, Fraction] = {}
-        self._walk(worth, w.players, *w._ints(), -1)
-        return TuGame(w.players, worth)
+        self._walk(worth, w.players, w.den, w.nums, -1)
+        return TuGame._from_values(w.players, map(worth.__getitem__, partitions.subsets(w.players)))
 
     def _walk(self, worth, players: Coalition, den: int, nums, last: int) -> None:
         """Record the grand-coalition worth of the subgame on ``players``, then
@@ -311,7 +310,7 @@ def probability_restriction(family: RandomPartitionFamily) -> RestrictionOperato
         s = S.bit_count()
         bit = 1 << i
         base = partitions.with_block(pi, S)
-        denominator = family.prob(w.players & ~bit, base)
+        denominator = family.distribution(w.players & ~bit)[base]
         if denominator == 0:
             raise PositivityError(
                 f"family {family.label!r} assigns probability zero to "

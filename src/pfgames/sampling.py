@@ -122,7 +122,8 @@ def _crp_shapley_samples(v: TuGame, i: int):
     """
     n = v.n
     bit = 1 << v.member_ids().index(i)
-    worth = np.array([float(v.worth(S)) for S in partitions.subsets(v.players)])
+    # int division is correctly rounded: the float nearest each exact worth
+    worth = np.array([x / v.den for x in v.nums])
     local = np.arange(1 << n)
     size = sum((local >> t) & 1 for t in range(n))
     gain = size / n * (worth[local | bit] - worth)
@@ -175,17 +176,19 @@ def _mpw_samples(w: TuGame | TuxGame, i: int):
     seats N twice; the first seating restricted to N - S - i and the second
     restricted to N - S give the outside partitions, and the draw is
     w(S + i, first) - w(S, second). Only the worths of drawn cells are
-    converted to float, once each; a TU game's cell (S, pi) is worth w(S),
-    read without lifting the game.
+    converted to float, once each. A TU game's cell (S, pi) is worth w(S),
+    so its draw is read at the local mask S, without seating or lifting.
     """
-    cell_worth = w.worth if isinstance(w, TuxGame) else lambda S, pi: w.worth(S)
     n = w.n
     me = w.member_ids().index(i)
-    codes, rows, labels = _cell_codes(w.players)
-    cells = partitions.enumerate_embedded(w.players)
-    worth = np.full(len(cells), np.nan)
+    if isinstance(w, TuGame):
+        worth = np.array([x / w.den for x in w.nums])
+    else:
+        codes, rows, labels = _cell_codes(w.players)
+        worth = np.full(len(codes), np.nan)
     position = np.arange(n, dtype=np.int16)
-    bits = 1 << position
+    # wide enough for the local masks of a TU game's up to 19 players
+    bits = np.left_shift(1, position, dtype=np.int32)
     field = np.left_shift(1, position * n.bit_length(), dtype=np.int64)
     everyone = (1 << n) - 1
 
@@ -193,6 +196,8 @@ def _mpw_samples(w: TuGame | TuxGame, i: int):
         arrival = rng.permuted(np.tile(position, (m, 1)), axis=1)
         upto = np.bitwise_or.accumulate(bits[arrival], axis=1)
         S = upto[np.arange(m), (arrival == me).argmax(axis=1)] & ~bits[me]
+        if isinstance(w, TuGame):
+            return worth[S | bits[me]] - worth[S]
         outside = np.concatenate([everyone & ~(S | bits[me]), everyone & ~S])[:, None]
         blocks, founder = _seat_shard(rng, 2 * m, bits)
         # the _cell_codes code of each drawn cell: p's block within the
@@ -201,12 +206,10 @@ def _mpw_samples(w: TuGame | TuxGame, i: int):
         code = ((outside >> position) & 1) * labels[own] @ field
         drawn = rows[np.searchsorted(codes, code)]
         # not np.unique, which imports numpy.ma on first use
-        seen = np.zeros(len(cells), dtype=bool)
+        seen = np.zeros(len(codes), dtype=bool)
         seen[drawn] = True
-        new = np.flatnonzero(seen & np.isnan(worth))
-        fractions = (cell_worth(*cells[r]) for r in new.tolist())
-        # exact int division: the float(Fraction) result without its dispatch
-        worth[new] = [x.numerator / x.denominator for x in fractions]
+        new = np.flatnonzero(seen & np.isnan(worth)).tolist()
+        worth[new] = [w.nums[r] / w.den for r in new]
         x = worth[drawn]
         return x[:m] - x[m:]
 

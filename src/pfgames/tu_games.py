@@ -5,9 +5,9 @@ without rounding. The potential has three routes that must agree: the
 efficiency recursion over subgames, the closed form weighting coalitions by
 size, and the expected accumulated worth of a uniform random partition.
 
-The kernels run over one common denominator: a game's worth table is read
-as integer numerators over the lcm of its denominators (cached on the game),
-probabilities likewise, and each result is one Fraction built at the end.
+A game holds its worths as integer numerators over one common denominator,
+the lcm of their reduced denominators; the kernels read that table and the
+probabilities likewise, and build one Fraction per result at the end.
 """
 
 from __future__ import annotations
@@ -19,17 +19,33 @@ from typing import Mapping
 
 from . import partitions, random_partitions
 from .partitions import Coalition
-from .random_partitions import ZERO, IntegerView, over_common_denominator
+from .random_partitions import over_common_denominator
 
 PayoffVector = dict[int, Fraction]
 
 
 class Game:
     """A worth table over a player set: what TU and partition-function games
-    share. Equal games have equal tables; sums, differences and scalar
-    multiples are taken cell by cell and rebuilt through the constructor."""
+    share. The worths are integer numerators ``nums`` in table order over
+    ``den``, the lcm of their reduced denominators, so equal games have equal
+    (players, den, nums); sums, differences and multiples are reduced too."""
 
-    __slots__ = ("players", "_worth", "_view")
+    __slots__ = ("players", "den", "nums")
+
+    @classmethod
+    def _from_numerators(cls, players: Coalition, den: int, nums):
+        """The game with worths nums[k] / den in table order (unchecked)."""
+        g = math.gcd(den, *nums)
+        game = cls.__new__(cls)
+        game.players, game.den = players, den // g
+        game.nums = tuple(nums) if g == 1 else tuple(x // g for x in nums)
+        return game
+
+    @classmethod
+    def _from_values(cls, players: Coalition, values):
+        """The game with these exact worths in table order (unchecked): the
+        ``subsets`` order of TU games, else ``enumerate_embedded`` order."""
+        return cls._from_numerators(players, *over_common_denominator(values))
 
     @property
     def n(self) -> int:
@@ -38,29 +54,24 @@ class Game:
     def member_ids(self) -> tuple[int, ...]:
         return partitions.members(self.players)
 
-    def _ints(self) -> IntegerView:
-        """The worth table as (den, nums), nums in table order; cached."""
-        try:
-            return self._view
-        except AttributeError:
-            self._view = over_common_denominator(self._worth.values())
-            return self._view
-
     def __eq__(self, other):
-        return type(other) is type(self) and self._worth == other._worth
+        return type(other) is type(self) and (self.players, self.den, self.nums) == (
+            other.players, other.den, other.nums)
 
     def __hash__(self):
-        return hash((type(self), frozenset(self._worth.items())))
+        return hash((type(self), self.players, self.den, self.nums))
 
     def __repr__(self):
-        nonzero = sum(1 for x in self._worth.values() if x)
+        nonzero = sum(1 for x in self.nums if x)
         return f"{type(self).__name__}(players={list(self.member_ids())}, nonzero={nonzero})"
 
     def _combine(self, other, op):
         if type(other) is not type(self) or other.players != self.players:
             return NotImplemented
-        table = {key: op(x, other._worth[key]) for key, x in self._worth.items()}
-        return type(self)(self.players, table)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return self._from_numerators(
+            self.players, den, [op(a * x, b * y) for x, y in zip(self.nums, other.nums)])
 
     def __add__(self, other):
         return self._combine(other, operator.add)
@@ -70,7 +81,8 @@ class Game:
 
     def __mul__(self, scalar):
         scalar = Fraction(scalar)
-        return type(self)(self.players, {key: scalar * x for key, x in self._worth.items()})
+        return self._from_numerators(self.players, self.den * scalar.denominator,
+                                     [scalar.numerator * x for x in self.nums])
 
     __rmul__ = __mul__
 
@@ -89,32 +101,31 @@ class TuGame(Game):
         if 1 << self.n > partitions.MAX_EMBEDDED_COALITIONS:
             raise partitions.CapacityError(f"a TU game on {self.n} players has more than "
                                            f"{partitions.MAX_EMBEDDED_COALITIONS} coalitions")
-        table = {S: ZERO for S in partitions.subsets(self.players)}
+        table = dict.fromkeys(partitions.subsets(self.players), 0)
         for key, value in dict(worth).items():
-            S = partitions.as_mask(key)
-            if S & ~self.players:
-                raise ValueError(
-                    f"coalition {sorted(partitions.members(S))} is not a subset "
-                    "of the player set"
-                )
+            S = self._subset(key)
             value = Fraction(value)
             if S == 0 and value != 0:
                 raise ValueError("the empty coalition must have worth zero")
             table[S] = value
-        self._worth = table
+        self.den, self.nums = over_common_denominator(table.values())
+
+    def _subset(self, coalition) -> Coalition:
+        S = partitions.as_mask(coalition)
+        if S & ~self.players:
+            raise ValueError(f"coalition {sorted(partitions.members(S))} is not a subset "
+                             "of the player set")
+        return S
 
     def worth(self, coalition) -> Fraction:
-        S = partitions.as_mask(coalition)
-        try:
-            return self._worth[S]
-        except KeyError:
-            raise ValueError(
-                f"coalition {sorted(partitions.members(S))} is not a subset "
-                "of the player set"
-            ) from None
+        S = self._subset(coalition)
+        # S's position in subsets order: bit j set iff S holds the j-th player
+        k = sum(1 << j for j, i in enumerate(self.member_ids()) if S >> i & 1)
+        return Fraction(self.nums[k], self.den)
 
     def nonzero_worths(self) -> dict[Coalition, Fraction]:
-        return {S: x for S, x in self._worth.items() if x != 0}
+        return {S: Fraction(x, self.den)
+                for S, x in zip(partitions.subsets(self.players), self.nums) if x}
 
 
 def null_game(players) -> TuGame:
@@ -160,7 +171,7 @@ def shapley_value(v: TuGame) -> PayoffVector:
     """Shapley payoffs: marginal contributions weighted by s!(n-s-1)!/n!."""
     # the worth table is in subsets order, so the k-th numerator belongs to
     # the coalition whose members are bit j of k mapped to the j-th player
-    den, nums = v._ints()
+    den, nums = v.den, v.nums
     n = v.n
     fact = _factorials(n)
     weight = [fact[s] * fact[n - s - 1] for s in range(n)]
@@ -181,7 +192,7 @@ def potential(v: TuGame) -> Fraction:
     With P(S) = Q(S) / (s! den), the recursion P(S) = (worth(S) + sum of
     P(S - i)) / s becomes Q(S) = (s-1)! num(S) + sum of Q(S - i) on integers.
     """
-    den, nums = v._ints()
+    den, nums = v.den, v.nums
     n = v.n
     fact = _factorials(n)
     q = [0] * (1 << n)
@@ -198,7 +209,7 @@ def potential(v: TuGame) -> Fraction:
 
 def potential_via_size_weights(v: TuGame) -> Fraction:
     """Potential as the closed form sum of s!(n-s)!/n! * worth(S)/s."""
-    den, nums = v._ints()
+    den, nums = v.den, v.nums
     n = v.n
     fact = _factorials(n)
     # s!/s = (s-1)!, so the empty coalition carries no term
@@ -207,15 +218,10 @@ def potential_via_size_weights(v: TuGame) -> Fraction:
     return Fraction(total, fact[n] * den)
 
 
-def _numerators_by_mask(v: TuGame) -> tuple[int, dict[Coalition, int]]:
-    den, nums = v._ints()
-    return den, dict(zip(v._worth, nums))
-
-
 def potential_via_random_partition(v: TuGame) -> Fraction:
     """Potential as the expected accumulated worth of a uniform CRP partition
     (any potential-generating family gives the same number)."""
-    den, num = _numerators_by_mask(v)
+    den, num = v.den, dict(zip(partitions.subsets(v.players), v.nums))
     pden, pnums = random_partitions.PSTAR.integer_distribution(v.players)
     total = 0
     for pi, p in zip(partitions.enumerate_partitions(v.players), pnums):
@@ -232,7 +238,7 @@ def shapley_via_crp(v: TuGame) -> PayoffVector:
     exactly with ``shapley_value``.
     """
     n = v.n
-    den, num = _numerators_by_mask(v)
+    den, num = v.den, dict(zip(partitions.subsets(v.players), v.nums))
     pstar = random_partitions.PSTAR
     payoff: PayoffVector = {}
     for i in v.member_ids():

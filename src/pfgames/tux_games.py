@@ -7,9 +7,9 @@ solution, and the null-player test. p-Shapley values and the expected
 accumulated worth of a random partition share one pass over the family's
 distribution; MPW stays a separate route, through the average game.
 
-These kernels read the worth table and the family's distributions over one
-common denominator each (integer numerators, cached on the game and the
-family), accumulate integers and build one Fraction per result.
+A game's worth table is integer numerators in ``enumerate_embedded`` order
+over one common denominator. The kernels read it, and each family's cached
+distributions in the same form, and build one Fraction per result.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from . import partitions, random_partitions, tu_games
 from .partitions import Coalition, EmbeddedCoalition, Partition
-from .random_partitions import ZERO
+from .random_partitions import over_common_denominator
 from .tu_games import Game, PayoffVector, TuGame
 
 
@@ -36,14 +36,13 @@ class TuxGame(Game):
 
     def __init__(self, players, worth: Mapping[EmbeddedCoalition, Fraction]):
         self.players = partitions.as_mask(players)
-        table: dict[EmbeddedCoalition, Fraction] = {}
+        values = []
         provided = dict(worth)
         for S, pi in partitions.enumerate_embedded(self.players):
             if S == 0:
-                value = provided.pop((S, pi), ZERO)
-                if value != 0:
+                if provided.pop((S, pi), 0) != 0:
                     raise ValueError("empty coalitions must have worth zero")
-                table[(S, pi)] = ZERO
+                values.append(0)
                 continue
             try:
                 value = provided.pop((S, pi))
@@ -52,21 +51,11 @@ class TuxGame(Game):
                     f"missing worth for embedded coalition "
                     f"({sorted(partitions.members(S))}, {_pi_repr(pi)})"
                 ) from None
-            table[(S, pi)] = Fraction(value)
+            values.append(Fraction(value))
         if provided:
             bad = next(iter(provided))
             raise ValueError(f"worth given for a non-embedded coalition: {bad}")
-        self._worth = table
-
-    @classmethod
-    def _from_table(cls, players: Coalition, table: dict[EmbeddedCoalition, Fraction]):
-        """A game over a table the caller built (unchecked): keyed by every
-        embedded coalition of ``players`` in ``enumerate_embedded`` order,
-        Fraction worths, zero on empty coalitions."""
-        game = cls.__new__(cls)
-        game.players = players
-        game._worth = table
-        return game
+        self.den, self.nums = over_common_denominator(values)
 
     @classmethod
     def from_function(cls, players, fn: Callable[[Coalition, Partition], Fraction]):
@@ -80,17 +69,25 @@ class TuxGame(Game):
         return cls(mask, worth)
 
     def worth(self, coalition, pi: Partition) -> Fraction:
-        S = partitions.as_mask(coalition)
-        try:
-            return self._worth[(S, pi)]
-        except KeyError:
-            raise ValueError(
-                f"({sorted(partitions.members(S))}, {_pi_repr(pi)}) is not an "
-                "embedded coalition of this game"
-            ) from None
+        return Fraction(self.nums[cell_index(self.players, coalition, pi)], self.den)
 
-    def cells(self):
-        return self._worth.items()
+    def cells(self) -> Iterator[tuple[EmbeddedCoalition, Fraction]]:
+        """Each embedded coalition with its worth, in ``enumerate_embedded`` order."""
+        return zip(partitions.enumerate_embedded(self.players),
+                   (Fraction(x, self.den) for x in self.nums))
+
+
+def cell_index(players: Coalition, coalition, pi: Partition) -> int:
+    """Position of the embedded coalition in ``enumerate_embedded(players)``;
+    ValueError when it is not one."""
+    S = partitions.as_mask(coalition)
+    try:
+        return partitions.embedded_index(players)[(S, pi)]
+    except KeyError:
+        raise ValueError(
+            f"({sorted(partitions.members(S))}, {_pi_repr(pi)}) is not an "
+            "embedded coalition of this game"
+        ) from None
 
 
 def _pi_repr(pi: Partition) -> list[list[int]]:
@@ -99,7 +96,7 @@ def _pi_repr(pi: Partition) -> list[list[int]]:
 
 def null_game(players) -> TuxGame:
     mask = partitions.as_mask(players)
-    return TuxGame._from_table(mask, dict.fromkeys(partitions.enumerate_embedded(mask), ZERO))
+    return TuxGame._from_numerators(mask, 1, [0] * len(partitions.enumerate_embedded(mask)))
 
 
 def dirac_game(players, coalition, outside: Partition) -> TuxGame:
@@ -110,9 +107,9 @@ def dirac_game(players, coalition, outside: Partition) -> TuxGame:
         raise ValueError("Dirac games need a nonempty coalition")
     if T & ~mask or not partitions.is_partition_of(outside, mask & ~T):
         raise ValueError("not an embedded coalition of the given player set")
-    table = dict.fromkeys(partitions.enumerate_embedded(mask), ZERO)
-    table[(T, outside)] = Fraction(1)
-    return TuxGame._from_table(mask, table)
+    nums = [0] * len(partitions.enumerate_embedded(mask))
+    nums[partitions.embedded_index(mask)[(T, outside)]] = 1
+    return TuxGame._from_numerators(mask, 1, nums)
 
 
 def dirac_basis(players):
@@ -132,30 +129,30 @@ def game_from_dirac_coefficients(players, coefficients) -> TuxGame:
     """The game with the given worths on nonempty embedded coalitions and
     zero elsewhere; coefficients of other cells are ignored."""
     mask = partitions.as_mask(players)
-    table = dict.fromkeys(partitions.enumerate_embedded(mask), ZERO)
+    at = partitions.embedded_index(mask)
+    values = [0] * len(at)
     for cell, x in dict(coefficients).items():
-        if cell in table and cell[0]:
-            table[cell] = Fraction(x)
-    return TuxGame._from_table(mask, table)
+        if cell in at and cell[0]:
+            values[at[cell]] = Fraction(x)
+    return TuxGame._from_values(mask, values)
 
 
 def lift_tu_game(v: TuGame) -> TuxGame:
     """Embed a TU game as the partition-independent partition function."""
-    worth = v._worth
-    return TuxGame._from_table(
-        v.players, {cell: worth[cell[0]] for cell in partitions.enumerate_embedded(v.players)}
-    )
+    nums = []
+    for S, x in zip(partitions.subsets(v.players), v.nums):
+        # the cells of S are one run in enumerate_embedded order
+        nums += [x] * len(partitions.enumerate_partitions(v.players & ~S))
+    return TuxGame._from_numerators(v.players, v.den, nums)
 
 
 def externality_free_tu(w: TuxGame) -> TuGame | None:
     """The induced TU game when worths ignore the outside partition, else None."""
-    worth: dict[Coalition, Fraction] = {}
-    for S in partitions.subsets(w.players):
-        values = {w.worth(S, pi) for pi in partitions.enumerate_partitions(w.players & ~S)}
-        if len(values) != 1:
-            return None
-        worth[S] = values.pop()
-    return TuGame(w.players, worth)
+    at = partitions.embedded_index(w.players)
+    v = TuGame._from_numerators(w.players, w.den, [
+        w.nums[at[(S, partitions.enumerate_partitions(w.players & ~S)[0])]]
+        for S in partitions.subsets(w.players)])
+    return v if lift_tu_game(v) == w else None
 
 
 def as_tu_game(game: TuGame | TuxGame) -> TuGame | None:
@@ -179,15 +176,14 @@ def as_tux_game(game: TuGame | TuxGame) -> TuxGame:
 
 def average_game(w: TuxGame, family: random_partitions.RandomPartitionFamily) -> TuGame:
     """TU game giving each coalition its expected worth over outside partitions."""
-    den, nums = w._ints()
-    worth: dict[Coalition, Fraction] = {}
+    worth = []
     at = 0  # the cells of S are the next ones in enumerate_embedded order
     for S in partitions.subsets(w.players):
         pden, pnums = family.integer_distribution(w.players & ~S)
         end = at + len(pnums)
-        worth[S] = Fraction(sum(map(operator.mul, pnums, nums[at:end])), pden * den)
+        worth.append(Fraction(sum(map(operator.mul, pnums, w.nums[at:end])), pden * w.den))
         at = end
-    return TuGame(w.players, worth)
+    return TuGame._from_values(w.players, worth)
 
 
 def mpw_value(w: TuxGame) -> PayoffVector:
@@ -200,7 +196,7 @@ def _block_mass(
 ) -> tuple[int, dict[Coalition, int]]:
     """Block mass M(S): sum of p(pi) worth(S, pi - S) over partitions pi with
     block S, as (den, {S: numerator})."""
-    den, nums = w._ints()
+    nums = w.nums
     pden, pnums = family.integer_distribution(w.players)
     at = partitions.embedded_index(w.players)
     mass: dict[Coalition, int] = {}
@@ -210,7 +206,7 @@ def _block_mass(
         for k, S in enumerate(pi):
             if x := nums[at[(S, pi[:k] + pi[k + 1 :])]]:
                 mass[S] = mass.get(S, 0) + p * x
-    return pden * den, mass
+    return pden * w.den, mass
 
 
 def expected_accumulated_worth(
@@ -235,9 +231,10 @@ def p_shapley_vector(
     (s-1)!(n-s)!/n! = 1/(s C(n, s)) the uniform-CRP probability that S is a
     block; at ``PSTAR`` this TU game is the average game, so the value is MPW."""
     den, mass = _block_mass(w, family)
-    game = {S: Fraction(S.bit_count() * math.comb(w.n, S.bit_count()) * m, den)
-            for S, m in mass.items()}
-    return tu_games.shapley_value(TuGame(w.players, game))
+    game = TuGame._from_numerators(w.players, den, [
+        S.bit_count() * math.comb(w.n, S.bit_count()) * mass.get(S, 0)
+        for S in partitions.subsets(w.players)])
+    return tu_games.shapley_value(game)
 
 
 def is_null_player(w: TuxGame, i: int) -> bool:
@@ -251,7 +248,7 @@ def is_null_player(w: TuxGame, i: int) -> bool:
     if not w.players & bit:
         raise ValueError(f"player {i} is not in the game")
     # one common denominator, so equal numerators are equal worths
-    _, nums = w._ints()
+    nums = w.nums
     at = partitions.embedded_index(w.players)
     for S, pi in partitions.enumerate_embedded(w.players & ~bit):
         inside = nums[at[(S | bit, pi)]]

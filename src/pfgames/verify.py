@@ -103,9 +103,9 @@ def reduction_identity(
     rest = N & ~bit
     n, s = partitions.size(N), partitions.size(S)
     lhs = rhs = ZERO
-    dist = family.distribution(N)
+    dist, rest_dist = family.distribution(N), family.distribution(rest)
     for pi in partitions.enumerate_partitions(rest & ~S):
-        lhs += family.prob(rest, partitions.with_block(pi, S))
+        lhs += rest_dist[partitions.with_block(pi, S)]
         for _, grown in partitions.placements(pi, i):
             rhs += dist[partitions.with_block(grown, S)]
     return lhs, Fraction(n, n - s) * rhs

@@ -2,9 +2,11 @@
 
 Covers every exact solution route on seeded games (MPW, p-Shapley, operator
 auxiliary games, potentials and values, the three TU potential routes, both
-Shapley routes and the expected accumulated worth) and the gen, restriction
-and null-player reports at nmax 3 (one more at nmax 4), in the JSON
-encodings of ``formats``. A change of representation must leave every byte
+Shapley routes and the expected accumulated worth), the game builders
+(``restrict_many``, average games, the lift and its externality-free TU
+game, sums and scalar multiples) and the gen, restriction and null-player
+reports at nmax 3 (one more at nmax 4), in the JSON encodings of
+``formats``. A change of representation must leave every byte
 of this file unchanged.
 
 Regenerate (only when an output is meant to change) from the repository root:
@@ -21,6 +23,8 @@ from pfgames import cli, formats, partitions, tu_games, tux_games, verify
 from pfgames.restriction_ops import RestrictionOperator
 
 FAMILIES = ("pstar", "ewens:1/2", "eps:4=1/24")
+AVERAGE_FAMILIES = ("ewens:1/2", "eps:4=1/24")
+RESTRICTED = ("rstar", "rp:pstar", "biased")
 OPERATORS = ("rstar", "rp:pstar", "nullify", "biased")
 SOLUTIONS = ("mpw", "p-shapley:pstar", "p-shapley:eps:4=1/24", "r-shapley:rstar",
              "r-shapley:nullify")
@@ -77,7 +81,18 @@ def outputs() -> dict:
     out = {}
     tux = tux_games_by_name()
     for name, w in tux.items():
-        entry = {"mpw": payoff(tux_games.mpw_value(w))}
+        entry = {"mpw": payoff(tux_games.mpw_value(w)),
+                 "w+w": formats.tux_game_to_json(w + w),
+                 "3w-w": formats.tux_game_to_json(3 * w - w)}
+        for spec in AVERAGE_FAMILIES:
+            entry[f"average-game {spec}"] = formats.tu_game_to_json(
+                tux_games.average_game(w, cli.parse_family(spec)))
+        if name in ("tux3", "tux4"):
+            for spec in RESTRICTED:
+                op = cli.parse_operator(spec)
+                for removed in ([1], [1, 3]):
+                    entry[f"restrict-many {spec} {removed}"] = formats.tux_game_to_json(
+                        op.restrict_many(w, removed))
         for spec in FAMILIES:
             family = cli.parse_family(spec)
             entry[f"p-shapley {spec}"] = payoff(tux_games.p_shapley_vector(w, family))
@@ -99,6 +114,8 @@ def outputs() -> dict:
             "shapley-crp": payoff(tu_games.shapley_via_crp(v)),
             "expected-worth-lifted": rational(tux_games.expected_accumulated_worth(
                 tux_games.lift_tu_game(v), cli.parse_family("pstar"))),
+            "externality-free-lifted": formats.tu_game_to_json(
+                tux_games.externality_free_tu(tux_games.lift_tu_game(v))),
         }
     reports = {}
     for spec in FAMILIES:

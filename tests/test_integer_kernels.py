@@ -284,6 +284,55 @@ def test_unchecked_builders_give_the_validated_games_in_table_order():
         assert all(type(x) is Fraction for _, x in game.cells()), name
 
 
+def test_equal_worths_give_equal_games_with_equal_hashes():
+    """A game holds one canonical integer table, whichever route built it."""
+    rng = random.Random(11)
+    N = prefix(3)
+    v = wide_tu_game(3, rng)
+    worths = {S: v.worth(S) for S in partitions.subsets(N) if v.worth(S)}
+    w = TUX_GAMES[3]
+    tux_worths = {cell: x for cell, x in w.cells() if cell[0]}
+    half = TuxGame.from_function(N, lambda S, pi: Fraction(1, 2))
+    ones = TuxGame.from_function(N, lambda S, pi: 1)
+    pairs = [
+        (TuGame(N, worths), TuGame(N, dict.fromkeys(partitions.subsets(N), 0) | worths)),
+        (TuxGame(N, tux_worths), TuxGame(N, {**tux_worths, (0, (N,)): 0})),
+        (half + half, ones),
+        (2 * half, ones),
+        (half * 2, ones),
+        (w - w, tux_games.null_game(N)),
+        (3 * w - w - w, w + w - w),
+        (tux_games.lift_tu_game(v), TuxGame.from_function(N, lambda S, pi: v.worth(S))),
+    ]
+    for built, expected in pairs:
+        assert built == expected
+        assert hash(built) == hash(expected)
+        assert (built.den, built.nums) == (expected.den, expected.nums)
+    assert (half + half).den == 1
+    assert (w - w).den == 1
+
+
+def test_tu_worths_round_trip_on_players_that_are_not_a_prefix():
+    rng = random.Random(31)
+    N = partitions.mask_from((0, 5, 17, 31))
+    worths = {S: exact_worth(rng) for S in partitions.subsets(N) if S}
+    v = TuGame(N, worths)
+    assert all(v.worth(S) == x and type(v.worth(S)) is Fraction for S, x in worths.items())
+    assert v.nonzero_worths() == {S: x for S, x in worths.items() if x}
+    assert TuGame(N, v.nonzero_worths()) == v
+    with pytest.raises(ValueError, match="not a subset"):
+        v.worth([0, 1])
+
+
+def test_worths_and_cells_are_fractions():
+    v = TuGame(prefix(2), {1 << 1: 3})
+    assert type(v.worth([1])) is Fraction and type(v.worth([])) is Fraction
+    assert all(type(x) is Fraction for x in v.nonzero_worths().values())
+    w = TuxGame.from_function(prefix(3), lambda S, pi: S.bit_count())
+    assert all(type(w.worth(*cell)) is Fraction for cell, _ in w.cells())
+    assert all(type(x) is Fraction for _, x in w.cells())
+
+
 def test_dropped_families_never_leak_cached_distributions():
     """Families built and dropped in turn reuse memory; each one's verdict
     and payoffs must still be its own."""

@@ -25,7 +25,7 @@ from pfgames.tux_games import (
     p_shapley_vector,
     productive_pair_game,
 )
-from pfgames.verify import null_player_witness
+from pfgames.verify import check_restriction_axioms, null_player_witness
 
 from .corpus import prefix, random_tux_game, tux_corpus
 
@@ -371,3 +371,14 @@ def test_positivity_is_enforced_per_query():
 def test_restrict_rejects_missing_player():
     with pytest.raises(ValueError):
         RSTAR.restrict(null_game(N4), 9)
+
+
+def test_a_rule_that_reads_a_non_cell_is_refused_at_every_entry_point():
+    """A rule that forgets to place the removed player reads (S, pi) with pi
+    short of a player; each route names the cell, as ``TuxGame.worth`` does."""
+    op = RestrictionOperator("stale", lambda w, i, S, pi: w.worth(S, pi))
+    w = productive_pair_game()
+    for solve in (lambda: op.restrict(w, 4), lambda: op.auxiliary_game(w),
+                  lambda: op.potential(w), lambda: check_restriction_axioms(op, 3)):
+        with pytest.raises(ValueError, match=r"is not an embedded coalition of this game"):
+            solve()

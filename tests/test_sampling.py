@@ -300,3 +300,14 @@ def test_bad_seed_rejected_naming_the_seed(seed):
         estimate_payoff(null_game(prefix(2)), 1, "mpw", n_samples=10, seed=seed)
     with pytest.raises(ValueError, match="seed"):
         sample_crp(prefix(2), seed=seed, count=10)
+
+
+def test_mpw_estimate_on_a_tu_game_past_the_universe_bound():
+    """A TU game's mpw draw reads v at the local mask of the predecessors, so
+    it needs no embedded coalitions; local masks of 17 players fit the draw."""
+    N = partitions.mask_from(range(17))
+    v = tu_games.unanimity_game(N, [0, 16])
+    for i in (0, 16):
+        est = estimate_payoff(v, i, "mpw", n_samples=4000, seed=70 + i)
+        assert abs(est.mean - 0.5) <= 4 * est.std_error
+    assert estimate_payoff(v, 8, "mpw", n_samples=500, seed=1).mean == 0
