@@ -140,6 +140,8 @@ def _load_json(path, parse):
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     try:
         return parse(data)
     except ValueError as exc:

@@ -188,18 +188,10 @@ def enumerate_partitions(players) -> tuple[Partition, ...]:
 
 
 def _build_partitions(mask: Coalition) -> tuple[Partition, ...]:
-    # Insert players in ascending order: merging into an existing block or
-    # appending a new singleton both preserve least-member block order, so
-    # every intermediate partition is already canonical.
+    # grow by each player in ascending order: into every block, then alone
     result: list[Partition] = [()]
     for i in members(mask):
-        bit = 1 << i
-        grown: list[Partition] = []
-        for pi in result:
-            for k, block in enumerate(pi):
-                grown.append(pi[:k] + (block | bit,) + pi[k + 1 :])
-            grown.append(pi + (bit,))
-        result = grown
+        result = [grown for pi in result for _, grown in placements(pi, i)]
     return tuple(result)
 
 

@@ -169,9 +169,9 @@ def ewens_family(theta) -> RandomPartitionFamily:
 class EpsilonProfile:
     """Deviation sizes for the perturbed potential-generating family.
 
-    Maps a player-set cardinality k >= 4 to a rational eps_k constrained to
-    [-1/k!, C(k,2)/(2 k!)]; outside that range some partition would get a
-    negative probability.
+    Maps a player-set cardinality k, 4 <= k <= MAX_PLAYER_ID + 1, to a
+    rational eps_k constrained to [-1/k!, C(k,2)/(2 k!)]; outside that range
+    some partition would get a negative probability.
     """
 
     values: Mapping[int, Fraction]
@@ -179,8 +179,9 @@ class EpsilonProfile:
     def __post_init__(self):
         cleaned = {}
         for k, eps in dict(self.values).items():
-            if k < 4:
-                raise ValueError("perturbations are only defined for 4 or more players")
+            if not 4 <= k <= partitions.MAX_PLAYER_ID + 1:  # before computing k!
+                raise ValueError(f"perturbations are only defined for 4 to "
+                                 f"{partitions.MAX_PLAYER_ID + 1} players, not {k}")
             eps = Fraction(eps)
             lower = Fraction(-1, math.factorial(k))
             upper = Fraction(math.comb(k, 2), 2 * math.factorial(k))

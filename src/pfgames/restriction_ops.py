@@ -9,10 +9,10 @@ and a deliberately order-biased operator used to exercise the axiom checks.
 
 ``restrict`` applies an operator's cell rule to a concrete game. Running the
 same rule on a game whose worths are unit linear forms gives the exact
-matrix of each removal (N, i); the operator caches it, the restriction-axiom
-check judges it, and the auxiliary game (hence the operator's potential and
-value) walks the lattice of removed sets applying those matrices to integer
-worth tables over one common denominator.
+matrix of each removal (N, i), as integer rows over one denominator. The
+operator caches it; the auxiliary game (hence its potential and value) walks
+the lattice of removed sets applying it to integer worth tables, and the
+axiom check judges it, composing two with ``RemovalMatrix.after`` for PI.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ CellRule = Callable[[TuxGame, int, Coalition, Partition], Fraction]
 
 
 class _LinearForm:
-    """Exact linear form {embedded coalition: coefficient} in a game's worths.
+    """Exact linear form {cell position: coefficient} in a game's worths.
 
     Only sums and differences of forms, and products and quotients by exact
     scalars, are defined; truth tests, comparisons, products of worths and
@@ -85,18 +85,16 @@ class _LinearForm:
 
 
 class _SymbolicGame:
-    """Stands in for the TuxGame a cell rule reads: each worth is the given
-    row of linear forms in an underlying game's worths, else the unit form."""
+    """Stands in for the TuxGame a cell rule reads: each worth is the unit
+    form of its position in ``enumerate_embedded`` order."""
 
-    def __init__(self, players: Coalition, rows=None):
-        self.players, self.n, self.rows = players, partitions.size(players), rows
+    def __init__(self, players: Coalition):
+        self.players, self.n = players, partitions.size(players)
 
     def worth(self, coalition, pi: Partition) -> _LinearForm:
-        cell = (partitions.as_mask(coalition), pi)
-        cell_index(self.players, *cell)
-        if not cell[0]:
-            return _LinearForm({})
-        return _LinearForm({cell: ONE} if self.rows is None else self.rows[cell])
+        S = partitions.as_mask(coalition)
+        k = cell_index(self.players, S, pi)
+        return _LinearForm({k: ONE} if S else {})
 
 
 class NonLinearRuleError(ValueError):
@@ -117,37 +115,31 @@ class NonLinearRuleError(ValueError):
         self.players, self.player, self.cell, self.error = players, player, cell, error
 
 
-def _symbolic_restrict(op, game: _SymbolicGame, i: int) -> dict:
-    """The cell rule on a symbolic game: {subgame cell: {underlying cell: x}}."""
-    rows = {}
-    for S, pi in partitions.enumerate_embedded(game.players & ~(1 << i)):
-        if not S:
-            continue
-        try:
-            form = _LinearForm({}) + op.restricted_worth(game, i, S, pi)
-        except TypeError as exc:
-            raise NonLinearRuleError(op.label, game.players, i, (S, pi), str(exc)) from None
-        rows[(S, pi)] = {cell: x for cell, x in form.coef.items() if x}
-    return rows
+def _apply(row, nums):
+    positions, coefficients = row
+    return sum(map(operator.mul, coefficients, map(nums.__getitem__, positions)))
 
 
 class RemovalMatrix(NamedTuple):
-    """The exact matrix of removing one player from a player set.
+    """The exact matrix of removing one player from a player set, times
+    ``den``: one (game cell positions, integer coefficients) row per subgame
+    cell, in ``enumerate_embedded`` order. A row lists the cells in the order
+    the rule read them; empty coalitions have empty rows."""
 
-    ``rows`` maps each nonempty subgame cell to {game cell: coefficient};
-    ``int_rows`` is the same matrix times ``den``, the lcm of its
-    denominators: one (game cell positions, integer coefficients) pair per
-    subgame cell, both in ``enumerate_embedded`` order.
-    """
-
-    rows: dict
     den: int
-    int_rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
+    def apply(self, nums) -> list:
+        """The subgame's numerators over ``den`` times the game's denominator."""
+        return [_apply(row, nums) for row in self.rows]
 
-def _apply(row, nums) -> int:
-    positions, coefficients = row
-    return sum(map(operator.mul, coefficients, map(nums.__getitem__, positions)))
+    def after(self, inner: RemovalMatrix) -> RemovalMatrix:
+        """The matrix of removing ``inner``'s player and then this one's:
+        these rows applied to ``inner``'s rows read as linear forms."""
+        forms = self.apply([_LinearForm(dict(zip(*row))) for row in inner.rows])
+        coefs = [{k: x for k, x in (_LinearForm({}) + form).coef.items() if x} for form in forms]
+        return RemovalMatrix(self.den * inner.den,
+                             tuple((tuple(row), tuple(row.values())) for row in coefs))
 
 
 class RestrictionOperator:
@@ -210,17 +202,17 @@ class RestrictionOperator:
         if matrix is None:
             if not players & partitions.singleton(i):
                 raise ValueError(f"player {i} is not in the player set")
-            rows = _symbolic_restrict(self, _SymbolicGame(players), i)
-            ordered = [rows.get(cell, {})
-                       for cell in partitions.enumerate_embedded(players & ~(1 << i))]
-            den, flat = over_common_denominator(x for row in ordered for x in row.values())
+            game, rows = _SymbolicGame(players), []
+            for S, pi in partitions.enumerate_embedded(players & ~(1 << i)):
+                try:
+                    form = _LinearForm({}) + (self._cell_rule(game, i, S, pi) if S else 0)
+                except TypeError as exc:
+                    raise NonLinearRuleError(self.label, players, i, (S, pi), str(exc)) from None
+                rows.append({k: x for k, x in form.coef.items() if x})
+            den, flat = over_common_denominator(x for row in rows for x in row.values())
             coefficients = iter(flat)
-            at = partitions.embedded_index(players)
-            int_rows = tuple(
-                (tuple(at[cell] for cell in row), tuple(itertools.islice(coefficients, len(row))))
-                for row in ordered
-            )
-            matrix = self._matrices[key] = RemovalMatrix(rows, den, int_rows)
+            matrix = self._matrices[key] = RemovalMatrix(den, tuple(
+                (tuple(row), tuple(itertools.islice(coefficients, len(row)))) for row in rows))
         return matrix
 
     def auxiliary_game(self, w: TuxGame) -> TuGame:
@@ -247,11 +239,10 @@ class RestrictionOperator:
             matrix = self.removal_matrix(players, h)
             child = players & ~(1 << h)
             if child >> (h + 1):
-                self._walk(worth, child, den * matrix.den,
-                           [_apply(row, nums) for row in matrix.int_rows], h)
+                self._walk(worth, child, den * matrix.den, matrix.apply(nums), h)
             else:
                 # the grand coalition's cell comes last in enumerate_embedded
-                worth[child] = Fraction(_apply(matrix.int_rows[-1], nums), den * matrix.den)
+                worth[child] = Fraction(_apply(matrix.rows[-1], nums), den * matrix.den)
 
     def potential(self, w: TuxGame) -> Fraction:
         """TU potential of the auxiliary game: for path independent operators,

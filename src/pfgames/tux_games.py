@@ -61,12 +61,8 @@ class TuxGame(Game):
     def from_function(cls, players, fn: Callable[[Coalition, Partition], Fraction]):
         """Tabulate a worth rule; consulted only for nonempty coalitions."""
         mask = partitions.as_mask(players)
-        worth = {
-            (S, pi): fn(S, pi)
-            for S, pi in partitions.enumerate_embedded(mask)
-            if S != 0
-        }
-        return cls(mask, worth)
+        return cls._from_values(mask, [Fraction(fn(S, pi)) if S else 0
+                                       for S, pi in partitions.enumerate_embedded(mask)])
 
     def worth(self, coalition, pi: Partition) -> Fraction:
         return Fraction(self.nums[cell_index(self.players, coalition, pi)], self.den)

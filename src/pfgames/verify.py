@@ -8,6 +8,10 @@ check passes only when the identity holds with zero tolerance.
 
 Player sets are the prefixes {1}, {1,2}, ..., up to the requested size,
 together with any player sets a table-backed family pins explicitly.
+
+The restriction check judges the integer removal matrices each operator
+caches and applies: rows against ``restrict`` (LIN) and by the cells they
+read (RES), and two composed in either order (PI).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Callable, Mapping
 from . import formats, partitions, tu_games, tux_games
 from .partitions import Coalition, Partition
 from .random_partitions import ONE, ZERO, RandomPartitionFamily
-from .restriction_ops import NonLinearRuleError, _symbolic_restrict, _SymbolicGame
+from .restriction_ops import NonLinearRuleError, RemovalMatrix
 from .tux_games import TuxGame
 
 
@@ -207,20 +211,25 @@ class _Violation(Exception):
         super().__init__(_witness("restriction-axioms", **fields))
 
 
-def _removal_map(op, N: Coalition, i: int) -> dict:
-    """Rows of the operator's exact matrix of removing ``i`` from ``N``,
-    judged for LIN and RES row by row."""
-    rows = op.removal_matrix(N, i).rows
-    cells = [cell for cell in partitions.enumerate_embedded(N) if cell[0]]
-    probe = TuxGame(N, {cell: Fraction(1, k) for k, cell in enumerate(cells, 1)})
+def _judge_removal(op, probe: TuxGame, i: int) -> RemovalMatrix:
+    """The operator's exact matrix of removing ``i`` from the probe's players,
+    judged row by row: LIN against ``op.restrict(probe, i)``, then RES."""
+    N = probe.players
+    matrix = op.removal_matrix(N, i)
     restricted = op.restrict(probe, i)
-    for (S, pi), row in rows.items():
+    den = matrix.den * probe.den
+    cells = partitions.enumerate_embedded(N)
+    for (S, pi), (positions, _), num, restricted_num in zip(
+            partitions.enumerate_embedded(N & ~(1 << i)), matrix.rows,
+            matrix.apply(probe.nums), restricted.nums):
+        if not S:
+            continue
         where = dict(players=N, player=i, cell_coalition=S, cell_partition=pi)
-        lhs = sum((x * probe.worth(*cell) for cell, x in row.items()), ZERO)
-        if lhs != restricted.worth(S, pi):
-            raise _Violation(axiom="LIN", **where, lhs=lhs, rhs=restricted.worth(S, pi))
+        if num * restricted.den != restricted_num * den:
+            raise _Violation(axiom="LIN", **where, lhs=Fraction(num, den),
+                             rhs=Fraction(restricted_num, restricted.den))
         admissible = [(S, grown) for _, grown in partitions.placements(pi, i)]
-        for cell in row:
+        for cell in map(cells.__getitem__, positions):
             if cell not in admissible:
                 # the last placement leaves i alone
                 base = tux_games.dirac_game(N, *admissible[-1])
@@ -229,7 +238,7 @@ def _removal_map(op, N: Coalition, i: int) -> dict:
                     axiom="RES", **where, probe_coalition=cell[0], probe_outside=cell[1],
                     lhs=op.restricted_worth(base, i, S, pi),
                     rhs=op.restricted_worth(bumped, i, S, pi))
-    return rows
+    return matrix
 
 
 def check_restriction_axioms(op, n_max: int) -> Report:
@@ -239,37 +248,45 @@ def check_restriction_axioms(op, n_max: int) -> Report:
     cell rule run on unit linear forms, which is also what the operator's
     auxiliary game, potential and value apply. LIN: the rule evaluates on
     forms (no truth tests, comparisons, products of worths or constant
-    terms) and its matrix matches ``op.restrict`` on the game with worth 1/k
-    at the k-th nonempty cell of ``enumerate_embedded(N)``. RES: each row
-    reads only the cells where the removed player joins an outside block or
-    stays alone. PNG: the null game restricts to the null game. PI: rerunning
-    the rule on the rows of the first removal composes the matrices, so both
-    removal orders agree on every game at once; the witness names a Dirac
-    game (``coalition``, ``outside``) and a cell where they differ.
+    terms) and each row of its matrix matches ``op.restrict`` on the game
+    with worth 1/k at the k-th nonempty cell of ``enumerate_embedded(N)``.
+    RES: each row reads only the cells where the removed player joins an
+    outside block or stays alone. PNG: the null game restricts to the null
+    game. PI: the cached matrices of both removal orders, composed with
+    ``RemovalMatrix.after``, agree column by column, so the orders agree on
+    every game at once; the witness names a Dirac game (``coalition``,
+    ``outside``) and a cell where they differ.
     """
     checked = 0
     try:
         for N in _player_sets(n_max, op.explicit_player_sets):
             ids = partitions.members(N)
-            maps = {i: _removal_map(op, N, i) for i in ids}
+            cells = partitions.enumerate_embedded(N)
+            probe = TuxGame(N, {cell: Fraction(1, k)
+                                for k, cell in enumerate((c for c in cells if c[0]), 1)})
+            matrices = {i: _judge_removal(op, probe, i) for i in ids}
             for i in ids:
-                checked += len(maps[i]) + 1
+                checked += sum(1 for S, _ in partitions.enumerate_embedded(N & ~(1 << i)) if S) + 1
                 for (S, pi), x in op.restrict(tux_games.null_game(N), i).cells():
                     if x:
                         raise _Violation(axiom="PNG", players=N, player=i, lhs=x,
                                          rhs=ZERO, cell_coalition=S, cell_partition=pi)
             for i, j in itertools.combinations(ids, 2):
-                first = _symbolic_restrict(op, _SymbolicGame(N & ~(1 << i), maps[i]), j)
-                second = _symbolic_restrict(op, _SymbolicGame(N & ~(1 << j), maps[j]), i)
-                checked += len(first)
-                for (S, pi), row in first.items():
-                    for col in row.keys() | second[(S, pi)].keys():
-                        lhs, rhs = row.get(col, ZERO), second[(S, pi)].get(col, ZERO)
-                        if lhs != rhs:
+                rest = N & ~(1 << i) & ~(1 << j)
+                first = op.removal_matrix(N & ~(1 << i), j).after(matrices[i])
+                second = op.removal_matrix(N & ~(1 << j), i).after(matrices[j])
+                checked += sum(1 for S, _ in partitions.enumerate_embedded(rest) if S)
+                for (S, pi), lhs_row, rhs_row in zip(
+                        partitions.enumerate_embedded(rest), first.rows, second.rows):
+                    lhs_row, rhs_row = dict(zip(*lhs_row)), dict(zip(*rhs_row))
+                    for k in sorted(lhs_row.keys() | rhs_row.keys()):
+                        lhs, rhs = lhs_row.get(k, 0), rhs_row.get(k, 0)
+                        if lhs * second.den != rhs * first.den:
                             raise _Violation(
-                                axiom="PI", players=N, coalition=col[0], outside=col[1],
-                                first_removed=i, second_removed=j, cell_coalition=S,
-                                cell_partition=pi, lhs=lhs, rhs=rhs)
+                                axiom="PI", players=N, coalition=cells[k][0],
+                                outside=cells[k][1], first_removed=i, second_removed=j,
+                                cell_coalition=S, cell_partition=pi,
+                                lhs=Fraction(lhs, first.den), rhs=Fraction(rhs, second.den))
     except NonLinearRuleError as exc:
         witness = _witness("restriction-axioms", axiom="LIN", players=exc.players,
                            player=exc.player, cell_coalition=exc.cell[0],

@@ -75,6 +75,25 @@ def _clipped(w, i, S, pi):
     return max(w.worth(S, partitions.insert_player(pi, i, 0)), 0)
 
 
+def _two_faced(w, i, S, pi):
+    # linear on forms, but doubled there: the LIN probe sees the mismatch
+    worth = w.worth(S, partitions.insert_player(pi, i, 0))
+    return worth if isinstance(w, tux_games.TuxGame) else 2 * worth
+
+
+def _null_mover(w, i, S, pi):
+    worth = w.worth(S, partitions.insert_player(pi, i, 0))
+    null = isinstance(w, tux_games.TuxGame) and w == tux_games.null_game(w.players)
+    return worth + 1 if null else worth
+
+
+def _spread(w, i, S, pi):
+    # once pi is nonempty, reads two inadmissible cells, the later one in
+    # enumerate_embedded order first: the RES witness follows the read order
+    own = w.worth(S, partitions.insert_player(pi, i, 0))
+    return w.worth(w.players, ()) + w.worth(S | 1 << i, pi) + own if pi else own
+
+
 def outputs() -> dict:
     rational = formats.format_rational
     payoff = formats.payoff_to_json
@@ -125,6 +144,13 @@ def outputs() -> dict:
     operators["clipped"] = RestrictionOperator("clipped", _clipped)
     for spec, op in operators.items():
         reports[f"restriction {spec}"] = verify.check_restriction_axioms(op, 3).to_json()
+    operators["two-faced"] = RestrictionOperator("two-faced", _two_faced)
+    operators["null-mover"] = RestrictionOperator("null-mover", _null_mover)
+    operators["spread"] = RestrictionOperator("spread", _spread)
+    for spec, op in operators.items():
+        if spec not in ("copy-grand", "clipped"):
+            reports[f"restriction {spec} nmax=4"] = verify.check_restriction_axioms(
+                op, 4).to_json()
     for spec in SOLUTIONS:
         solution, label = cli.parse_solution(spec)
         reports[f"null-player {spec}"] = verify.check_null_player_axiom(

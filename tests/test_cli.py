@@ -290,6 +290,28 @@ def test_spec_errors_exit_two_naming_the_spec_or_option(capsys, showcase_path, a
     assert named in err
 
 
+def test_huge_eps_cardinality_exits_two_naming_the_spec(capsys):
+    spec = "eps:99999999999999999999=0"
+    code, out, err = run(capsys, "verify", "--check", "ci", "--family", spec)
+    assert code == 2
+    assert out == ""
+    assert repr(spec) in err
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["game", "family-table"])
+def test_deeply_nested_json_exits_two_naming_the_file(capsys, tmp_path, showcase_path, table):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 1000 + "]" * 1000)
+    if table:
+        argv = ["p-shapley", "--game", showcase_path, "--family", f"table:{path}"]
+    else:
+        argv = ["mpw", "--game", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "deep.json" in err and "nested too deeply" in err
+
+
 @pytest.mark.parametrize("n", [20, 32])
 def test_oversized_tu_game_file_exits_two(capsys, monkeypatch, tmp_path, n):
     path = tmp_path / "big.json"

@@ -155,6 +155,14 @@ def test_load_family_table_reports_path(tmp_path):
         formats.load_family_table(path)
 
 
+@pytest.mark.parametrize("load", [formats.load_game, formats.load_family_table])
+def test_deeply_nested_json_is_a_value_error_naming_the_file(tmp_path, load):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 1000 + "]" * 1000)
+    with pytest.raises(ValueError, match="deep.json.*nested too deeply"):
+        load(path)
+
+
 def test_payoff_encoding():
     payoff = {2: Fraction(1, 3), 1: Fraction(0)}
     assert formats.payoff_to_json(payoff) == {"1": "0", "2": "1/3"}

@@ -192,6 +192,16 @@ def test_epsilon_profile_range_enforced():
         EpsilonProfile({3: Fraction(1, 100)})
 
 
+@pytest.mark.parametrize("k", [33, 10**6, 10**20])
+def test_epsilon_profile_refuses_k_past_the_largest_player_set(k, monkeypatch):
+    def refuse(k):
+        raise AssertionError("k! must not be computed for a refused k")
+
+    monkeypatch.setattr(math, "factorial", refuse)
+    with pytest.raises(ValueError, match=f"4 to 32 players, not {k}"):
+        EpsilonProfile({k: 0})
+
+
 def test_inclusion_probability_pair_of_four():
     assert PSTAR.coalition_inclusion_prob(N4, [1, 2]) == Fraction(1, 12)
 

@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from pfgames import partitions, tu_games, tux_games
+from pfgames import cli, partitions, tu_games, tux_games
 from pfgames.errors import PositivityError
 from pfgames.random_partitions import PSTAR, ewens_family, perturbed_family
 from pfgames.restriction_ops import (
@@ -15,6 +16,7 @@ from pfgames.restriction_ops import (
     removal_biased_restriction,
 )
 from pfgames.tux_games import (
+    TuxGame,
     dirac_basis,
     dirac_game,
     expected_accumulated_worth,
@@ -338,6 +340,22 @@ def test_auxiliary_game_removes_players_in_ascending_order(rp_pstar):
                 )
                 assert op.auxiliary_game(w) == expected
                 assert op.potential(w) == tu_games.potential(expected)
+
+
+@pytest.mark.parametrize("spec", ["rstar", "rp:pstar", "biased"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_composed_removal_matrix_equals_two_restrictions_on_dirac_games(spec, n):
+    op = cli.parse_operator(spec)
+    N = prefix(n)
+    at = partitions.embedded_index(N)
+    for i, j in itertools.permutations(partitions.members(N), 2):
+        rest = N & ~(1 << i) & ~(1 << j)
+        both = op.removal_matrix(N & ~(1 << i), j).after(op.removal_matrix(N, i))
+        columns = [dict(zip(*row)) for row in both.rows]
+        for cell, delta in dirac_basis(N):
+            expected = TuxGame._from_values(
+                rest, [Fraction(col.get(at[cell], 0), both.den) for col in columns])
+            assert op.restrict(op.restrict(delta, i), j) == expected, (i, j, cell)
 
 
 def test_biased_operator_breaks_path_independence():
