@@ -4,8 +4,9 @@ Computes the Shapley value and its potential for TU games, the MPW solution
 and p-Shapley values for games in partition function form, restriction
 operators and their induced potentials, and machine checks of the axioms
 that single these objects out, all over exact rationals on small player
-sets. A Monte Carlo layer estimates the same payoffs by sampling the uniform
-Chinese restaurant process.
+sets. A Monte Carlo layer, ``sampling``, estimates the same payoffs from
+uniform Chinese restaurant draws. It alone needs numpy and is imported on
+first use, so ``import pfgames`` and the exact commands never load numpy.
 """
 
 from .errors import CapacityError, PositivityError
@@ -35,7 +36,6 @@ from .restriction_ops import (
     probability_restriction,
     removal_biased_restriction,
 )
-from .sampling import SampleEstimate, estimate_payoff, sample_crp
 from .tu_games import (
     TuGame,
     dirac_game,
@@ -74,3 +74,18 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+_SAMPLER_NAMES = frozenset({"sampling", "SampleEstimate", "estimate_payoff", "sample_crp"})
+
+
+def __getattr__(name):
+    if name in _SAMPLER_NAMES:
+        import importlib  # ``from . import sampling`` would re-enter this hook
+
+        sampling = importlib.import_module(".sampling", __name__)
+        return sampling if name == "sampling" else getattr(sampling, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_SAMPLER_NAMES})

@@ -24,7 +24,6 @@ from . import (
     partitions,
     random_partitions,
     restriction_ops,
-    sampling,
     tu_games,
     tux_games,
     verify,
@@ -210,6 +209,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from . import sampling  # loads numpy, which no other command needs
     game = formats.load_game(args.game)
     estimate = sampling.estimate_payoff(
         game, args.player, args.target, args.samples, args.seed

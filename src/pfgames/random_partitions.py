@@ -59,6 +59,7 @@ class RandomPartitionFamily:
         self.explicit_player_sets = explicit_player_sets
         self._cache: dict[Coalition, Distribution] = {}
         self._int_cache: dict[Coalition, IntegerView] = {}
+        self._gen_reports: dict[int, object] = {}  # verify.check_gen reports by n_max
 
     def __repr__(self):
         return f"RandomPartitionFamily({self.label!r})"

@@ -282,12 +282,15 @@ def probability_restriction(family: RandomPartitionFamily) -> RestrictionOperato
     B of p_N({S} + pi with the removed player in B) / p_{N-i}({S} + pi) times
     the original worth. The family must generate the TU potential; this is
     checked at construction time on up to 5 players (fewer when the universe
-    bound is lower). Probabilities appearing in denominators must be nonzero
-    and are checked per query.
+    bound is lower), once per family and player count. Probabilities
+    appearing in denominators must be nonzero and are checked per query.
     """
     from . import verify
 
-    report = verify.check_gen(family, min(5, partitions.universe_bound()))
+    n_max = min(5, partitions.universe_bound())
+    report = family._gen_reports.get(n_max)
+    if report is None:
+        report = family._gen_reports[n_max] = verify.check_gen(family, n_max)
     if not report.passed:
         raise ValueError(
             f"family {family.label!r} does not generate the TU potential; "

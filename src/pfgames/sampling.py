@@ -1,7 +1,7 @@
 """Monte Carlo layer: uniform Chinese restaurant draws and payoff estimators.
 
-The only module that leaves exact arithmetic; the exact modules stay the
-oracle.
+The only module that leaves exact arithmetic or imports numpy, so ``pfgames``
+imports it on first use; the exact modules stay the oracle.
 
 One numpy routine, ``_seat_shard``, seats a whole shard of draws at once.
 Players arrive in ascending id order; arrival t (counting from 0) draws j

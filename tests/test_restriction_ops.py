@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pfgames import cli, partitions, tu_games, tux_games
+from pfgames import cli, partitions, tu_games, tux_games, verify
 from pfgames.errors import PositivityError
 from pfgames.random_partitions import PSTAR, ewens_family, perturbed_family
 from pfgames.restriction_ops import (
@@ -367,8 +367,44 @@ def test_biased_operator_breaks_path_independence():
 
 
 def test_probability_operator_rejects_non_generating_family():
-    with pytest.raises(ValueError):
-        probability_restriction(ewens_family(Fraction(1, 2)))
+    # the GEN verdict is kept on the family; a repeat gets the same message
+    family = ewens_family(Fraction(1, 2))
+    builds = [lambda: probability_restriction(family),
+              lambda: cli.parse_operator("rp:ewens:1/2")]
+    messages = []
+    for build in builds * 2:
+        with pytest.raises(ValueError) as err:
+            build()
+        messages.append(str(err.value))
+    assert "witness" in messages[0]
+    assert messages == messages[:1] * 4
+
+
+def test_gen_check_runs_once_per_family_and_player_count(monkeypatch):
+    check_gen = verify.check_gen
+    calls = []
+
+    def counting(family, n_max):
+        calls.append(n_max)
+        return check_gen(family, n_max)
+
+    monkeypatch.setattr(verify, "check_gen", counting)
+    family = ewens_family(Fraction(1))
+    probability_restriction(family)
+    assert calls == [5]
+    probability_restriction(family)
+    assert calls == [5]
+    old = partitions.set_universe_bound(3)
+    try:
+        probability_restriction(family)
+        probability_restriction(family)
+    finally:
+        partitions.set_universe_bound(old)
+    assert calls == [5, 3]
+    assert partitions.universe_bound() == old
+    probability_restriction(family)
+    probability_restriction(ewens_family(Fraction(1)))
+    assert calls == [5, 3, 5]
 
 
 def test_positivity_is_enforced_per_query():
