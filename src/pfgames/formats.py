@@ -17,13 +17,35 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+# Python's default limit on int-string conversions; a literal whose value
+# could need more digits is refused before any integer is built
+MAX_RATIONAL_DIGITS = 4300
+
+
+def _literal_digits(text: str) -> int:
+    """An upper bound on the digits of the integers a rational literal
+    denotes: its digit count plus the size of its exponent."""
+    mantissa, e, exponent = text.lower().partition("e")
+    digits = sum(c.isdecimal() for c in mantissa)
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and exponent.isdecimal():
+        if len(exponent) > len(str(MAX_RATIONAL_DIGITS)):
+            return MAX_RATIONAL_DIGITS + 1
+        digits += int(exponent)
+    return digits
+
+
 def parse_rational(value) -> Fraction:
-    """Parse "p/q" or an integer; floats are rejected to keep arithmetic exact."""
+    """Parse "p/q" or an integer; floats are rejected to keep arithmetic exact,
+    and literals past MAX_RATIONAL_DIGITS digits to keep it fast."""
     if isinstance(value, bool) or isinstance(value, float):
         raise ValueError(f"expected an exact rational, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _literal_digits(value) > MAX_RATIONAL_DIGITS:
+            shown = value if len(value) <= 40 else value[:37] + "..."
+            raise ValueError(f"rational {shown!r} has more than {MAX_RATIONAL_DIGITS} digits")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -74,9 +96,12 @@ def tu_game_from_json(data) -> TuGame:
     for key, raw in data.get("worth", {}).items():
         try:
             ids = json.loads(key)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ValueError(f"worth key {key!r} is not a JSON list of ids") from exc
-        worth[coalition_from_list(ids)] = parse_rational(raw)
+        try:
+            worth[coalition_from_list(ids)] = parse_rational(raw)
+        except ValueError as exc:
+            raise ValueError(f"worth key {key!r}: {exc}") from exc
     return TuGame(players, worth)
 
 
@@ -142,6 +167,8 @@ def _load_json(path, parse):
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # an integer literal past Python's digit limit
+            raise ValueError(f"{path}: {exc}") from None
     try:
         return parse(data)
     except ValueError as exc:

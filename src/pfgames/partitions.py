@@ -227,6 +227,25 @@ def embedded_index(players) -> dict[EmbeddedCoalition, int]:
     return index
 
 
+_partition_positions: dict[Partition, int] = {}
+
+
+def partition_position(pi: Partition) -> int:
+    """Position of ``pi`` in ``enumerate_partitions`` of the players it covers.
+
+    One table serves every player set, since a partition names its own;
+    ValueError when ``pi`` is not canonical.
+    """
+    position = _partition_positions.get(pi)
+    if position is None:
+        for k, rho in enumerate(enumerate_partitions(union_of(pi))):
+            _partition_positions[rho] = k
+        position = _partition_positions.get(pi)
+        if position is None:
+            raise ValueError(f"{pi} is not a canonical partition")
+    return position
+
+
 def placements(pi: Partition, i: int) -> Iterator[tuple[Coalition, Partition]]:
     """The ways to add a player ``i`` that ``pi`` does not cover (unchecked).
 

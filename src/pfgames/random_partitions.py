@@ -10,7 +10,11 @@ table-backed families for counterexample experiments.
 Exact kernels read a distribution over one common denominator: the
 ``integer_distribution`` of a player set is (den, nums) with den the lcm of
 its probabilities' denominators and nums the integer numerators in
-``enumerate_partitions`` order, cached beside the Fraction memo.
+``enumerate_partitions`` order. Validation builds it, and it is cached beside
+the Fraction memo. ``inclusion`` adds each partition's numerator to each of
+its blocks in one pass, giving the probability that a coalition forms a
+block as an integer mass over the same denominator; the family checks of
+``verify`` read these masses.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ ONE = Fraction(1)
 
 Distribution = dict[Partition, Fraction]
 IntegerView = tuple[int, tuple[int, ...]]
+InclusionView = tuple[int, dict[Coalition, int]]
 
 
 def over_common_denominator(values) -> IntegerView:
@@ -45,7 +50,7 @@ class RandomPartitionFamily:
     distribution is validated to be non-negative and to sum exactly to 1.
     Memo writes are idempotent (identical values), so concurrent fills are
     harmless. ``integer_distribution`` memoizes the same distribution over one
-    common denominator.
+    common denominator, and ``inclusion`` its block inclusion masses.
     """
 
     def __init__(
@@ -59,6 +64,7 @@ class RandomPartitionFamily:
         self.explicit_player_sets = explicit_player_sets
         self._cache: dict[Coalition, Distribution] = {}
         self._int_cache: dict[Coalition, IntegerView] = {}
+        self._inclusion_cache: dict[Coalition, InclusionView] = {}
         self._gen_reports: dict[int, object] = {}  # verify.check_gen reports by n_max
 
     def __repr__(self):
@@ -69,7 +75,7 @@ class RandomPartitionFamily:
         dist = self._cache.get(mask)
         if dist is None:
             dist = self._rule(mask)
-            _validate_distribution(mask, dist, self.label)
+            self._int_cache[mask] = _validate_distribution(mask, dist, self.label)
             self._cache[mask] = dist
         return dist
 
@@ -78,11 +84,23 @@ class RandomPartitionFamily:
         mask = partitions.as_mask(players)
         view = self._int_cache.get(mask)
         if view is None:
-            dist = self.distribution(mask)
-            view = over_common_denominator(
-                dist[pi] for pi in partitions.enumerate_partitions(mask)
-            )
-            self._int_cache[mask] = view
+            self.distribution(mask)  # validating it caches the view
+            view = self._int_cache[mask]
+        return view
+
+    def inclusion(self, players) -> InclusionView:
+        """Block inclusion masses as (den, {block: numerator}): a coalition is a
+        block with probability numerator / den, and absent blocks have mass 0."""
+        mask = partitions.as_mask(players)
+        view = self._inclusion_cache.get(mask)
+        if view is None:
+            den, nums = self.integer_distribution(mask)
+            mass: dict[Coalition, int] = {}
+            for pi, p in zip(partitions.enumerate_partitions(mask), nums):
+                if p:
+                    for block in pi:
+                        mass[block] = mass.get(block, 0) + p
+            view = self._inclusion_cache[mask] = (den, mass)
         return view
 
     def prob(self, players, pi: Partition) -> Fraction:
@@ -99,30 +117,31 @@ class RandomPartitionFamily:
             raise ValueError("inclusion probability needs a nonempty coalition")
         if block & ~mask:
             raise ValueError("coalition is not a subset of the player set")
-        return sum(
-            (p for pi, p in self.distribution(mask).items() if block in pi), ZERO
-        )
+        den, mass = self.inclusion(mask)
+        return Fraction(mass.get(block, 0), den)
 
 
-def _validate_distribution(mask: Coalition, dist: Distribution, label: str) -> None:
+def _validate_distribution(mask: Coalition, dist: Distribution, label: str) -> IntegerView:
+    """The distribution over one common denominator, once it covers exactly the
+    partitions of the player set, is non-negative and sums to 1."""
     expected = partitions.enumerate_partitions(mask)
     if set(dist) != set(expected):
         raise ValueError(
             f"family {label!r} does not assign a probability to every partition "
             f"of {sorted(partitions.members(mask))}"
         )
-    total = ZERO
-    for pi, p in dist.items():
-        if p < 0:
-            raise ValueError(
-                f"family {label!r} assigns a negative probability to {pi}"
-            )
-        total += p
-    if total != 1:
+    den, nums = view = over_common_denominator(dist[pi] for pi in expected)
+    if min(nums) < 0:
+        pi = next(pi for pi, p in dist.items() if p < 0)  # in the rule's own order
         raise ValueError(
-            f"family {label!r} sums to {total} != 1 on "
+            f"family {label!r} assigns a negative probability to {pi}"
+        )
+    if sum(nums) != den:
+        raise ValueError(
+            f"family {label!r} sums to {Fraction(sum(nums), den)} != 1 on "
             f"{sorted(partitions.members(mask))}"
         )
+    return view
 
 
 def pstar_probability(pi: Partition, players) -> Fraction:
@@ -156,10 +175,9 @@ def ewens_family(theta) -> RandomPartitionFamily:
     def rule(mask: Coalition) -> Distribution:
         n = partitions.size(mask)
         rising = math.prod((theta + j for j in range(n)), start=ONE)
+        weight = [theta**k / rising for k in range(n + 1)]  # by block count
         return {
-            pi: theta ** len(pi)
-            * math.prod(math.factorial(b.bit_count() - 1) for b in pi)
-            / rising
+            pi: weight[len(pi)] * math.prod(math.factorial(b.bit_count() - 1) for b in pi)
             for pi in partitions.enumerate_partitions(mask)
         }
 

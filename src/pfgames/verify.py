@@ -9,6 +9,14 @@ check passes only when the identity holds with zero tolerance.
 Player sets are the prefixes {1}, {1,2}, ..., up to the requested size,
 together with any player sets a table-backed family pins explicitly.
 
+The family checks (gen, ci, pos, monotonicity) decide each instance on the
+integers a family caches per player set: its distribution numerators and
+its block inclusion masses (``RandomPartitionFamily.inclusion``), with
+partitions found through ``partitions.partition_position``. Fractions are
+built only for a witness, by the public helper that replays it
+(``gen_block_probability``, ``reduction_identity``, ``ci_instance``,
+``monotonicity_instance``).
+
 The restriction check judges the integer removal matrices each operator
 caches and applies: rows against ``restrict`` (LIN) and by the cells they
 read (RES), and two composed in either order (PI).
@@ -98,21 +106,64 @@ def reduction_identity(
     """Both sides of the one-player reduction identity for block S.
 
     Left: probability that S is a block among the players without i. Right:
-    n/(n-s) times the total probability of partitions of the full set where S
-    is a block, split by where i sits.
+    n/(n-s) times the probability that S is a block of the full set. Placing
+    i bijects the partitions of N with block S onto the partitions of N
+    without S and i, so the right side splits by where i sits.
     """
     N = partitions.as_mask(players)
     S = partitions.as_mask(coalition)
     bit = partitions.singleton(i)
-    rest = N & ~bit
+    if not N & bit:
+        raise ValueError(f"player {i} is not in the player set")
     n, s = partitions.size(N), partitions.size(S)
-    lhs = rhs = ZERO
-    dist, rest_dist = family.distribution(N), family.distribution(rest)
-    for pi in partitions.enumerate_partitions(rest & ~S):
-        lhs += rest_dist[partitions.with_block(pi, S)]
-        for _, grown in partitions.placements(pi, i):
-            rhs += dist[partitions.with_block(grown, S)]
-    return lhs, Fraction(n, n - s) * rhs
+    lhs = family.coalition_inclusion_prob(N & ~bit, S)
+    return lhs, Fraction(n, n - s) * family.coalition_inclusion_prob(N, S)
+
+
+def _all_ones_mass(family: RandomPartitionFamily, N: Coalition) -> tuple[int, dict]:
+    """Block masses of the lifted TU game with worth 1 on every coalition: by
+    linearity, the mass at T is the expected accumulated worth of the lifted
+    Dirac game of T."""
+    ones = tu_games.TuGame(N, {S: 1 for S in partitions.subsets(N) if S})
+    return tux_games._block_mass(tux_games.lift_tu_game(ones), family)
+
+
+GEN_ROUTES = ("block-probability", "expected-accumulated-worth", "one-player-reduction")
+
+
+def _gen_instances(family: RandomPartitionFamily, N: Coalition):
+    """(route, player, coalition, holds) for every GEN instance on N, in check
+    order, each decided on integer masses."""
+    block, expected, reduction = GEN_ROUTES
+    n = partitions.size(N)
+    den, mass = family.inclusion(N)
+    worth_den, worth_mass = _all_ones_mass(family, N)
+    for T in _nonempty_subsets_large_first(N):
+        t = partitions.size(T)
+        required = math.factorial(n - t) * math.factorial(t - 1) * den
+        yield block, None, T, mass.get(T, 0) * math.factorial(n) == required
+        pot = tu_games.potential(tu_games.dirac_game(N, T))
+        yield expected, None, T, worth_mass.get(T, 0) * pot.denominator == pot.numerator * worth_den
+    for i in partitions.members(N):
+        rest_den, rest_mass = family.inclusion(N & ~(1 << i))
+        for S in _nonempty_subsets_large_first(N & ~(1 << i)):
+            s = partitions.size(S)
+            yield reduction, i, S, (rest_mass.get(S, 0) * (n - s) * den
+                                    == n * mass.get(S, 0) * rest_den)
+
+
+def _gen_witness(family: RandomPartitionFamily, route: str, N: Coalition, i, T) -> dict:
+    """The witness of a failed GEN instance, both sides replayed in Fractions."""
+    if route == "block-probability":
+        lhs, rhs = gen_block_probability(family, N, T)
+        return _witness("gen", route=route, players=N, coalition=T, lhs=lhs, rhs=rhs)
+    if route == "expected-accumulated-worth":
+        dirac = tu_games.dirac_game(N, T)
+        lhs = tux_games.expected_accumulated_worth(tux_games.lift_tu_game(dirac), family)
+        return _witness("gen", route=route, players=N, coalition=T, lhs=lhs,
+                        rhs=tu_games.potential(dirac))
+    lhs, rhs = reduction_identity(family, N, i, T)
+    return _witness("gen", route=route, players=N, player=i, coalition=T, lhs=lhs, rhs=rhs)
 
 
 def check_gen(family: RandomPartitionFamily, n_max: int) -> Report:
@@ -120,36 +171,20 @@ def check_gen(family: RandomPartitionFamily, n_max: int) -> Report:
 
     Verifies the block-probability condition for every coalition, and that
     the two equivalent routes (expected accumulated worth on the Dirac TU
-    basis, one-player reduction identity) agree with it.
+    basis, one-player reduction identity) agree with it. The block and
+    reduction routes read the family's inclusion masses; the expected-worth
+    route reads the block masses of one lifted game per player set against
+    the potential of each Dirac game.
     """
     checked = 0
-    w_block = w_expected = w_reduction = None
+    first: dict[str, dict] = {}
     for N in _player_sets(n_max, family.explicit_player_sets):
-        for T in _nonempty_subsets_large_first(N):
-            lhs, rhs = gen_block_probability(family, N, T)
+        for route, i, T, holds in _gen_instances(family, N):
             checked += 1
-            if lhs != rhs and w_block is None:
-                w_block = _witness("gen", route="block-probability", players=N,
-                                   coalition=T, lhs=lhs, rhs=rhs)
-            dirac = tu_games.dirac_game(N, T)
-            expected = tux_games.expected_accumulated_worth(
-                tux_games.lift_tu_game(dirac), family
-            )
-            pot = tu_games.potential(dirac)
-            checked += 1
-            if expected != pot and w_expected is None:
-                w_expected = _witness("gen", route="expected-accumulated-worth",
-                                      players=N, coalition=T, lhs=expected, rhs=pot)
-        for i in partitions.members(N):
-            for S in _nonempty_subsets_large_first(N & ~(1 << i)):
-                lhs, rhs = reduction_identity(family, N, i, S)
-                checked += 1
-                if lhs != rhs and w_reduction is None:
-                    w_reduction = _witness("gen", route="one-player-reduction",
-                                           players=N, player=i, coalition=S, lhs=lhs,
-                                           rhs=rhs)
-    witness = w_block or w_expected or w_reduction
-    if w_block is None and witness is not None:
+            if not holds and route not in first:
+                first[route] = _gen_witness(family, route, N, i, T)
+    witness = next((first[route] for route in GEN_ROUTES if route in first), None)
+    if witness is not None and "block-probability" not in first:
         witness = dict(witness, note="routes disagree with block-probability")
     return Report(f"gen[{family.label}]", witness is None, checked, witness)
 
@@ -171,18 +206,31 @@ def ci_instance(
     return lhs, rhs
 
 
+def _ci_instances(family: RandomPartitionFamily, N: Coalition):
+    """(partition, block, holds) for every CI instance on N, in check order:
+    p_N(pi) against p_{N-B}(pi - B) times the inclusion mass of B, all as
+    integer numerators."""
+    _, nums = family.integer_distribution(N)
+    _, mass = family.inclusion(N)
+    for pi, p in zip(partitions.enumerate_partitions(N), nums):
+        # large blocks first; the sort is stable, so ties keep pi's order
+        for B in sorted(pi, key=int.bit_count, reverse=True):
+            rest_den, rest_nums = family.integer_distribution(N & ~B)
+            q = rest_nums[partitions.partition_position(tuple(C for C in pi if C != B))]
+            yield pi, B, p * rest_den == q * mass.get(B, 0)
+
+
 def check_ci(family: RandomPartitionFamily, n_max: int) -> Report:
     """Does the family factor over blocks (conditional independence)?"""
     checked = 0
     witness = None
     for N in _player_sets(n_max, family.explicit_player_sets):
-        for pi in partitions.enumerate_partitions(N):
-            for B in sorted(pi, key=lambda b: (-b.bit_count(), partitions.least_member(b))):
+        for pi, B, holds in _ci_instances(family, N):
+            checked += 1
+            if not holds and witness is None:
                 lhs, rhs = ci_instance(family, N, pi, B)
-                checked += 1
-                if lhs != rhs and witness is None:
-                    witness = _witness("ci", players=N, partition=pi, block=B,
-                                       lhs=lhs, rhs=rhs)
+                witness = _witness("ci", players=N, partition=pi, block=B,
+                                   lhs=lhs, rhs=rhs)
     return Report(f"ci[{family.label}]", witness is None, checked, witness)
 
 
@@ -194,10 +242,12 @@ def check_pos(family: RandomPartitionFamily, n_max: int) -> Report:
     checked = 0
     witness = None
     for N in _player_sets(n_max, family.explicit_player_sets):
-        for pi, p in family.distribution(N).items():
-            checked += 1
-            if p <= 0 and witness is None:
-                witness = _witness("pos", players=N, partition=pi, prob=p)
+        _, nums = family.integer_distribution(N)
+        checked += len(nums)
+        if witness is None and min(nums) <= 0:
+            # the first one in the rule's own order
+            pi, p = next((pi, p) for pi, p in family.distribution(N).items() if p <= 0)
+            witness = _witness("pos", players=N, partition=pi, prob=p)
     return Report(f"pos[{family.label}]", witness is None, checked, witness)
 
 
@@ -386,20 +436,33 @@ def monotonicity_instance(
     return lhs, Fraction(b, n - b) * sum(prob.values(), ZERO)
 
 
+def _monotonicity_instances(family: RandomPartitionFamily, N: Coalition):
+    """(player, partition, block, holds) for every monotonicity instance on N,
+    in check order: the numerator of i joining B against b/(n-b) times the
+    sum of the numerators of i landing anywhere else."""
+    n = partitions.size(N)
+    _, nums = family.integer_distribution(N)
+    for i in partitions.members(N):
+        for pi in partitions.enumerate_partitions(N & ~(1 << i)):
+            probs = [nums[partitions.partition_position(grown)]
+                     for _, grown in partitions.placements(pi, i)]
+            total = sum(probs)
+            for B, p in zip(pi, probs):
+                b = partitions.size(B)
+                yield i, pi, B, p * (n - b) == b * (total - p)
+
+
 def check_monotonicity_conditions(family: RandomPartitionFamily, n_max: int) -> Report:
     """Do the linear conditions behind monotone p-Shapley payoffs all hold?"""
     checked = 0
     witness = None
     for N in _player_sets(n_max, family.explicit_player_sets):
-        for i in partitions.members(N):
-            for pi in partitions.enumerate_partitions(N & ~(1 << i)):
-                for B in pi:
-                    lhs, rhs = monotonicity_instance(family, N, i, pi, B)
-                    checked += 1
-                    if lhs != rhs and witness is None:
-                        witness = _witness("monotonicity-conditions", players=N,
-                                           player=i, partition=pi, block=B, lhs=lhs,
-                                           rhs=rhs)
+        for i, pi, B, holds in _monotonicity_instances(family, N):
+            checked += 1
+            if not holds and witness is None:
+                lhs, rhs = monotonicity_instance(family, N, i, pi, B)
+                witness = _witness("monotonicity-conditions", players=N, player=i,
+                                   partition=pi, block=B, lhs=lhs, rhs=rhs)
     return Report(
         f"monotonicity-conditions[{family.label}]", witness is None, checked, witness
     )

@@ -4,10 +4,10 @@ Covers every exact solution route on seeded games (MPW, p-Shapley, operator
 auxiliary games, potentials and values, the three TU potential routes, both
 Shapley routes and the expected accumulated worth), the game builders
 (``restrict_many``, average games, the lift and its externality-free TU
-game, sums and scalar multiples) and the gen, restriction and null-player
-reports at nmax 3 (one more at nmax 4), in the JSON encodings of
-``formats``. A change of representation must leave every byte
-of this file unchanged.
+game, sums and scalar multiples), the gen, restriction and null-player
+reports at nmax 3 (one more at nmax 4), and the gen, ci, pos and
+monotonicity reports at nmax 5, in the JSON encodings of ``formats``. A
+change of representation must leave every byte of this file unchanged.
 
 Regenerate (only when an output is meant to change) from the repository root:
 
@@ -139,6 +139,10 @@ def outputs() -> dict:
     reports = {}
     for spec in FAMILIES:
         reports[f"gen {spec}"] = verify.check_gen(cli.parse_family(spec), 3).to_json()
+        for check, fn in (("gen", verify.check_gen), ("ci", verify.check_ci),
+                          ("pos", verify.check_pos),
+                          ("monotonicity", verify.check_monotonicity_conditions)):
+            reports[f"{check} {spec} nmax=5"] = fn(cli.parse_family(spec), 5).to_json()
     operators = {spec: cli.parse_operator(spec) for spec in OPERATORS}
     operators["copy-grand"] = RestrictionOperator("copy-grand", _copy_grand)
     operators["clipped"] = RestrictionOperator("clipped", _clipped)

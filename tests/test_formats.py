@@ -1,9 +1,10 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from pfgames import formats, partitions, tu_games, tux_games
+from pfgames import cli, formats, partitions, tu_games, tux_games
 from pfgames.random_partitions import PSTAR
 
 from .corpus import prefix, random_tu_game, random_tux_game
@@ -27,6 +28,68 @@ def test_rational_parse_rejects_junk():
         formats.parse_rational(0.5)
     with pytest.raises(ValueError):
         formats.parse_rational(True)
+
+
+@pytest.mark.parametrize("literal", [
+    "1e10000000", "-3/4E-10000000", "1e" + "9" * 5000, "1" * 4301, "1/" + "7" * 4301,
+    "0." + "0" * 4300 + "1", "1e4301",
+])
+def test_rational_parse_refuses_huge_literals_before_building_them(literal):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        formats.parse_rational(literal)
+    assert time.perf_counter() - start < 1
+
+
+def test_rational_parse_admits_literals_up_to_the_digit_limit():
+    assert formats.parse_rational("1e4299") == 10**4299
+    assert formats.parse_rational("-2e-4299") == Fraction(-2, 10**4299)
+    assert formats.parse_rational("1" * 4300) == int("1" * 4300)
+    assert formats.parse_rational(" 1_000e0_3 ") == 10**6
+    assert formats.parse_rational("1e00000000000000000000002") == 100
+
+
+def _cli_refusal(capsys, argv):
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert elapsed < 1
+    return captured.err
+
+
+def test_huge_rational_in_a_family_spec_exits_two_naming_the_spec(capsys):
+    err = _cli_refusal(capsys, ["verify", "--check", "gen", "--family", "ewens:1e10000000"])
+    assert "family spec 'ewens:1e10000000'" in err and "more than 4300 digits" in err
+    err = _cli_refusal(capsys, ["verify", "--check", "ci", "--family", "eps:4=1e-10000000"])
+    assert "family spec 'eps:4=1e-10000000'" in err and "more than 4300 digits" in err
+
+
+def test_huge_rational_in_a_file_exits_two_naming_the_file_and_entry(capsys, tmp_path):
+    tux = formats.tux_game_to_json(tux_games.productive_pair_game())
+    tux["worth"][3]["w"] = "1e10000000"
+    tu = {"players": [1, 2], "worth": {"[1]": "1/2", "[1,2]": "-1e10000000"}}
+    table = {"n": 2, "entries": [{"partition": [[1, 2]], "prob": "1e-10000000"}]}
+    game = tmp_path / "dirac.json"
+    game.write_text(json.dumps(formats.tu_game_to_json(tu_games.dirac_game([1, 2], [1]))))
+    for data, name, where, argv in [
+        (tux, "tux.json", "worth entry #3", ["mpw", "--game", "{path}"]),
+        (tu, "tu.json", "worth key '[1,2]'", ["shapley", "--game", "{path}"]),
+        (table, "table.json", "table #0, entry #0",
+         ["p-shapley", "--game", str(game), "--family", "table:{path}"]),
+    ]:
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        err = _cli_refusal(capsys, [arg.replace("{path}", str(path)) for arg in argv])
+        assert name in err and where in err and "more than 4300 digits" in err
+
+
+def test_oversized_json_integer_exits_two_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "digits.json"
+    path.write_text('{"players": [1], "worth": {"[1]": ' + "7" * 5000 + "}}")
+    err = _cli_refusal(capsys, ["shapley", "--game", str(path)])
+    assert "digits.json" in err
 
 
 def test_partition_encoding():

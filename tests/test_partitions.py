@@ -62,6 +62,15 @@ def test_enumerated_partitions_are_canonical():
         assert canonical_partition(pi) == pi
 
 
+def test_partition_position_serves_every_player_set():
+    for mask in partitions.subsets(mask_from([1, 2, 3, 5, 6])):
+        for k, pi in enumerate(enumerate_partitions(mask)):
+            assert partitions.partition_position(pi) == k
+    for bad in ((0b1100, 0b0010), (0b0110, 0b0011)):  # out of order, overlapping
+        with pytest.raises(ValueError, match="not a canonical partition"):
+            partitions.partition_position(bad)
+
+
 def test_enumeration_is_deterministic():
     a = enumerate_partitions([1, 2, 3, 4])
     b = enumerate_partitions([1, 2, 3, 4])

@@ -273,6 +273,15 @@ def test_pstar_passes_everything_at_six_players():
     assert check_monotonicity_conditions(PSTAR, 6).passed
 
 
+def test_family_checks_at_the_eight_player_bound():
+    counts = {check_gen: 2761, check_ci: 21146, check_pos: 5295,
+              check_monotonicity_conditions: 31964}
+    for check, checked in counts.items():
+        report = check(PSTAR, 8)
+        assert report.passed, report.witness
+        assert report.checked == checked
+
+
 def test_null_player_witness_validates_arguments():
     N = prefix(3)
     pi = partitions.partition_from([[2], [3]])
