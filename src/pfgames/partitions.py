@@ -7,6 +7,13 @@ nonempty block masks sorted by least member; an embedded coalition is a pair
 is the one way a partition grows by a player: the player joins a block or
 stays alone. Everything is an immutable value, so all operations here are
 pure and safe to share across threads.
+
+Two lazily built tables give integer positions in ``enumerate_embedded``
+order, so hot loops index a worth table instead of hashing ``(S, pi)``:
+``placement_positions(players, i)``, built from ``placements``, serves the
+null-player test (``tux_games.is_null_player``), the null-player witness
+games and the RES check of ``verify``; ``block_positions(players)`` serves
+the block mass behind p-Shapley values and the expected accumulated worth.
 """
 
 from __future__ import annotations
@@ -244,6 +251,66 @@ def partition_position(pi: Partition) -> int:
         if position is None:
             raise ValueError(f"{pi} is not a canonical partition")
     return position
+
+
+PlacementRow = tuple[int, tuple[int, ...]]
+
+_placement_cache: dict[tuple[Coalition, int], tuple[PlacementRow, ...]] = {}
+
+
+def placement_positions(players, i: int) -> tuple[PlacementRow, ...]:
+    """Where player ``i`` can go, as positions in ``enumerate_embedded(players)``.
+
+    One row ``(inside, grown)`` per embedded coalition ``(S, pi)`` of the
+    players other than ``i``, in their ``enumerate_embedded`` order:
+    ``inside`` is the position of ``(S + i, pi)``, and ``grown`` holds the
+    positions of ``(S, grown)`` for each of ``placements(pi, i)`` in order,
+    so ``grown[-1]`` leaves ``i`` alone. Built on first use per ``(players,
+    i)``; ValueError when ``i`` is not a player.
+    """
+    mask = as_mask(players)
+    table = _placement_cache.get((mask, i))
+    if table is None:
+        bit = singleton(i)
+        if not mask & bit:
+            raise ValueError(f"player {i} is not in the player set")
+        at = embedded_index(mask)
+        table = tuple(
+            (at[(S | bit, pi)], tuple(at[(S, grown)] for _, grown in placements(pi, i)))
+            for S, pi in enumerate_embedded(mask & ~bit)
+        )
+        _placement_cache[(mask, i)] = table
+    return table
+
+
+BlockRun = tuple[Coalition, int, tuple[int, ...]]
+
+_block_cache: dict[Coalition, tuple[BlockRun, ...]] = {}
+
+
+def block_positions(players) -> tuple[BlockRun, ...]:
+    """Where each nonempty coalition is a block, indexed by the block.
+
+    One entry ``(S, at, positions)`` per nonempty ``S`` in ``subsets`` order.
+    The cells ``(S, rho)`` are the run of ``enumerate_embedded(players)``
+    that starts at ``at``, with ``rho`` in ``enumerate_partitions`` order of
+    the rest; ``positions[k]`` is the position in ``enumerate_partitions
+    (players)`` of the k-th ``rho`` with ``S`` added as a block. Built on
+    first use per player set.
+    """
+    mask = as_mask(players)
+    table = _block_cache.get(mask)
+    if table is None:
+        table = []
+        at = 0
+        for S in subsets(mask):
+            rest = enumerate_partitions(mask & ~S)
+            if S:
+                table.append((S, at, tuple(partition_position(with_block(rho, S))
+                                           for rho in rest)))
+            at += len(rest)
+        table = _block_cache[mask] = tuple(table)
+    return table
 
 
 def placements(pi: Partition, i: int) -> Iterator[tuple[Coalition, Partition]]:

@@ -9,7 +9,11 @@ distribution; MPW stays a separate route, through the average game.
 
 A game's worth table is integer numerators in ``enumerate_embedded`` order
 over one common denominator. The kernels read it, and each family's cached
-distributions in the same form, and build one Fraction per result.
+distributions in the same form, and build one Fraction per result. They
+find cells through the position tables of ``partitions``, never by hashing
+``(S, pi)``: the block mass behind p-Shapley values and the expected
+accumulated worth reads ``block_positions``, and the null-player test reads
+``placement_positions``.
 """
 
 from __future__ import annotations
@@ -191,17 +195,15 @@ def _block_mass(
     w: TuxGame, family: random_partitions.RandomPartitionFamily
 ) -> tuple[int, dict[Coalition, int]]:
     """Block mass M(S): sum of p(pi) worth(S, pi - S) over partitions pi with
-    block S, as (den, {S: numerator})."""
+    block S, as (den, {S: numerator}) with every nonempty S in subsets order."""
     nums = w.nums
     pden, pnums = family.integer_distribution(w.players)
-    at = partitions.embedded_index(w.players)
-    mass: dict[Coalition, int] = {}
-    for pi, p in zip(partitions.enumerate_partitions(w.players), pnums):
-        if p == 0:
-            continue
-        for k, S in enumerate(pi):
-            if x := nums[at[(S, pi[:k] + pi[k + 1 :])]]:
-                mass[S] = mass.get(S, 0) + p * x
+    p = pnums.__getitem__
+    mass = {}
+    for S, at, positions in partitions.block_positions(w.players):
+        # the cells (S, pi - S) are one run of the worth table
+        run = nums[at:at + len(positions)]
+        mass[S] = sum(map(operator.mul, map(p, positions), run)) if any(run) else 0
     return pden * w.den, mass
 
 
@@ -227,9 +229,10 @@ def p_shapley_vector(
     (s-1)!(n-s)!/n! = 1/(s C(n, s)) the uniform-CRP probability that S is a
     block; at ``PSTAR`` this TU game is the average game, so the value is MPW."""
     den, mass = _block_mass(w, family)
+    n = w.n
+    weight = [s * math.comb(n, s) for s in range(n + 1)]
     game = TuGame._from_numerators(w.players, den, [
-        S.bit_count() * math.comb(w.n, S.bit_count()) * mass.get(S, 0)
-        for S in partitions.subsets(w.players)])
+        0, *(weight[S.bit_count()] * m for S, m in mass.items())])
     return tu_games.shapley_value(game)
 
 
@@ -240,16 +243,15 @@ def is_null_player(w: TuxGame, i: int) -> bool:
     embedded coalition (S, pi) of the game without i and every target block B
     including the singleton.
     """
-    bit = partitions.singleton(i)
-    if not w.players & bit:
+    if not w.players & partitions.singleton(i):
         raise ValueError(f"player {i} is not in the game")
     # one common denominator, so equal numerators are equal worths
     nums = w.nums
-    at = partitions.embedded_index(w.players)
-    for S, pi in partitions.enumerate_embedded(w.players & ~bit):
-        inside = nums[at[(S | bit, pi)]]
-        if any(inside != nums[at[(S, grown)]] for _, grown in partitions.placements(pi, i)):
-            return False
+    for inside, grown in partitions.placement_positions(w.players, i):
+        x = nums[inside]
+        for k in grown:
+            if nums[k] != x:
+                return False
     return True
 
 

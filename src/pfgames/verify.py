@@ -19,7 +19,10 @@ built only for a witness, by the public helper that replays it
 
 The restriction check judges the integer removal matrices each operator
 caches and applies: rows against ``restrict`` (LIN) and by the cells they
-read (RES), and two composed in either order (PI).
+read (RES), and two composed in either order (PI). RES and the null-player
+witness games read the same table as ``tux_games.is_null_player``,
+``partitions.placement_positions``: a row may read only its placement
+positions, and a witness game is 1 at the positions of one row.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Callable, Mapping
 
 from . import formats, partitions, tu_games, tux_games
 from .partitions import Coalition, Partition
-from .random_partitions import ONE, ZERO, RandomPartitionFamily
+from .random_partitions import ZERO, RandomPartitionFamily
 from .restriction_ops import NonLinearRuleError, RemovalMatrix
 from .tux_games import TuxGame
 
@@ -138,11 +141,15 @@ def _gen_instances(family: RandomPartitionFamily, N: Coalition):
     n = partitions.size(N)
     den, mass = family.inclusion(N)
     worth_den, worth_mass = _all_ones_mass(family, N)
+    # by symmetry the potential of a Dirac game depends on (n, t) alone
+    potentials = {}
     for T in _nonempty_subsets_large_first(N):
         t = partitions.size(T)
         required = math.factorial(n - t) * math.factorial(t - 1) * den
         yield block, None, T, mass.get(T, 0) * math.factorial(n) == required
-        pot = tu_games.potential(tu_games.dirac_game(N, T))
+        if t not in potentials:
+            potentials[t] = tu_games.potential(tu_games.dirac_game(N, T))
+        pot = potentials[t]
         yield expected, None, T, worth_mass.get(T, 0) * pot.denominator == pot.numerator * worth_den
     for i in partitions.members(N):
         rest_den, rest_mass = family.inclusion(N & ~(1 << i))
@@ -269,23 +276,23 @@ def _judge_removal(op, probe: TuxGame, i: int) -> RemovalMatrix:
     restricted = op.restrict(probe, i)
     den = matrix.den * probe.den
     cells = partitions.enumerate_embedded(N)
-    for (S, pi), (positions, _), num, restricted_num in zip(
-            partitions.enumerate_embedded(N & ~(1 << i)), matrix.rows,
-            matrix.apply(probe.nums), restricted.nums):
+    for (S, pi), (_, grown), (positions, _), num, restricted_num in zip(
+            partitions.enumerate_embedded(N & ~(1 << i)), partitions.placement_positions(N, i),
+            matrix.rows, matrix.apply(probe.nums), restricted.nums):
         if not S:
             continue
         where = dict(players=N, player=i, cell_coalition=S, cell_partition=pi)
         if num * restricted.den != restricted_num * den:
             raise _Violation(axiom="LIN", **where, lhs=Fraction(num, den),
                              rhs=Fraction(restricted_num, restricted.den))
-        admissible = [(S, grown) for _, grown in partitions.placements(pi, i)]
-        for cell in map(cells.__getitem__, positions):
-            if cell not in admissible:
+        for k in positions:
+            if k not in grown:
                 # the last placement leaves i alone
-                base = tux_games.dirac_game(N, *admissible[-1])
-                bumped = base + tux_games.dirac_game(N, *cell)
+                base = tux_games.dirac_game(N, *cells[grown[-1]])
+                T, tau = cells[k]
+                bumped = base + tux_games.dirac_game(N, T, tau)
                 raise _Violation(
-                    axiom="RES", **where, probe_coalition=cell[0], probe_outside=cell[1],
+                    axiom="RES", **where, probe_coalition=T, probe_outside=tau,
                     lhs=op.restricted_worth(base, i, S, pi),
                     rhs=op.restricted_worth(bumped, i, S, pi))
     return matrix
@@ -372,11 +379,12 @@ def null_player_witness(players, i: int, pi: Partition, block) -> TuxGame:
     the null player property must pay i nothing here.
     """
     N, B = _placement_args(players, i, pi, block)
-    remainder = tuple(C for C in pi if C != B)
-    coefficients = {(B | 1 << i, remainder): ONE}
-    for _, grown in partitions.placements(remainder, i):
-        coefficients[(B, grown)] = ONE
-    return tux_games.game_from_dirac_coefficients(N, coefficients)
+    row = partitions.embedded_index(N & ~(1 << i))[(B, tuple(C for C in pi if C != B))]
+    inside, grown = partitions.placement_positions(N, i)[row]
+    nums = [0] * len(partitions.enumerate_embedded(N))
+    for k in (inside, *grown):
+        nums[k] = 1
+    return TuxGame._from_numerators(N, 1, nums)
 
 
 Solution = Callable[[TuxGame], Mapping[int, Fraction]]

@@ -174,6 +174,14 @@ def ref_is_null_player(w, i):
     return True
 
 
+def ref_null_player_witness(N, i, pi, B):
+    remainder = tuple(C for C in pi if C != B)
+    coefficients = {(B | 1 << i, remainder): 1}
+    for _, grown in partitions.placements(remainder, i):
+        coefficients[(B, grown)] = 1
+    return tux_games.game_from_dirac_coefficients(N, coefficients)
+
+
 def ref_auxiliary_game(op, w):
     """The lattice walk on concrete subgames, one ``restrict`` per node."""
     worth = {}
@@ -222,6 +230,21 @@ def test_partition_function_kernels_equal_their_fraction_references(family):
             ref_block_mass(w, family).values(), ZERO)
 
 
+def test_partition_function_kernels_on_players_that_are_not_a_prefix():
+    rng = random.Random(17)
+    N = partitions.mask_from([0, 3, 4, 9, 17])
+    w = TuxGame(N, {cell: exact_worth(rng) for cell in partitions.enumerate_embedded(N)
+                    if cell[0]})
+    null = null_player_witness(N, 9, partitions.partition_from([[0, 4], [3, 17]]),
+                               partitions.mask_from([3, 17]))
+    for family in FAMILIES[:3]:
+        assert tux_games.p_shapley_vector(w, family) == ref_p_shapley_vector(w, family)
+    for game in (w, null):
+        for i in partitions.members(N):
+            assert tux_games.is_null_player(game, i) == ref_is_null_player(game, i)
+    assert tux_games.is_null_player(null, 9)
+
+
 def test_mpw_equals_its_fraction_reference():
     for w in TUX_GAMES:
         assert tux_games.mpw_value(w) == ref_shapley_value(ref_average_game(w, PSTAR))
@@ -241,6 +264,75 @@ def test_null_player_kernel_equals_its_fraction_reference():
             assert tux_games.is_null_player(w, i) == expected
             nulls += expected
     assert nulls >= 15
+
+
+def test_null_player_witnesses_equal_their_fraction_reference():
+    for n in range(1, 5):
+        N = prefix(n)
+        for i in partitions.members(N):
+            for pi in partitions.enumerate_partitions(N & ~(1 << i)):
+                for B in pi:
+                    assert null_player_witness(N, i, pi, B) == ref_null_player_witness(
+                        N, i, pi, B)
+
+
+def test_null_player_kernel_on_eight_players_sees_one_bumped_cell():
+    N, i = prefix(8), 5
+    pi = partitions.enumerate_partitions(N & ~(1 << i))[321]
+    game = null_player_witness(N, i, pi, pi[1])
+    assert game == ref_null_player_witness(N, i, pi, pi[1])
+    assert tux_games.is_null_player(game, i)
+    remainder = pi[:1] + pi[2:]
+    for _, grown in partitions.placements(remainder, i):
+        bumped = game + tux_games.dirac_game(N, pi[1], grown)
+        assert not tux_games.is_null_player(bumped, i)
+        assert not ref_is_null_player(bumped, i)
+
+
+# --- position tables -------------------------------------------------------------
+
+TABLE_PLAYER_SETS = [prefix(n) for n in range(0, 6)] + [partitions.mask_from([0, 3, 4, 9, 17])]
+
+
+def assert_placement_rows_equal_the_lookups(N, i):
+    at = partitions.embedded_index(N)
+    bit = 1 << i
+    rows = partitions.placement_positions(N, i)
+    cells = partitions.enumerate_embedded(N & ~bit)
+    assert len(rows) == len(cells)
+    for (S, pi), (inside, grown) in zip(cells, rows):
+        assert inside == at[(S | bit, pi)]
+        assert grown == tuple(at[(S, g)] for _, g in partitions.placements(pi, i))
+
+
+def assert_block_runs_equal_the_lookups(N):
+    at = partitions.embedded_index(N)
+    expected = {(S, p): at[(S, pi[:k] + pi[k + 1 :])]
+                for p, pi in enumerate(partitions.enumerate_partitions(N))
+                for k, S in enumerate(pi)}
+    table = partitions.block_positions(N)
+    assert [S for S, _, _ in table] == list(partitions.subsets(N))[1:]
+    got = {(S, p): start + k for S, start, positions in table
+           for k, p in enumerate(positions)}
+    assert got == expected
+    assert sum(len(positions) for _, _, positions in table) == len(expected)
+
+
+@pytest.mark.parametrize("N", TABLE_PLAYER_SETS, ids=lambda N: str(partitions.members(N)))
+def test_position_tables_equal_the_embedded_index_lookups(N):
+    for i in partitions.members(N):
+        assert_placement_rows_equal_the_lookups(N, i)
+    assert_block_runs_equal_the_lookups(N)
+
+
+def test_position_tables_on_eight_players():
+    assert_placement_rows_equal_the_lookups(prefix(8), 5)
+    assert_block_runs_equal_the_lookups(prefix(8))
+
+
+def test_placement_positions_refuse_a_player_outside_the_set():
+    with pytest.raises(ValueError, match="not in the player set"):
+        partitions.placement_positions(prefix(3), 4)
 
 
 OPERATORS = [crp_restriction(), nullifying_restriction(), removal_biased_restriction()]
