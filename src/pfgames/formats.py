@@ -187,7 +187,7 @@ def family_table_from_json(data, label="table") -> RandomPartitionFamily:
 
     Accepts a single table object or a list of them. A table names its player
     set either explicitly ("players": [...]) or by cardinality ("n": 4,
-    meaning players 1..n). Distribution invariants are enforced on first use.
+    meaning players 1..n). Distribution invariants are enforced here, once.
     """
     tables = {}
     items = data if isinstance(data, list) else [data]

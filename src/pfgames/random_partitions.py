@@ -256,24 +256,20 @@ def family_from_distributions(
 ) -> RandomPartitionFamily:
     """Family backed by explicit tables, deferring to ``PSTAR`` elsewhere.
 
-    Tables are validated immediately against the distribution invariants
-    (full coverage, non-negativity, total exactly 1). Player sets without a
-    table are answered by the uniform CRP law, so a table for a single
-    cardinality still yields a family defined everywhere.
+    Tables are validated once, immediately, against the distribution
+    invariants (full coverage, non-negativity, total exactly 1), and seed the
+    family's caches. Player sets without a table are answered by the uniform
+    CRP law, so a table for a single cardinality still yields a family defined
+    everywhere.
     """
     tables = {
         partitions.as_mask(k): {pi: Fraction(p) for pi, p in dict(v).items()}
         for k, v in tables.items()
     }
-    for mask, table in tables.items():
-        _validate_distribution(mask, table, label)
-
-    def rule(mask: Coalition) -> Distribution:
-        table = tables.get(mask)
-        if table is not None:
-            return table
-        return dict(PSTAR.distribution(mask))
-
-    return RandomPartitionFamily(
-        label, rule, explicit_player_sets=frozenset(tables)
+    views = {mask: _validate_distribution(mask, table, label) for mask, table in tables.items()}
+    family = RandomPartitionFamily(
+        label, lambda mask: dict(PSTAR.distribution(mask)), explicit_player_sets=frozenset(tables)
     )
+    family._cache.update(tables)
+    family._int_cache.update(views)
+    return family

@@ -10,14 +10,17 @@ and a deliberately order-biased operator used to exercise the axiom checks.
 ``restrict`` applies an operator's cell rule to a concrete game. Running the
 same rule on a game whose worths are unit linear forms gives the exact
 matrix of each removal (N, i), as integer rows over one denominator. The
-operator caches it; the auxiliary game (hence its potential and value) walks
-the lattice of removed sets applying it to integer worth tables, and the
-axiom check judges it, composing two with ``RemovalMatrix.after`` for PI.
+operator caches it, and the axiom check judges it, composing two with
+``RemovalMatrix.after`` for PI. Chaining the removals down the lattice of
+removed sets gives the auxiliary game as one more matrix per player set, with
+a row per coalition; the operator caches that too, so the auxiliary game,
+hence its potential and value, is one pass over the worth table.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -124,13 +127,14 @@ class RemovalMatrix(NamedTuple):
     """The exact matrix of removing one player from a player set, times
     ``den``: one (game cell positions, integer coefficients) row per subgame
     cell, in ``enumerate_embedded`` order. A row lists the cells in the order
-    the rule read them; empty coalitions have empty rows."""
+    the rule read them; empty coalitions have empty rows. ``auxiliary_map``
+    gives the auxiliary game the same shape, one row per coalition."""
 
     den: int
     rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     def apply(self, nums) -> list:
-        """The subgame's numerators over ``den`` times the game's denominator."""
+        """The image's worth numerators, over ``den`` times the game's denominator."""
         return [_apply(row, nums) for row in self.rows]
 
     def after(self, inner: RemovalMatrix) -> RemovalMatrix:
@@ -161,6 +165,7 @@ class RestrictionOperator:
         self._cell_rule = cell_rule
         self.explicit_player_sets = explicit_player_sets
         self._matrices: dict[tuple[Coalition, int], RemovalMatrix] = {}
+        self._auxiliary_maps: dict[Coalition, RemovalMatrix] = {}
 
     def __repr__(self):
         return f"RestrictionOperator({self.label!r})"
@@ -215,34 +220,59 @@ class RestrictionOperator:
                 (tuple(row), tuple(itertools.islice(coefficients, len(row)))) for row in rows))
         return matrix
 
+    def auxiliary_map(self, players: Coalition) -> RemovalMatrix:
+        """The auxiliary game as a matrix, built once per player set and cached:
+        one row per coalition S in ``subsets`` order, over one common
+        denominator, reading the worths that give what S keeps once the players
+        outside S are removed in ascending order.
+
+        The removal matrices are fetched in the depth-first order of the lattice
+        of removed sets, so the first rule that fails is the first removal of
+        that walk. Each row is the unit row at S's grand-coalition cell pulled
+        back through its chain of removals, expanding only the matrix rows it
+        reads. Raises NonLinearRuleError when the rule is not linear.
+        """
+        aux = self._auxiliary_maps.get(players)
+        if aux is None:
+            rows = {}
+            for S, chain in self._removal_chains(players, -1, ()):
+                # the grand-coalition cell comes last in enumerate_embedded
+                row, den = {partitions.embedded_count(S.bit_count()) - 1: 1} if S else {}, 1
+                for matrix in reversed(chain):
+                    pulled = {}
+                    for p, c in row.items():
+                        for q, x in zip(*matrix.rows[p]):
+                            pulled[q] = pulled.get(q, 0) + c * x
+                    row, den = pulled, den * matrix.den
+                row = {q: x for q, x in row.items() if x}
+                g = math.gcd(den, *row.values())
+                rows[S] = (den // g, tuple(row), tuple(x // g for x in row.values()))
+            den = math.lcm(*(d for d, _, _ in rows.values()))
+            aux = self._auxiliary_maps[players] = RemovalMatrix(den, tuple(
+                (positions, tuple(x * (den // d) for x in coefficients))
+                for d, positions, coefficients in map(rows.__getitem__,
+                                                      partitions.subsets(players))))
+        return aux
+
+    def _removal_chains(self, players: Coalition, last: int, chain: tuple):
+        """Each subgame reached by removing players above ``last`` in ascending
+        order, with the removal matrices that lead to it, depth first."""
+        yield players, chain
+        for h in partitions.members(players):
+            if h > last:
+                step = chain + (self.removal_matrix(players, h),)
+                yield from self._removal_chains(players & ~(1 << h), h, step)
+
     def auxiliary_game(self, w: TuxGame) -> TuGame:
         """TU game whose worth of S is what S earns once everyone else is removed.
 
-        Walks the lattice of removed sets D once, building the subgame of D
-        from that of D minus max(D): the ascending order of ``restrict_many``.
-        Each subgame is an integer worth table over one common denominator,
-        obtained by applying the removal matrix; a subgame with no further
-        removals needs only its grand-coalition row. A rule that is not linear
-        raises NonLinearRuleError, a ValueError naming the operator.
+        One pass over the worth table with the cached ``auxiliary_map``; the
+        players outside S leave in the ascending order of ``restrict_many``. A
+        rule that is not linear raises NonLinearRuleError, a ValueError naming
+        the operator.
         """
-        worth: dict[Coalition, Fraction] = {}
-        self._walk(worth, w.players, w.den, w.nums, -1)
-        return TuGame._from_values(w.players, map(worth.__getitem__, partitions.subsets(w.players)))
-
-    def _walk(self, worth, players: Coalition, den: int, nums, last: int) -> None:
-        """Record the grand-coalition worth of the subgame on ``players``, then
-        descend to the subgames that remove one more player above ``last``."""
-        worth[players] = Fraction(nums[-1], den)
-        for h in partitions.members(players):
-            if h <= last:
-                continue
-            matrix = self.removal_matrix(players, h)
-            child = players & ~(1 << h)
-            if child >> (h + 1):
-                self._walk(worth, child, den * matrix.den, matrix.apply(nums), h)
-            else:
-                # the grand coalition's cell comes last in enumerate_embedded
-                worth[child] = Fraction(_apply(matrix.rows[-1], nums), den * matrix.den)
+        aux = self.auxiliary_map(w.players)
+        return TuGame._from_numerators(w.players, aux.den * w.den, aux.apply(w.nums))
 
     def potential(self, w: TuxGame) -> Fraction:
         """TU potential of the auxiliary game: for path independent operators,

@@ -176,14 +176,17 @@ def as_tux_game(game: TuGame | TuxGame) -> TuxGame:
 
 def average_game(w: TuxGame, family: random_partitions.RandomPartitionFamily) -> TuGame:
     """TU game giving each coalition its expected worth over outside partitions."""
-    worth = []
+    sums, dens = [], []
     at = 0  # the cells of S are the next ones in enumerate_embedded order
     for S in partitions.subsets(w.players):
         pden, pnums = family.integer_distribution(w.players & ~S)
         end = at + len(pnums)
-        worth.append(Fraction(sum(map(operator.mul, pnums, w.nums[at:end])), pden * w.den))
+        sums.append(sum(map(operator.mul, pnums, w.nums[at:end])))
+        dens.append(pden)
         at = end
-    return TuGame._from_values(w.players, worth)
+    den = math.lcm(*set(dens))
+    return TuGame._from_numerators(w.players, den * w.den,
+                                   [x * (den // d) for x, d in zip(sums, dens)])
 
 
 def mpw_value(w: TuxGame) -> PayoffVector:

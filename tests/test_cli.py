@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pfgames import cli, formats, partitions, tu_games, tux_games
+from pfgames import cli, formats, partitions, random_partitions, tu_games, tux_games
 from pfgames.random_partitions import PSTAR
 
 from .corpus import prefix
@@ -238,6 +238,30 @@ def test_table_family_spec_through_verify(capsys, tmp_path):
     )
     assert code == 1
     assert json.loads(out.splitlines()[0])["witness"]["lhs"] == "2/3"
+
+
+def test_table_family_spec_validates_each_table_once(tmp_path, monkeypatch):
+    validated = []
+    validate = random_partitions._validate_distribution
+
+    def counting(mask, dist, label):
+        validated.append(mask)
+        return validate(mask, dist, label)
+
+    monkeypatch.setattr(random_partitions, "_validate_distribution", counting)
+    pair = [{"partition": [[1, 2]], "prob": "1/2"}, {"partition": [[1], [2]], "prob": "1/2"}]
+    lone = [{"partition": [[7]], "prob": "1"}]
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps([{"n": 2, "entries": pair}, {"players": [7], "entries": lone}]))
+    family = cli.parse_family(f"table:{path}")
+    assert sorted(validated) == [partitions.mask_from([1, 2]), partitions.mask_from([7])]
+    assert family.distribution(prefix(2)) == {
+        partitions.partition_from([[1, 2]]): Fraction(1, 2),
+        partitions.partition_from([[1], [2]]): Fraction(1, 2)}
+    assert family.integer_distribution([7]) == (1, (1,))
+    assert len(validated) == 2
+    family.distribution(prefix(3))  # a player set without a table comes from the rule
+    assert set(validated[2:]) == {prefix(3)}
 
 
 def test_table_format(capsys, showcase_path, dirac_path):

@@ -335,18 +335,55 @@ def test_placement_positions_refuse_a_player_outside_the_set():
         partitions.placement_positions(prefix(3), 4)
 
 
-OPERATORS = [crp_restriction(), nullifying_restriction(), removal_biased_restriction()]
+def grand_copy_restriction():
+    """Non-local: every subgame cell copies the grand-coalition worth."""
+    return RestrictionOperator("grand-copy", lambda w, i, S, pi: w.worth(w.players, ()) if S else 0)
+
+
+OPERATORS = [
+    crp_restriction(),
+    probability_restriction(PSTAR),
+    probability_restriction(perturbed_family({4: Fraction(1, 24)})),
+    probability_restriction(perturbed_family({4: Fraction(1, 48)})),
+    nullifying_restriction(),
+    removal_biased_restriction(),
+    grand_copy_restriction(),
+]
+LOCAL_OPERATORS = [op for op in OPERATORS if op.label not in ("nullify", "grand-copy")]
+SCATTERED = partitions.mask_from([0, 3, 4, 9, 17])
 
 
 @pytest.mark.parametrize("n", range(0, 6))
 def test_auxiliary_game_equals_the_walk_on_concrete_subgames(n):
     w = TUX_GAMES[n]
-    rp_eps = probability_restriction(perturbed_family({4: Fraction(1, 48)}))
-    for op in OPERATORS + [probability_restriction(PSTAR), rp_eps]:
+    for op in OPERATORS:
         expected = ref_auxiliary_game(op, w)
-        assert op.auxiliary_game(w) == expected
-        assert op.potential(w) == ref_potential(expected)
-        assert op.shapley_value(w) == ref_shapley_value(expected)
+        assert op.auxiliary_game(w) == expected, op.label
+        assert op.potential(w) == ref_potential(expected), op.label
+        assert op.shapley_value(w) == ref_shapley_value(expected), op.label
+
+
+def test_auxiliary_game_on_players_that_are_not_a_prefix():
+    rng = random.Random(23)
+    w = TuxGame(SCATTERED, {cell: exact_worth(rng)
+                            for cell in partitions.enumerate_embedded(SCATTERED) if cell[0]})
+    for op in OPERATORS:
+        assert op.auxiliary_game(w) == ref_auxiliary_game(op, w), op.label
+
+
+@pytest.mark.parametrize("N", TABLE_PLAYER_SETS, ids=lambda N: str(partitions.members(N)))
+def test_auxiliary_map_of_a_local_operator_reads_each_nonempty_cell_once(N):
+    """A coalition keeps only worths of its own cells, so the rows split the
+    nonempty cells of the table among the coalitions."""
+    nonempty = [k for k, (S, _) in enumerate(partitions.enumerate_embedded(N)) if S]
+    for op in LOCAL_OPERATORS:
+        den, rows = op.auxiliary_map(N)
+        assert len(rows) == 1 << partitions.size(N)
+        assert sorted(k for positions, _ in rows for k in positions) == nonempty, op.label
+        assert all(x for _, coefficients in rows for x in coefficients), op.label
+    # under the null operator a coalition keeps nothing, and N keeps its own worth
+    rows = nullifying_restriction().auxiliary_map(N).rows
+    assert [k for positions, _ in rows for k in positions] == nonempty[-1:]
 
 
 # --- caches --------------------------------------------------------------------
@@ -456,14 +493,20 @@ def counted(op):
 
 
 def test_a_second_auxiliary_game_on_the_same_players_never_calls_the_rule():
+    """Nor does it fetch a removal matrix or rebuild the cached auxiliary map."""
     op, calls = counted(crp_restriction())
     rng = random.Random(13)
     first, second = wide_tux_game(5, rng), wide_tux_game(5, rng)
     op.auxiliary_game(first)
     assert calls
     calls.clear()
+    built = op.auxiliary_map(first.players)
+    removals = []
+    removal_matrix = op.removal_matrix
+    op.removal_matrix = lambda *key: removals.append(key) or removal_matrix(*key)
     aux = op.auxiliary_game(second)
-    assert not calls
+    assert not calls and not removals
+    assert op.auxiliary_map(second.players) is built
     assert aux == ref_auxiliary_game(crp_restriction(), second)
 
 
