@@ -79,6 +79,19 @@ def payoff_to_json(payoff) -> dict[str, str]:
     return {str(i): format_rational(x) for i, x in sorted(payoff.items())}
 
 
+GAME_KEYS = ("players", "worth")
+TABLE_KEYS = ("players", "n", "entries")
+
+
+def _refuse_unknown_keys(data: dict, known: tuple[str, ...], where: str) -> None:
+    """A misspelled key would read as an absent one, so any key outside
+    ``known`` is refused."""
+    for key in data:
+        if key not in known:
+            names = ", ".join(map(repr, known[:-1])) + f" and {known[-1]!r}"
+            raise ValueError(f"{where}: unknown key {key!r}; expected only {names}")
+
+
 # --- TU games: {"players": [1,2,3], "worth": {"[1,2]": "3/2", ...}} ---
 
 
@@ -91,6 +104,7 @@ def tu_game_to_json(v: TuGame) -> dict:
 
 
 def tu_game_from_json(data) -> TuGame:
+    _refuse_unknown_keys(data, GAME_KEYS, "game")
     players = coalition_from_list(data.get("players", []))
     worth = {}
     for key, raw in data.get("worth", {}).items():
@@ -122,6 +136,7 @@ def tux_game_to_json(w: TuxGame) -> dict:
 
 
 def tux_game_from_json(data) -> TuxGame:
+    _refuse_unknown_keys(data, GAME_KEYS, "game")
     players = coalition_from_list(data.get("players", []))
     worth = {}
     for pos, entry in enumerate(data.get("worth", [])):
@@ -194,6 +209,7 @@ def family_table_from_json(data, label="table") -> RandomPartitionFamily:
     for pos, table in enumerate(items):
         if not isinstance(table, dict):
             raise ValueError(f"table #{pos}: expected an object, got {table!r}")
+        _refuse_unknown_keys(table, TABLE_KEYS, f"table #{pos}")
         if "players" in table:
             players = coalition_from_list(table["players"])
         elif type(table.get("n")) is int:  # not bool

@@ -123,6 +123,16 @@ def _apply(row, nums):
     return sum(map(operator.mul, coefficients, map(nums.__getitem__, positions)))
 
 
+def _pull_back(row: dict, rows) -> dict:
+    """The integer row {position: coefficient} read through ``rows``: each
+    position p expanded to its coefficient times rows[p]."""
+    pulled = {}
+    for p, c in row.items():
+        for q, x in zip(*rows[p]):
+            pulled[q] = pulled.get(q, 0) + c * x
+    return pulled
+
+
 class RemovalMatrix(NamedTuple):
     """The exact matrix of removing one player from a player set, times
     ``den``: one (game cell positions, integer coefficients) row per subgame
@@ -139,11 +149,12 @@ class RemovalMatrix(NamedTuple):
 
     def after(self, inner: RemovalMatrix) -> RemovalMatrix:
         """The matrix of removing ``inner``'s player and then this one's:
-        these rows applied to ``inner``'s rows read as linear forms."""
-        forms = self.apply([_LinearForm(dict(zip(*row))) for row in inner.rows])
-        coefs = [{k: x for k, x in (_LinearForm({}) + form).coef.items() if x} for form in forms]
-        return RemovalMatrix(self.den * inner.den,
-                             tuple((tuple(row), tuple(row.values())) for row in coefs))
+        each of these rows pulled back through ``inner``'s rows, on integers."""
+        rows = []
+        for row in self.rows:
+            row = {k: x for k, x in _pull_back(dict(zip(*row)), inner.rows).items() if x}
+            rows.append((tuple(row), tuple(row.values())))
+        return RemovalMatrix(self.den * inner.den, tuple(rows))
 
 
 class RestrictionOperator:
@@ -239,11 +250,7 @@ class RestrictionOperator:
                 # the grand-coalition cell comes last in enumerate_embedded
                 row, den = {partitions.embedded_count(S.bit_count()) - 1: 1} if S else {}, 1
                 for matrix in reversed(chain):
-                    pulled = {}
-                    for p, c in row.items():
-                        for q, x in zip(*matrix.rows[p]):
-                            pulled[q] = pulled.get(q, 0) + c * x
-                    row, den = pulled, den * matrix.den
+                    row, den = _pull_back(row, matrix.rows), den * matrix.den
                 row = {q: x for q, x in row.items() if x}
                 g = math.gcd(den, *row.values())
                 rows[S] = (den // g, tuple(row), tuple(x // g for x in row.values()))

@@ -4,14 +4,21 @@ Worths are exact rationals; every solution and summary here is computed
 without rounding. The potential has three routes that must agree: the
 efficiency recursion over subgames, the closed form weighting coalitions by
 size, and the expected accumulated worth of a uniform random partition.
+That expectation, and the Shapley value's expected marginal contribution to
+a random table, are taken block by block: by linearity each coalition's
+worth is weighted by the probability that it forms a block (the family's
+``inclusion`` masses), so these two routes depend on the CRP law only
+through its block marginals and share nothing with the factorial weights.
 
 A game holds its worths as integer numerators over one common denominator,
 the lcm of their reduced denominators; the kernels read that table and the
-probabilities likewise, and build one Fraction per result at the end.
+probabilities likewise, and build one Fraction per result at the end. The
+Shapley value sums cached membership columns of one weighted table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -167,23 +174,44 @@ def _factorials(n: int) -> list[int]:
     return [math.factorial(k) for k in range(n + 1)]
 
 
+_shapley_tables: dict[int, tuple] = {}
+
+
+def _shapley_table(n: int) -> tuple:
+    """(n!, inside, outside, member) for n players, in ``subsets`` order:
+    with w[s] = s!(n-s-1)! and w[n] = 0, the k-th coalition T of size t has
+    outside[k] = w[t] and inside[k] = w[t-1] + w[t], and member[j][k] is 1
+    iff T holds the j-th player. Built once per n and cached."""
+    table = _shapley_tables.get(n)
+    if table is None:
+        fact = _factorials(n)
+        w = [fact[s] * fact[n - s - 1] for s in range(n)] + [0]
+        both = [0] + [w[t - 1] + w[t] for t in range(1, n + 1)]
+        sizes = [k.bit_count() for k in range(1 << n)]
+        outside = tuple(w[t] for t in sizes)
+        inside = tuple(both[t] for t in sizes)
+        member = tuple(bytes(k >> j & 1 for k in range(1 << n)) for j in range(n))
+        table = _shapley_tables[n] = (fact[n], inside, outside, member)
+    return table
+
+
 def shapley_value(v: TuGame) -> PayoffVector:
-    """Shapley payoffs: marginal contributions weighted by s!(n-s-1)!/n!."""
+    """Shapley payoffs: marginal contributions weighted by s!(n-s-1)!/n!.
+
+    Summed by membership columns: the j-th player's n! times its payoff is
+    the sum over T holding it of (w[t-1] + w[t]) v(T), less the sum over
+    every T of w[t] v(T), with w[s] = s!(n-s-1)!. The term of w[n] cancels,
+    as N holds every player; it is set to 0.
+    """
     # the worth table is in subsets order, so the k-th numerator belongs to
     # the coalition whose members are bit j of k mapped to the j-th player
-    den, nums = v.den, v.nums
-    n = v.n
-    fact = _factorials(n)
-    weight = [fact[s] * fact[n - s - 1] for s in range(n)]
-    everyone = (1 << n) - 1
-    payoff: PayoffVector = {}
-    for j, i in enumerate(v.member_ids()):
-        bit = 1 << j
-        total = 0
-        for S in partitions.subsets(everyone & ~bit):
-            total += weight[S.bit_count()] * (nums[S | bit] - nums[S])
-        payoff[i] = Fraction(total, fact[n] * den)
-    return payoff
+    fact_n, inside, outside, member = _shapley_table(v.n)
+    nums = v.nums
+    weighted = list(map(operator.mul, inside, nums))
+    base = sum(map(operator.mul, outside, nums))
+    den = fact_n * v.den
+    return {i: Fraction(sum(itertools.compress(weighted, column)) - base, den)
+            for i, column in zip(v.member_ids(), member)}
 
 
 def potential(v: TuGame) -> Fraction:
@@ -220,13 +248,15 @@ def potential_via_size_weights(v: TuGame) -> Fraction:
 
 def potential_via_random_partition(v: TuGame) -> Fraction:
     """Potential as the expected accumulated worth of a uniform CRP partition
-    (any potential-generating family gives the same number)."""
-    den, num = v.den, dict(zip(partitions.subsets(v.players), v.nums))
-    pden, pnums = random_partitions.PSTAR.integer_distribution(v.players)
-    total = 0
-    for pi, p in zip(partitions.enumerate_partitions(v.players), pnums):
-        total += p * sum(num[B] for B in pi)
-    return Fraction(total, pden * den)
+    (any potential-generating family gives the same number).
+
+    The expectation is taken by blocks: it is the sum over coalitions B of
+    worth(B) times the probability that B is a block, so the law is read
+    only through its block marginals, ``inclusion``.
+    """
+    pden, mass = random_partitions.PSTAR.inclusion(v.players)
+    total = sum(x * mass.get(B, 0) for B, x in zip(partitions.subsets(v.players), v.nums))
+    return Fraction(total, pden * v.den)
 
 
 def shapley_via_crp(v: TuGame) -> PayoffVector:
@@ -234,8 +264,10 @@ def shapley_via_crp(v: TuGame) -> PayoffVector:
 
     Player i enters last: a partition of the others is drawn from the uniform
     CRP law, i joins a block of size s with weight s/n or stays alone with
-    weight 1/n, and the weighted marginal contribution is averaged. Agrees
-    exactly with ``shapley_value``.
+    weight 1/n, and the weighted marginal contribution is averaged. The
+    expectation is taken by blocks, each block B of the others weighted by
+    the probability that it forms (``inclusion``), so the law is read only
+    through its block marginals. Agrees exactly with ``shapley_value``.
     """
     n = v.n
     den, num = v.den, dict(zip(partitions.subsets(v.players), v.nums))
@@ -243,14 +275,10 @@ def shapley_via_crp(v: TuGame) -> PayoffVector:
     payoff: PayoffVector = {}
     for i in v.member_ids():
         bit = 1 << i
-        rest = v.players & ~bit
-        pden, pnums = pstar.integer_distribution(rest)
-        total = 0
-        for pi, p in zip(partitions.enumerate_partitions(rest), pnums):
-            # n times the marginal contribution, so every weight is an integer
-            inner = num[bit]
-            for B in pi:
-                inner += B.bit_count() * (num[B | bit] - num[B])
-            total += p * inner
+        pden, mass = pstar.inclusion(v.players & ~bit)
+        # n times the marginal contribution, so every weight is an integer;
+        # alone, i weighs 1/n on every partition, whose masses sum to pden
+        total = pden * num[bit] + sum(B.bit_count() * m * (num[B | bit] - num[B])
+                                      for B, m in mass.items())
         payoff[i] = Fraction(total, n * pden * den)
     return payoff

@@ -426,6 +426,24 @@ def test_malformed_family_table_exits_two(capsys, tmp_path, table, where):
     assert "family.json" in err and where in err
 
 
+def test_misspelled_game_key_exits_two_naming_the_file_and_the_key(capsys, tmp_path):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({"players": [1, 2], "worths": {"[1,2]": 3}}))
+    code, out, err = run(capsys, "shapley", "--game", str(path))
+    assert (code, out) == (2, "")
+    assert "typo.json" in err and "'worths'" in err
+
+
+def test_misspelled_family_table_key_exits_two_naming_the_file_and_the_key(capsys, tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"n": 2, "entires": []}))
+    code, out, err = run(
+        capsys, "verify", "--check", "gen", "--family", f"table:{path}", "--nmax", "2"
+    )
+    assert (code, out) == (2, "")
+    assert "family.json" in err and "'entires'" in err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main([])

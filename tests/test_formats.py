@@ -156,6 +156,28 @@ def test_game_from_json_dispatches_on_shape():
         formats.game_from_json({"players": [1], "worth": "nope"})
 
 
+@pytest.mark.parametrize("data", [
+    {"players": [1, 2], "worths": {"[1,2]": "3"}},
+    {"players": [1, 2], "worth": {}, "comment": "zero game"},
+    {"players": [1], "worth": [{"S": [1], "pi": [], "w": "1"}], "Worth": []},
+])
+def test_game_with_an_unknown_key_is_refused_naming_the_key(data):
+    """A misspelled key must not load as a game whose worths are all zero."""
+    key = next(k for k in data if k not in ("players", "worth"))
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        formats.game_from_json(data)
+
+
+@pytest.mark.parametrize("table, pos", [
+    ({"n": 1, "entries": [{"partition": [[1]], "prob": "1"}], "label": "mine"}, 0),
+    ([{"n": 1, "entries": [{"partition": [[1]], "prob": "1"}]},
+      {"players": [1, 2], "entry": []}], 1),
+])
+def test_family_table_with_an_unknown_key_is_refused_naming_the_key(table, pos):
+    with pytest.raises(ValueError, match=f"table #{pos}: unknown key"):
+        formats.family_table_from_json(table)
+
+
 def test_load_game_reports_path(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

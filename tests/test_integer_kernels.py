@@ -66,6 +66,26 @@ TU_GAMES = [wide_tu_game(n, random.Random(600 + n)) for n in range(0, 9)]
 TUX_GAMES = [wide_tux_game(n, random.Random(700 + n)) for n in range(0, 7)]
 
 
+def sparse_tu_games():
+    """Games nonzero on one or two coalitions, one of them often N, on
+    prefixes of 0 to 8 players and on a set that is not a prefix."""
+    rng = random.Random(31)
+    games = []
+    for N in [prefix(n) for n in range(9)] + [partitions.mask_from([0, 3, 4, 9, 17])]:
+        coalitions = list(partitions.subsets(N))[1:]
+        games.append(TuGame(N))
+        for _ in range(3 if N else 0):
+            T, S = rng.choice(coalitions), rng.choice(coalitions)
+            for support in ({N}, {T}, {N, T}, {S, T}):
+                games.append(TuGame(N, {U: Fraction(rng.choice([-5, -1, 1, 3, 7]),
+                                                    rng.choice((1, 6) + WIDE))
+                                        for U in support}))
+    return games
+
+
+SPARSE_TU_GAMES = sparse_tu_games()
+
+
 # --- the Fraction references --------------------------------------------------
 
 
@@ -210,12 +230,37 @@ def test_tu_kernels_equal_their_fraction_references(v):
 
 
 def test_tu_kernels_on_players_that_are_not_a_prefix():
+    """The CRP routes read ``PSTAR.inclusion`` on masks that are not prefixes."""
     rng = random.Random(5)
     N = partitions.mask_from([0, 3, 4, 9, 17])
     v = TuGame(N, {S: exact_worth(rng) for S in partitions.subsets(N) if S})
     assert tu_games.shapley_value(v) == ref_shapley_value(v)
+    assert tu_games.shapley_via_crp(v) == ref_shapley_via_crp(v)
     assert tu_games.potential(v) == ref_potential(v)
     assert tu_games.potential_via_size_weights(v) == ref_potential_via_size_weights(v)
+    assert tu_games.potential_via_random_partition(v) == ref_potential_via_random_partition(v)
+
+
+@pytest.mark.parametrize("v", SPARSE_TU_GAMES, ids=lambda v: f"n={v.n}")
+def test_tu_kernels_on_sparse_games_equal_their_fraction_references(v):
+    """The CRP references enumerate partitions, so they run to 6 players."""
+    assert tu_games.shapley_value(v) == ref_shapley_value(v)
+    if v.n <= 6:
+        assert tu_games.shapley_via_crp(v) == ref_shapley_via_crp(v)
+        assert tu_games.potential_via_random_partition(v) == ref_potential_via_random_partition(v)
+
+
+def test_shapley_tables_are_built_once_per_player_count(monkeypatch):
+    monkeypatch.setattr(tu_games, "_shapley_tables", {})
+    built = []
+    factorials = tu_games._factorials
+    monkeypatch.setattr(tu_games, "_factorials", lambda n: built.append(n) or factorials(n))
+    for v in TU_GAMES + TU_GAMES:
+        tu_games.shapley_value(v)
+    assert built == list(range(9))
+    table = tu_games._shapley_tables[5]
+    tu_games.shapley_value(TuGame(partitions.mask_from([0, 3, 4, 9, 17]), {1: 1}))
+    assert tu_games._shapley_tables[5] is table and built == list(range(9))
 
 
 # --- partition-function kernels ----------------------------------------------
