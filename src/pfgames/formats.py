@@ -202,7 +202,8 @@ def family_table_from_json(data, label="table") -> RandomPartitionFamily:
 
     Accepts a single table object or a list of them. A table names its player
     set either explicitly ("players": [...]) or by cardinality ("n": 4,
-    meaning players 1..n). Distribution invariants are enforced here, once.
+    meaning players 1..n); a table naming both must name the same set.
+    Distribution invariants are enforced here, once.
     """
     tables = {}
     items = data if isinstance(data, list) else [data]
@@ -210,10 +211,16 @@ def family_table_from_json(data, label="table") -> RandomPartitionFamily:
         if not isinstance(table, dict):
             raise ValueError(f"table #{pos}: expected an object, got {table!r}")
         _refuse_unknown_keys(table, TABLE_KEYS, f"table #{pos}")
+        n = table.get("n")
+        if "n" in table and type(n) is not int:  # not bool
+            raise ValueError(f"table #{pos}: 'n' must be an integer, got {n!r}")
         if "players" in table:
             players = coalition_from_list(table["players"])
-        elif type(table.get("n")) is int:  # not bool
-            players = partitions.mask_from(range(1, table["n"] + 1))
+            if "n" in table and players != partitions.mask_from(range(1, n + 1)):
+                raise ValueError(f"table #{pos}: 'players' and 'n' {n} name different "
+                                 "player sets")
+        elif "n" in table:
+            players = partitions.mask_from(range(1, n + 1))
         else:
             raise ValueError(f"table #{pos}: needs a 'players' list or an integer 'n'")
         if not isinstance(table.get("entries", []), list):

@@ -3,17 +3,19 @@
 The only module that leaves exact arithmetic or imports numpy, so ``pfgames``
 imports it on first use; the exact modules stay the oracle.
 
-One numpy routine, ``_seat_shard``, seats a whole shard of draws at once.
-Players arrive in ascending id order; arrival t (counting from 0) draws j
-uniformly from {-1, 0, ..., t-1}. It founds a table when j = -1 and
-otherwise joins the table of earlier arrival j, so it joins a table of b
-players with probability b/(t+1) and founds one with probability 1/(t+1):
-the uniform Chinese restaurant process (Ewens rate 1). That law is
+One numpy routine, ``_seat_shard``, seats a whole shard of draws at once,
+arrival-major: one row of draws per arrival, read and written by flat
+index. Players arrive in ascending id order; arrival t (counting from 0)
+draws j uniformly from {-1, 0, ..., t-1}. It founds a table when j = -1
+and otherwise joins the table of earlier arrival j, so it joins a table of
+b players with probability b/(t+1) and founds one with probability
+1/(t+1): the uniform Chinese restaurant process (Ewens rate 1). That law is
 exchangeable, so no random arrival order is needed, and consistent under
 restriction: deleting players from a uniform CRP partition of N leaves a
 uniform CRP partition of the rest (Pitman, Combinatorial Stochastic
 Processes, 2006, ch. 3). The MPW target draws its outside partitions by
-restricting full seatings of N.
+restricting full seatings of N, and finds each drawn cell's worth-table
+position by two table lookups (``_cell_lookup``), not by a search.
 
 Randomness comes from numpy's counter-based Philox generator, so runs are
 reproducible from the recorded seed. Shard k of an estimate draws from
@@ -58,23 +60,24 @@ def _seed_sequence(seed, spawn_key=()) -> np.random.SeedSequence:
 def _seat_shard(rng, m, bits):
     """Seat ``m`` draws at once; arrival t carries ``bits[t]``.
 
-    Returns ``(blocks, founder)``, both of shape (m, len(bits)):
-    ``blocks[d, t]`` is the OR of the bits at the table arrival t founded
-    (0 when it joined a table), ``founder[d, t]`` the arrival that founded
-    arrival t's table. Blocks have the dtype of ``bits``; at most 127
-    arrivals.
+    The state is arrival-major: cell t * m + d holds arrival t of draw d.
+    Returns ``(blocks, founder)``, flat over those len(bits) * m cells:
+    ``blocks[c]`` is the OR of the bits at the table founded in cell c (0
+    when its arrival joined a table), ``founder[c]`` the cell that founded
+    cell c's table, so ``blocks[founder]`` is each arrival's table. Blocks
+    have the dtype of ``bits``.
     """
     k = len(bits)
-    rows = np.arange(m)
-    founder = np.empty((m, k), dtype=np.int8)
-    blocks = np.zeros((m, k), dtype=bits.dtype)
+    base = np.arange(m)
+    founder = np.empty((k + 1) * m, dtype=np.intp)
+    blocks = np.zeros(k * m, dtype=bits.dtype)
     for t in range(k):
         j = rng.integers(-1, t, size=m)
-        # j = -1 reads an unset column; np.where discards it
-        f = np.where(j < 0, t, founder[rows, j])
-        founder[:, t] = f
-        blocks[rows, f] |= bits[t]
-    return blocks, founder
+        # j = -1 wraps to the spare last row, which holds each draw's cell t
+        np.add(base, t * m, out=founder[k * m :])
+        f = founder[t * m : (t + 1) * m] = founder[j * m + base]
+        blocks[f] |= bits[t]
+    return blocks, founder[: k * m]
 
 
 def sample_crp(players, seed: int, count: int) -> list[Partition]:
@@ -86,9 +89,10 @@ def sample_crp(players, seed: int, count: int) -> list[Partition]:
     bits = np.array([partitions.singleton(p) for p in ids], dtype=np.int64)
     draws: list[Partition] = []
     for start in range(0, count, _SHARD):
-        blocks, _ = _seat_shard(rng, min(_SHARD, count - start), bits)
+        m = min(_SHARD, count - start)
+        blocks, _ = _seat_shard(rng, m, bits)
         # founders arrive in ascending id order, so blocks are already canonical
-        draws.extend(tuple(b for b in row if b) for row in blocks.tolist())
+        draws.extend(tuple(b for b in row if b) for row in blocks.reshape(-1, m).T.tolist())
     return draws
 
 
@@ -131,41 +135,54 @@ def _crp_shapley_samples(v: TuGame, i: int):
 
     def draw(rng, m):
         blocks, _ = _seat_shard(rng, m, others)
-        return worth[bit] / n + gain[blocks].sum(axis=1)
+        # a contiguous row per draw: numpy groups 8 or more summands by layout
+        return worth[bit] / n + gain.take(blocks.reshape(-1, m).T).sum(axis=1)
 
     return draw
 
 
-_code_cache: dict[Coalition, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_lookup_cache: dict[Coalition, tuple] = {}
 
 
-def _cell_codes(players: Coalition):
-    """(sorted codes, their rows, labels) for ``enumerate_embedded(players)``.
+def _cell_lookup(players: Coalition):
+    """(lt, split, low, at): where the cells of ``enumerate_embedded(players)`` are.
 
-    Players are local positions 0..n-1 and coalitions local masks. The code
-    of (S, pi) has, in the field of each position p outside S, the label of
-    p's block: its least member plus one; fields of S are 0. ``labels[k]``
-    is the label of local mask k (0 for the empty mask). Fields are
-    n.bit_length() bits wide, so a code fits in int64 up to 15 players.
+    Coalitions are local masks. A cell (S, pi) has one mixed-radix digit per
+    position p, in base p + 2: 0 for p in S, else the least member plus one
+    of p's block. ``lt[p, own]`` is p's digit times its place value when
+    ``own`` is p's block (0 when ``own`` misses p), place values restarting
+    at ``split``: summed over the positions below ``split`` it gives the low
+    code, over the rest the high code, and ``at[low[low code] + high code]``
+    is the cell's position. A low code is the cell cut to the positions
+    below ``split``, so ``at`` has embedded_count(split) runs; ``split``
+    makes the tables smallest.
     """
-    cached = _code_cache.get(players)
+    cached = _lookup_cache.get(players)
     if cached is None:
         n = partitions.size(players)
-        width = n.bit_length()
-        labels = [(k & -k).bit_length() for k in range(1 << n)]
-        # the code contribution of a block is a function of the block alone
-        block_code = {
-            B: sum(labels[k] << width * t for t in range(n) if k >> t & 1)
-            for k, B in enumerate(partitions.subsets(players))
-        }
+        fact = math.factorial
+        split = min(range(n + 1), key=lambda s: fact(s + 1)
+                    + partitions.embedded_count(s) * fact(n + 1) // fact(s + 1))
+        radix, span = fact(split + 1), fact(n + 1) // fact(split + 1)
+        labels = np.array([(k & -k).bit_length() for k in range(1 << n)])
+        value = np.array([fact(p + 1) // (radix if p >= split else 1) for p in range(n)])
+        member = np.arange(1 << n) >> np.arange(n)[:, None] & 1
+        lt = labels * member * value[:, None]
+        # a block's code is a function of the block alone; high codes are
+        # scaled past every low code
+        block = lt[:split].sum(axis=0) + radix * lt[split:].sum(axis=0)
+        block_code = dict(zip(partitions.subsets(players), block.tolist()))
         cells = partitions.enumerate_embedded(players)
         codes = np.fromiter(
-            (sum(block_code[B] for B in pi) for _, pi in cells), np.int64, len(cells)
+            (sum(map(block_code.__getitem__, pi)) for _, pi in cells), np.int64, len(cells)
         )
-        rows = np.argsort(codes)
-        codes.sort()
-        cached = (codes, rows, np.array(labels, dtype=np.int16))
-        _code_cache[players] = cached
+        high, low_code = np.divmod(codes, radix)
+        seen = np.zeros(radix, dtype=bool)
+        seen[low_code] = True
+        low = ((np.cumsum(seen) - 1) * span).astype(np.int32)
+        at = np.empty(int(seen.sum()) * span, dtype=np.int32)
+        at[low[low_code] + high] = np.arange(len(cells))
+        cached = _lookup_cache[players] = (lt.astype(np.int32), split, low, at)
     return cached
 
 
@@ -184,12 +201,15 @@ def _mpw_samples(w: TuGame | TuxGame, i: int):
     if isinstance(w, TuGame):
         worth = np.array([x / w.den for x in w.nums])
     else:
-        codes, rows, labels = _cell_codes(w.players)
-        worth = np.full(len(codes), np.nan)
-    position = np.arange(n, dtype=np.int16)
+        lt, split, low, at = _cell_lookup(w.players)
+        nums, den = w.nums, w.den
+        worth = np.full(len(nums), np.nan)
+        # p's row of lt, read at p's block within the outside set
+        row = (np.arange(n, dtype=np.int32) << n)[:, None]
+    # intp: permuted shuffles it fastest, and the shuffle ignores the dtype
+    position = np.arange(n)
     # wide enough for the local masks of a TU game's up to 19 players
     bits = np.left_shift(1, position, dtype=np.int32)
-    field = np.left_shift(1, position * n.bit_length(), dtype=np.int64)
     everyone = (1 << n) - 1
 
     def draw(rng, m):
@@ -198,18 +218,16 @@ def _mpw_samples(w: TuGame | TuxGame, i: int):
         S = upto[np.arange(m), (arrival == me).argmax(axis=1)] & ~bits[me]
         if isinstance(w, TuGame):
             return worth[S | bits[me]] - worth[S]
-        outside = np.concatenate([everyone & ~(S | bits[me]), everyone & ~S])[:, None]
+        outside = np.concatenate([everyone & ~(S | bits[me]), everyone & ~S])
         blocks, founder = _seat_shard(rng, 2 * m, bits)
-        # the _cell_codes code of each drawn cell: p's block within the
-        # outside set, labelled, in p's field when p is outside
-        own = np.take_along_axis(blocks, founder, axis=1) & outside
-        code = ((outside >> position) & 1) * labels[own] @ field
-        drawn = rows[np.searchsorted(codes, code)]
+        own = blocks.take(founder).reshape(n, 2 * m) & outside
+        code = lt.take(own + row)
+        drawn = at.take(low.take(code[:split].sum(axis=0)) + code[split:].sum(axis=0))
         # not np.unique, which imports numpy.ma on first use
-        seen = np.zeros(len(codes), dtype=bool)
+        seen = np.zeros(len(worth), dtype=bool)
         seen[drawn] = True
         new = np.flatnonzero(seen & np.isnan(worth)).tolist()
-        worth[new] = [w.nums[r] / w.den for r in new]
+        worth[new] = [nums[r] / den for r in new]
         x = worth[drawn]
         return x[:m] - x[m:]
 

@@ -426,6 +426,19 @@ def test_malformed_family_table_exits_two(capsys, tmp_path, table, where):
     assert "family.json" in err and where in err
 
 
+def test_family_table_naming_two_player_sets_exits_two(capsys, tmp_path):
+    """A table on players 1, 2 that also says n = 3 is neither; it is refused
+    rather than judged on one of them."""
+    path = tmp_path / "family.json"
+    table = {"players": [1, 2], "n": 3, "entries": [{"partition": [[1, 2]], "prob": "1"}]}
+    path.write_text(json.dumps(table))
+    code, out, err = run(
+        capsys, "verify", "--check", "pos", "--family", f"table:{path}", "--nmax", "3"
+    )
+    assert (code, out) == (2, "")
+    assert "family.json" in err and "table #0" in err and "'n' 3" in err
+
+
 def test_misspelled_game_key_exits_two_naming_the_file_and_the_key(capsys, tmp_path):
     path = tmp_path / "typo.json"
     path.write_text(json.dumps({"players": [1, 2], "worths": {"[1,2]": 3}}))

@@ -228,6 +228,31 @@ def test_family_table_validated_at_load_time():
         formats.family_table_from_json(table)
 
 
+@pytest.mark.parametrize("table", [
+    {"players": [1, 2], "n": 3, "entries": [{"partition": [[1, 2]], "prob": "1"}]},
+    {"players": [0, 1], "n": 2, "entries": [{"partition": [[0, 1]], "prob": "1"}]},
+    [{"n": 1, "entries": []}, {"players": [1, 2, 3], "n": 2, "entries": []}],
+])
+def test_family_table_naming_two_player_sets_is_refused(table):
+    pos = 1 if isinstance(table, list) else 0
+    with pytest.raises(ValueError, match=f"table #{pos}: 'players' and 'n'"):
+        formats.family_table_from_json(table)
+
+
+@pytest.mark.parametrize("n", [[2], True, "2"])
+def test_family_table_with_players_and_a_non_integer_n_is_refused(n):
+    with pytest.raises(ValueError, match="table #0: 'n' must be an integer"):
+        formats.family_table_from_json({"players": [1, 2], "n": n, "entries": []})
+
+
+def test_family_table_may_name_its_players_twice_when_they_agree():
+    entries = [{"partition": [[1, 2]], "prob": "1/3"}, {"partition": [[1], [2]], "prob": "2/3"}]
+    both = formats.family_table_from_json({"players": [1, 2], "n": 2, "entries": entries})
+    one = formats.family_table_from_json({"n": 2, "entries": entries})
+    assert both.distribution(prefix(2)) == one.distribution(prefix(2))
+    assert both.explicit_player_sets == frozenset({prefix(2)})
+
+
 def test_family_table_needs_a_player_set():
     with pytest.raises(ValueError, match="players"):
         formats.family_table_from_json({"entries": []})

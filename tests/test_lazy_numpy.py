@@ -107,3 +107,22 @@ def test_sample_output_is_pinned(showcase_path):
     proc = python("-m", "pfgames.cli", "sample", *argv)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == PINNED_SAMPLE
+
+
+def test_sampler_calls_leave_numpy_ma_unloaded():
+    """numpy.ma costs every `pfgames sample` run its import time, and
+    np.unique loads it; an 8-player mpw estimate and a CRP draw must not."""
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from pfgames import TuxGame, enumerate_embedded, estimate_payoff, sample_crp\n"
+        "cells = enumerate_embedded(range(1, 9))\n"
+        "worth = {c: Fraction(k % 7 - 3, 5) for k, c in enumerate(cells) if c[0]}\n"
+        "w = TuxGame(0b111111110, worth)\n"
+        "estimate_payoff(w, 3, 'mpw', n_samples=5000, seed=1)\n"
+        "sample_crp((0, 3, 4, 9, 31), seed=2, count=5000)\n"
+        "print('numpy.ma' in sys.modules, 'numpy' in sys.modules)\n"
+    )
+    proc = python("-c", script)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"False True\n"

@@ -311,3 +311,29 @@ def test_mpw_estimate_on_a_tu_game_past_the_universe_bound():
         est = estimate_payoff(v, i, "mpw", n_samples=4000, seed=70 + i)
         assert abs(est.mean - 0.5) <= 4 * est.std_error
     assert estimate_payoff(v, 8, "mpw", n_samples=500, seed=1).mean == 0
+
+
+@pytest.mark.parametrize(
+    "players",
+    [prefix(n) for n in range(9)] + [partitions.mask_from((0, 3, 4, 9, 17))],
+    ids=lambda mask: str(partitions.members(mask)),
+)
+def test_cell_lookup_finds_every_embedded_coalition(players):
+    """The digits the mpw draw reads lead every cell to its own position.
+
+    Each position p reads ``lt`` at its block (0 in S) as a local mask, as
+    the draw does; the lookup is built from whole blocks instead. The tables
+    hold at most four entries per cell."""
+    lt, split, low, at = sampling._cell_lookup(players)
+    ids = partitions.members(players)
+    n = len(ids)
+    cells = partitions.enumerate_embedded(players)
+    assert lt.size + low.size + at.size <= 4 * partitions.embedded_count(n)
+    own = np.zeros((n, len(cells)), dtype=np.intp)
+    for c, (_, pi) in enumerate(cells):
+        for B in pi:
+            local = [q for q, p in enumerate(ids) if B >> p & 1]
+            own[local, c] = sum(1 << q for q in local)
+    code = lt[np.arange(n)[:, None], own]
+    found = at[low[code[:split].sum(axis=0)] + code[split:].sum(axis=0)]
+    assert found.tolist() == list(range(len(cells)))
