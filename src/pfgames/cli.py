@@ -30,6 +30,8 @@ from . import (
 )
 
 ENV_UNIVERSE_BOUND = "PFGAMES_UNIVERSE_BOUND"
+# 10^6 samples take about 2 s at 8 players, so this budget is tens of seconds
+MAX_SAMPLES = 10**7
 
 
 def parse_family(spec: str) -> random_partitions.RandomPartitionFamily:
@@ -209,6 +211,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples {args.samples} exceeds the budget of {MAX_SAMPLES} samples")
     from . import sampling  # loads numpy, which no other command needs
     game = formats.load_game(args.game)
     estimate = sampling.estimate_payoff(

@@ -7,14 +7,17 @@ general one-parameter Ewens family, a perturbed family that stays
 potential-generating while deviating from pstar on four or more players, and
 table-backed families for counterexample experiments.
 
-Exact kernels read a distribution over one common denominator: the
-``integer_distribution`` of a player set is (den, nums) with den the lcm of
-its probabilities' denominators and nums the integer numerators in
-``enumerate_partitions`` order. Validation builds it, and it is cached beside
-the Fraction memo. ``inclusion`` adds each partition's numerator to each of
-its blocks in one pass, giving the probability that a coalition forms a
-block as an integer mass over the same denominator; the family checks of
-``verify`` read these masses.
+A family's law is born as an integer table: its rule gives, for a player
+set, (den, nums) with nums the integer numerators of the probabilities in
+``enumerate_partitions`` order over the common denominator den. The
+built-in laws compute them from closed forms in integers.
+``integer_distribution`` memoizes that view, reduced to den the lcm of the
+probabilities' denominators, and is where every law is validated. Exact
+kernels read it; ``distribution`` builds the Fraction table from it only
+when something asks for one. ``inclusion`` adds each partition's numerator
+to each of its blocks in one pass, giving the probability that a coalition
+forms a block as an integer mass over the same denominator; the family
+checks of ``verify`` read these masses.
 """
 
 from __future__ import annotations
@@ -46,17 +49,20 @@ def over_common_denominator(values) -> IntegerView:
 class RandomPartitionFamily:
     """A rule assigning an exact distribution over partitions to each player set.
 
-    The rule is evaluated lazily and memoized per player set; every computed
-    distribution is validated to be non-negative and to sum exactly to 1.
-    Memo writes are idempotent (identical values), so concurrent fills are
-    harmless. ``integer_distribution`` memoizes the same distribution over one
-    common denominator, and ``inclusion`` its block inclusion masses.
+    The rule maps a player set to its law as (den, nums): integer numerators
+    in ``enumerate_partitions`` order over a positive common denominator.
+    It is evaluated lazily and memoized per player set by
+    ``integer_distribution``, which validates every law it memoizes: one
+    numerator per partition, none negative, summing exactly to den.
+    ``distribution`` builds the Fraction table from that view on first
+    request, and ``inclusion`` the block inclusion masses. Memo writes are
+    idempotent (identical values), so concurrent fills are harmless.
     """
 
     def __init__(
         self,
         label: str,
-        rule: Callable[[Coalition], Distribution],
+        rule: Callable[[Coalition], IntegerView],
         explicit_player_sets: frozenset[Coalition] = frozenset(),
     ):
         self.label = label
@@ -71,21 +77,23 @@ class RandomPartitionFamily:
         return f"RandomPartitionFamily({self.label!r})"
 
     def distribution(self, players) -> Distribution:
+        """The law as {partition: probability}, built from the integer view."""
         mask = partitions.as_mask(players)
         dist = self._cache.get(mask)
         if dist is None:
-            dist = self._rule(mask)
-            self._int_cache[mask] = _validate_distribution(mask, dist, self.label)
-            self._cache[mask] = dist
+            den, nums = self.integer_distribution(mask)
+            dist = self._cache[mask] = {
+                pi: Fraction(p, den) for pi, p in zip(partitions.enumerate_partitions(mask), nums)
+            }
         return dist
 
     def integer_distribution(self, players) -> IntegerView:
-        """The distribution as (den, nums), nums in ``enumerate_partitions`` order."""
+        """The distribution as (den, nums), nums in ``enumerate_partitions`` order
+        and den the lcm of the probabilities' denominators."""
         mask = partitions.as_mask(players)
         view = self._int_cache.get(mask)
         if view is None:
-            self.distribution(mask)  # validating it caches the view
-            view = self._int_cache[mask]
+            view = self._int_cache[mask] = _validate_view(mask, self._rule(mask), self.label)
         return view
 
     def inclusion(self, players) -> InclusionView:
@@ -107,7 +115,8 @@ class RandomPartitionFamily:
         mask = partitions.as_mask(players)
         if not partitions.is_partition_of(pi, mask):
             raise ValueError("pi is not a canonical partition of the given player set")
-        return self.distribution(mask)[pi]
+        den, nums = self.integer_distribution(mask)
+        return Fraction(nums[partitions.partition_position(pi)], den)
 
     def coalition_inclusion_prob(self, players, coalition) -> Fraction:
         """Probability that the given coalition appears as a block."""
@@ -121,41 +130,62 @@ class RandomPartitionFamily:
         return Fraction(mass.get(block, 0), den)
 
 
-def _validate_distribution(mask: Coalition, dist: Distribution, label: str) -> IntegerView:
-    """The distribution over one common denominator, once it covers exactly the
-    partitions of the player set, is non-negative and sums to 1."""
+def _not_covered(mask: Coalition, label: str) -> ValueError:
+    return ValueError(
+        f"family {label!r} does not assign a probability to every partition "
+        f"of {sorted(partitions.members(mask))}"
+    )
+
+
+def _negative(pi: Partition, label: str) -> ValueError:
+    return ValueError(f"family {label!r} assigns a negative probability to {pi}")
+
+
+def _validate_view(mask: Coalition, view: IntegerView, label: str) -> IntegerView:
+    """The law (den, nums) reduced by gcd(den, *nums), once it has one
+    numerator per partition of the player set, none negative, summing to den."""
+    den, nums = view
     expected = partitions.enumerate_partitions(mask)
-    if set(dist) != set(expected):
-        raise ValueError(
-            f"family {label!r} does not assign a probability to every partition "
-            f"of {sorted(partitions.members(mask))}"
-        )
-    den, nums = view = over_common_denominator(dist[pi] for pi in expected)
+    if len(nums) != len(expected):
+        raise _not_covered(mask, label)
+    if den <= 0:
+        raise ValueError(f"family {label!r} has denominator {den} on "
+                         f"{sorted(partitions.members(mask))}")
     if min(nums) < 0:
-        pi = next(pi for pi, p in dist.items() if p < 0)  # in the rule's own order
+        raise _negative(next(pi for pi, p in zip(expected, nums) if p < 0), label)
+    total = sum(nums)
+    if total != den:
         raise ValueError(
-            f"family {label!r} assigns a negative probability to {pi}"
-        )
-    if sum(nums) != den:
-        raise ValueError(
-            f"family {label!r} sums to {Fraction(sum(nums), den)} != 1 on "
+            f"family {label!r} sums to {Fraction(total, den)} != 1 on "
             f"{sorted(partitions.members(mask))}"
         )
-    return view
+    g = math.gcd(den, *nums)
+    return (den, tuple(nums)) if g == 1 else (den // g, tuple(x // g for x in nums))
 
 
-def pstar_probability(pi: Partition, players) -> Fraction:
-    """Probability of ``pi`` under the uniform CRP law: prod (b-1)! / n!."""
-    mask = partitions.as_mask(players)
-    n = partitions.size(mask)
-    num = math.prod(math.factorial(block.bit_count() - 1) for block in pi)
-    return Fraction(num, math.factorial(n))
+def _validate_distribution(mask: Coalition, dist: Distribution, label: str) -> IntegerView:
+    """The integer view of a Fraction table, validated by ``_validate_view``
+    once the table covers exactly the partitions of the player set; a
+    negative entry is named in the table's own order."""
+    expected = partitions.enumerate_partitions(mask)
+    if set(dist) != set(expected):
+        raise _not_covered(mask, label)
+    negative = next((pi for pi, p in dist.items() if p < 0), None)
+    if negative is not None:
+        raise _negative(negative, label)
+    return _validate_view(mask, over_common_denominator(dist[pi] for pi in expected), label)
 
 
-def _pstar_rule(mask: Coalition) -> Distribution:
-    return {
-        pi: pstar_probability(pi, mask) for pi in partitions.enumerate_partitions(mask)
-    }
+def _factorials(n: int) -> list[int]:
+    """[0!, 1!, ..., n!]."""
+    return [math.factorial(k) for k in range(n + 1)]
+
+
+def _pstar_rule(mask: Coalition) -> IntegerView:
+    """n! and, for each partition in enumeration order, prod (b-1)!."""
+    fact = _factorials(partitions.size(mask))
+    return fact[-1], tuple(math.prod([fact[b.bit_count() - 1] for b in pi])
+                           for pi in partitions.enumerate_partitions(mask))
 
 
 PSTAR = RandomPartitionFamily("pstar", _pstar_rule)
@@ -165,21 +195,21 @@ def ewens_family(theta) -> RandomPartitionFamily:
     """Ewens distribution with mutation rate ``theta > 0``.
 
     Probabilities are theta^(#blocks) * prod (b-1)! divided by the rising
-    factorial theta (theta+1) ... (theta+n-1), kept exact in rationals.
-    Rate 1 coincides with ``PSTAR``.
+    factorial theta (theta+1) ... (theta+n-1). With theta = p/q in lowest
+    terms that is p^k q^(n-k) prod (b-1)! over prod_{j<n} (p + jq), kept in
+    integers. Rate 1 coincides with ``PSTAR``.
     """
     theta = Fraction(theta)
     if theta <= 0:
         raise ValueError("Ewens mutation rate must be positive")
+    p, q = theta.numerator, theta.denominator
 
-    def rule(mask: Coalition) -> Distribution:
+    def rule(mask: Coalition) -> IntegerView:
         n = partitions.size(mask)
-        rising = math.prod((theta + j for j in range(n)), start=ONE)
-        weight = [theta**k / rising for k in range(n + 1)]  # by block count
-        return {
-            pi: weight[len(pi)] * math.prod(math.factorial(b.bit_count() - 1) for b in pi)
-            for pi in partitions.enumerate_partitions(mask)
-        }
+        weight = [p**k * q ** (n - k) for k in range(n + 1)]  # by block count
+        return math.prod(p + j * q for j in range(n)), tuple(
+            weight[len(pi)] * num
+            for pi, num in zip(partitions.enumerate_partitions(mask), _pstar_rule(mask)[1]))
 
     return RandomPartitionFamily(f"ewens:{theta}", rule)
 
@@ -230,23 +260,24 @@ def perturbed_family(eps) -> RandomPartitionFamily:
     if not isinstance(eps, EpsilonProfile):
         eps = EpsilonProfile(eps)
 
-    def rule(mask: Coalition) -> Distribution:
+    def rule(mask: Coalition) -> IntegerView:
         n = partitions.size(mask)
         eps_n = eps.at(n)
-        dist = _pstar_rule(mask)
+        view = _pstar_rule(mask)
         if n <= 3 or eps_n == 0:
-            return dist
-        one_pair = (1,) * (n - 2) + (2,)
-        two_pairs = (1,) * (n - 4) + (2, 2)
-        for pi in dist:
-            sizes = tuple(sorted(b.bit_count() for b in pi))
-            if sizes == (1,) * n:
-                dist[pi] += eps_n
-            elif sizes == one_pair:
-                dist[pi] -= 2 * eps_n / math.comb(n, 2)
-            elif sizes == two_pairs:
-                dist[pi] += 2 * eps_n / (math.comb(n - 2, 2) * math.comb(n, 2))
-        return dist
+            return view
+        # over den = n! c C(n,2) C(n-2,2), with eps_n = a / c
+        a, c = eps_n.numerator, eps_n.denominator
+        fact_n, pairs, rest_pairs = view[0], math.comb(n, 2), math.comb(n - 2, 2)
+        scale = c * pairs * rest_pairs
+        # the partitions into pairs and singletons are those with pstar
+        # numerator 1; n, n - 1 and n - 2 blocks mean zero, one and two pairs
+        shift = {n: a * fact_n * pairs * rest_pairs,
+                 n - 1: -2 * a * fact_n * rest_pairs,
+                 n - 2: 2 * a * fact_n}
+        return fact_n * scale, tuple(
+            num * scale + shift.get(len(pi), 0) if num == 1 else num * scale
+            for pi, num in zip(partitions.enumerate_partitions(mask), view[1]))
 
     return RandomPartitionFamily(eps.label(), rule)
 
@@ -258,9 +289,10 @@ def family_from_distributions(
 
     Tables are validated once, immediately, against the distribution
     invariants (full coverage, non-negativity, total exactly 1), and seed the
-    family's caches. Player sets without a table are answered by the uniform
-    CRP law, so a table for a single cardinality still yields a family defined
-    everywhere.
+    family's caches: its Fraction tables, in their own order, and their
+    integer views. Player sets without a table are answered by the uniform
+    CRP law's integer view, so a table for a single cardinality still yields
+    a family defined everywhere.
     """
     tables = {
         partitions.as_mask(k): {pi: Fraction(p) for pi, p in dict(v).items()}
@@ -268,7 +300,7 @@ def family_from_distributions(
     }
     views = {mask: _validate_distribution(mask, table, label) for mask, table in tables.items()}
     family = RandomPartitionFamily(
-        label, lambda mask: dict(PSTAR.distribution(mask)), explicit_player_sets=frozenset(tables)
+        label, PSTAR.integer_distribution, explicit_player_sets=frozenset(tables)
     )
     family._cache.update(tables)
     family._int_cache.update(views)

@@ -43,8 +43,9 @@ class _LinearForm:
     nonzero constant terms raise TypeError.
     """
 
-    def __init__(self, coef):
+    def __init__(self, coef, unit=None):
         self.coef = coef
+        self.unit = unit  # the cell of a single worth read, whose coefficient is 1
 
     def __add__(self, other):
         if not isinstance(other, _LinearForm):
@@ -73,6 +74,8 @@ class _LinearForm:
     def __mul__(self, k):
         if not isinstance(k, (int, Fraction)):
             return NotImplemented
+        if self.unit is not None:
+            return _LinearForm({self.unit: k})
         return _LinearForm({cell: x * k for cell, x in self.coef.items()})
 
     __rmul__ = __mul__
@@ -97,7 +100,7 @@ class _SymbolicGame:
     def worth(self, coalition, pi: Partition) -> _LinearForm:
         S = partitions.as_mask(coalition)
         k = cell_index(self.players, S, pi)
-        return _LinearForm({k: ONE} if S else {})
+        return _LinearForm({k: ONE}, unit=k) if S else _LinearForm({})
 
 
 class NonLinearRuleError(ValueError):
@@ -337,24 +340,26 @@ def probability_restriction(family: RandomPartitionFamily) -> RestrictionOperato
     def cell(w: TuxGame, i: int, S: Coalition, pi: Partition) -> Fraction:
         if S == 0:
             return ZERO
-        n = w.n
-        s = S.bit_count()
-        bit = 1 << i
+        rest = w.players & ~(1 << i)
         base = partitions.with_block(pi, S)
-        denominator = family.distribution(w.players & ~bit)[base]
-        if denominator == 0:
+        rest_den, rest_nums = family.integer_distribution(rest)
+        q = rest_nums[partitions.partition_position(base)]
+        if q == 0:
             raise PositivityError(
                 f"family {family.label!r} assigns probability zero to "
                 f"{[sorted(partitions.members(b)) for b in base]} on "
-                f"{sorted(partitions.members(w.players & ~bit))}",
-                players=w.players & ~bit,
+                f"{sorted(partitions.members(rest))}",
+                players=rest,
                 partition=base,
             )
-        dist = family.distribution(w.players)
-        total = ZERO
+        den, nums = family.integer_distribution(w.players)
+        total = 0
         for _, grown in partitions.placements(pi, i):
-            total += dist[partitions.with_block(grown, S)] * w.worth(S, grown)
-        return Fraction(n, n - s) * total / denominator
+            p = nums[partitions.partition_position(partitions.with_block(grown, S))]
+            total += p * w.worth(S, grown)
+        n, s = w.n, S.bit_count()
+        # n/(n-s) over p_{N-i}(base), both probabilities' denominators cleared
+        return total * Fraction(n * rest_den, (n - s) * den * q)
 
     return RestrictionOperator(
         f"rp:{family.label}", cell, explicit_player_sets=family.explicit_player_sets

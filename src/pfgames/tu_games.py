@@ -26,7 +26,7 @@ from typing import Mapping
 
 from . import partitions, random_partitions
 from .partitions import Coalition
-from .random_partitions import over_common_denominator
+from .random_partitions import _factorials, over_common_denominator
 
 PayoffVector = dict[int, Fraction]
 
@@ -42,7 +42,7 @@ class Game:
     @classmethod
     def _from_numerators(cls, players: Coalition, den: int, nums):
         """The game with worths nums[k] / den in table order (unchecked)."""
-        g = math.gcd(den, *nums)
+        g = 1 if den == 1 else math.gcd(den, *nums)
         game = cls.__new__(cls)
         game.players, game.den = players, den // g
         game.nums = tuple(nums) if g == 1 else tuple(x // g for x in nums)
@@ -104,10 +104,7 @@ class TuGame(Game):
     __slots__ = ()
 
     def __init__(self, players, worth: Mapping = ()):
-        self.players = partitions.as_mask(players)
-        if 1 << self.n > partitions.MAX_EMBEDDED_COALITIONS:
-            raise partitions.CapacityError(f"a TU game on {self.n} players has more than "
-                                           f"{partitions.MAX_EMBEDDED_COALITIONS} coalitions")
+        self.players = _check_size(partitions.as_mask(players))
         table = dict.fromkeys(partitions.subsets(self.players), 0)
         for key, value in dict(worth).items():
             S = self._subset(key)
@@ -125,14 +122,25 @@ class TuGame(Game):
         return S
 
     def worth(self, coalition) -> Fraction:
-        S = self._subset(coalition)
-        # S's position in subsets order: bit j set iff S holds the j-th player
-        k = sum(1 << j for j, i in enumerate(self.member_ids()) if S >> i & 1)
-        return Fraction(self.nums[k], self.den)
+        return Fraction(self.nums[_position(self.players, self._subset(coalition))], self.den)
 
     def nonzero_worths(self) -> dict[Coalition, Fraction]:
         return {S: Fraction(x, self.den)
                 for S, x in zip(partitions.subsets(self.players), self.nums) if x}
+
+
+def _check_size(players: Coalition) -> Coalition:
+    n = partitions.size(players)
+    if 1 << n > partitions.MAX_EMBEDDED_COALITIONS:
+        raise partitions.CapacityError(f"a TU game on {n} players has more than "
+                                       f"{partitions.MAX_EMBEDDED_COALITIONS} coalitions")
+    return players
+
+
+def _position(players: Coalition, S: Coalition) -> int:
+    """S's position in ``subsets(players)`` order: bit j set iff S holds the
+    j-th player."""
+    return sum(1 << j for j, i in enumerate(partitions.members(players)) if S >> i & 1)
 
 
 def null_game(players) -> TuGame:
@@ -147,7 +155,9 @@ def dirac_game(players, coalition) -> TuGame:
         raise ValueError("Dirac games need a nonempty coalition")
     if T & ~mask:
         raise ValueError("coalition is not a subset of the player set")
-    return TuGame(mask, {T: 1})
+    nums = [0] * (1 << partitions.size(_check_size(mask)))
+    nums[_position(mask, T)] = 1
+    return TuGame._from_numerators(mask, 1, nums)
 
 
 def unanimity_game(players, coalition) -> TuGame:
@@ -168,10 +178,6 @@ def subgame(v: TuGame, removed) -> TuGame:
         raise ValueError("cannot remove players that are not in the game")
     rest = v.players & ~gone
     return TuGame(rest, {S: v.worth(S) for S in partitions.subsets(rest)})
-
-
-def _factorials(n: int) -> list[int]:
-    return [math.factorial(k) for k in range(n + 1)]
 
 
 _shapley_tables: dict[int, tuple] = {}

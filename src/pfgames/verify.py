@@ -127,7 +127,7 @@ def _all_ones_mass(family: RandomPartitionFamily, N: Coalition) -> tuple[int, di
     """Block masses of the lifted TU game with worth 1 on every coalition: by
     linearity, the mass at T is the expected accumulated worth of the lifted
     Dirac game of T."""
-    ones = tu_games.TuGame(N, {S: 1 for S in partitions.subsets(N) if S})
+    ones = tu_games.TuGame._from_numerators(N, 1, [0] + [1] * ((1 << partitions.size(N)) - 1))
     return tux_games._block_mass(tux_games.lift_tu_game(ones), family)
 
 

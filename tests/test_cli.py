@@ -205,6 +205,14 @@ def test_sample_is_deterministic(capsys, dirac_path):
     assert data["seed"] == 42
 
 
+def test_sample_refuses_more_samples_than_the_budget(capsys, dirac_path):
+    code, out, err = run(capsys, "sample", "--game", dirac_path, "--target", "shapley",
+                         "--player", "1", "--samples", str(cli.MAX_SAMPLES + 1))
+    assert code == 2
+    assert out == ""
+    assert "--samples 10000001 exceeds the budget of 10000000 samples" in err
+
+
 def test_enumerate_partitions_and_embedded(capsys):
     code, out, _ = run(capsys, "enumerate", "--players", "1,2")
     assert code == 0
@@ -242,13 +250,14 @@ def test_table_family_spec_through_verify(capsys, tmp_path):
 
 def test_table_family_spec_validates_each_table_once(tmp_path, monkeypatch):
     validated = []
-    validate = random_partitions._validate_distribution
+    validate = random_partitions._validate_view
 
-    def counting(mask, dist, label):
-        validated.append(mask)
-        return validate(mask, dist, label)
+    def counting(mask, view, label):
+        if label.startswith("table:"):  # not the uniform CRP law's own memo
+            validated.append(mask)
+        return validate(mask, view, label)
 
-    monkeypatch.setattr(random_partitions, "_validate_distribution", counting)
+    monkeypatch.setattr(random_partitions, "_validate_view", counting)
     pair = [{"partition": [[1, 2]], "prob": "1/2"}, {"partition": [[1], [2]], "prob": "1/2"}]
     lone = [{"partition": [[7]], "prob": "1"}]
     path = tmp_path / "family.json"
@@ -261,7 +270,8 @@ def test_table_family_spec_validates_each_table_once(tmp_path, monkeypatch):
     assert family.integer_distribution([7]) == (1, (1,))
     assert len(validated) == 2
     family.distribution(prefix(3))  # a player set without a table comes from the rule
-    assert set(validated[2:]) == {prefix(3)}
+    family.integer_distribution(prefix(3))
+    assert validated[2:] == [prefix(3)]
 
 
 def test_table_format(capsys, showcase_path, dirac_path):

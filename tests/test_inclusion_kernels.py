@@ -350,6 +350,24 @@ def test_validation_messages_are_unchanged():
 @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(2), Fraction(3, 7)])
 def test_ewens_probabilities_equal_the_per_partition_formula(theta):
     family = ewens_family(theta)
-    for n in range(7):
-        for pi, p in family.distribution(prefix(n)).items():
-            assert p == ref_ewens_probability(theta, pi, n)
+    for n in range(9):
+        N = prefix(n)
+        expected = [ref_ewens_probability(theta, pi, n) for pi in partitions.enumerate_partitions(N)]
+        den, nums = family.integer_distribution(N)
+        assert den == math.lcm(*(p.denominator for p in expected))
+        assert [Fraction(x, den) for x in nums] == expected
+        assert list(family.distribution(N).values()) == expected
+
+
+@pytest.mark.parametrize("check, reference", CHECKS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("name", ["ewens:1/2", "eps:4=1/24"])
+def test_family_checks_build_fraction_tables_only_for_witnesses(name, check, reference):
+    """A passing check reads integer views alone; a failing one builds the
+    Fraction table of at most the player set its witness replays."""
+    family = FAMILIES[name]()
+    report = check(family, 5)
+    if report.passed:
+        assert family._cache == {}
+    else:
+        assert set(family._cache) <= {partitions.mask_from(report.witness["players"])}
+    assert report.to_json() == reference(FAMILIES[name](), 5).to_json()

@@ -27,11 +27,11 @@ PINNED_SAMPLE = (
 )
 
 
-def python(*args):
+def python(*args, timeout=120):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, env=env, timeout=timeout
     )
 
 
@@ -126,3 +126,14 @@ def test_sampler_calls_leave_numpy_ma_unloaded():
     proc = python("-c", script)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == b"False True\n"
+
+
+def test_sample_refuses_samples_past_the_budget_before_any_draw(showcase_path):
+    """10^12 samples would take weeks; the refusal comes before numpy loads."""
+    argv = ["sample", "--game", showcase_path, "--target", "mpw", "--player", "2",
+            "--samples", str(10**12)]
+    proc = python("-c", BLOCK_NUMPY + RUN_CLI, *argv, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == (
+        "pfgames: error: --samples 1000000000000 exceeds the budget of 10000000 samples\n")

@@ -8,10 +8,11 @@ from pfgames import partitions
 from pfgames.random_partitions import (
     PSTAR,
     EpsilonProfile,
+    RandomPartitionFamily,
+    _validate_distribution,
     ewens_family,
     family_from_distributions,
     perturbed_family,
-    pstar_probability,
 )
 
 from .corpus import prefix
@@ -162,7 +163,7 @@ def test_perturbed_matches_four_player_case_analysis(c):
     family = perturbed_family({4: c})
     for pi, p in family.distribution(N4).items():
         sizes = partitions.block_sizes(pi)
-        base = pstar_probability(pi, N4)
+        base = PSTAR.prob(N4, pi)
         if sizes == (2, 2):
             assert p == base + c / 3
         elif sizes == (1, 1, 2):
@@ -283,7 +284,75 @@ def test_ewens_sums_to_one(n, theta_num):
     assert all(p > 0 for p in dist.values())
 
 
-def test_pstar_probability_matches_factorial_formula():
-    for pi in partitions.enumerate_partitions(N4):
-        num = math.prod(math.factorial(b.bit_count() - 1) for b in pi)
-        assert pstar_probability(pi, N4) == Fraction(num, 24)
+# --- the integer laws against their per-partition Fraction formulas ----------
+# (the Ewens law is checked the same way in test_inclusion_kernels.py)
+
+
+def pstar_formula(pi, n):
+    return Fraction(math.prod(math.factorial(b.bit_count() - 1) for b in pi), math.factorial(n))
+
+
+def eps_formula(eps_n, pi, n):
+    """The closed form of ``perturbed_family``'s docstring."""
+    sizes = partitions.block_sizes(pi)
+    shift = 0
+    if sizes == (1,) * n:
+        shift = eps_n
+    elif sizes == (1,) * (n - 2) + (2,):
+        shift = -2 * eps_n / math.comb(n, 2)
+    elif sizes == (1,) * (n - 4) + (2, 2):
+        shift = 2 * eps_n / (math.comb(n - 2, 2) * math.comb(n, 2))
+    return pstar_formula(pi, n) + shift
+
+
+def assert_law(family, n, formula):
+    """The family's integer view and Fraction table on 1..n equal the formula."""
+    N = prefix(n)
+    expected = {pi: formula(pi, n) for pi in partitions.enumerate_partitions(N)}
+    den, nums = family.integer_distribution(N)
+    assert den == math.lcm(*(p.denominator for p in expected.values()))
+    assert [Fraction(x, den) for x in nums] == list(expected.values())
+    assert family.distribution(N) == expected
+
+
+EPS_PROFILE = {4: Fraction(1, 24), 5: Fraction(1, 240), 6: Fraction(-1, 720),
+               7: Fraction(1, 5040), 8: Fraction(-1, 40320)}
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_pstar_law_equals_its_formula(n):
+    assert_law(PSTAR, n, pstar_formula)
+
+
+def test_eps_law_equals_its_docstring_closed_form():
+    family = perturbed_family(EPS_PROFILE)
+    for n in range(4, 9):
+        assert_law(family, n, lambda pi, n: eps_formula(EPS_PROFILE[n], pi, n))
+
+
+def _message(build):
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("bad", ["short", "negative", "sum"])
+def test_a_custom_rule_is_validated_like_a_table(bad):
+    """A rule's integer view is refused with the table validator's messages."""
+    N = prefix(3)
+    pis = partitions.enumerate_partitions(N)
+    nums = {"short": [1, 1, 1, 1], "negative": [3, -1, 1, 1, 1], "sum": [2, 1, 1, 1, 1]}[bad]
+    table = dict(zip(pis, (Fraction(x, 5) for x in nums)))
+    family = RandomPartitionFamily("bad", lambda mask: (5, tuple(nums)))
+    expected = _message(lambda: _validate_distribution(N, table, "bad"))
+    assert _message(lambda: family.integer_distribution(N)) == expected
+    assert _message(lambda: family.distribution(N)) == expected
+    assert not family._int_cache and not family._cache
+
+
+def test_a_custom_rule_view_is_reduced_to_the_lcm_form():
+    family = RandomPartitionFamily("scaled", lambda mask: (12, (4, 2, 2, 2, 2)))
+    assert family.integer_distribution(prefix(3)) == (6, (2, 1, 1, 1, 1))
+    assert family.distribution(prefix(3))[partitions.partition_from([[1, 2, 3]])] == Fraction(1, 3)
+    with pytest.raises(ValueError, match="denominator 0"):
+        RandomPartitionFamily("zero", lambda mask: (0, (0,))).integer_distribution(0)

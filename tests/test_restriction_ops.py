@@ -419,7 +419,10 @@ def test_positivity_is_enforced_per_query():
     delta5 = dirac_game(N5, [1, 2], blocks([3], [4], [5]))
     with pytest.raises(PositivityError) as err:
         op.restrict(delta5, 5)
-    assert err.value.partition is not None
+    assert str(err.value) == ("family 'eps:4=1/8' assigns probability zero to "
+                              "[[1], [2, 3], [4]] on [1, 2, 3, 4]")
+    assert err.value.players == prefix(4)
+    assert err.value.partition == blocks([1], [2, 3], [4])
 
 
 def test_restrict_rejects_missing_player():
@@ -436,3 +439,21 @@ def test_a_rule_that_reads_a_non_cell_is_refused_at_every_entry_point():
                   lambda: op.potential(w), lambda: check_restriction_axioms(op, 3)):
         with pytest.raises(ValueError, match=r"is not an embedded coalition of this game"):
             solve()
+
+
+@pytest.mark.parametrize("spec", ["pstar", "eps:4=1/24", "eps:4=-1/48,5=1/200"])
+def test_p_shapley_is_the_marginal_expected_accumulated_worth(spec):
+    """The paper's induced solution: player i's p-Shapley payoff is the
+    expected accumulated worth of the game minus that of the subgame which
+    ``rp:f`` leaves once i is removed, both under the family f."""
+    family = cli.parse_family(spec)
+    op = probability_restriction(family)
+    rng = random.Random(5)
+    games = [delta for n in range(1, 5) for _, delta in dirac_basis(prefix(n))]
+    games += [random_tux_game(prefix(5), rng) for _ in range(3)]
+    for w in games:
+        total = tux_games.expected_accumulated_worth(w, family)
+        payoff = tux_games.p_shapley_vector(w, family)
+        for i in w.member_ids():
+            rest = tux_games.expected_accumulated_worth(op.restrict(w, i), family)
+            assert payoff[i] == total - rest, (spec, w, i)
