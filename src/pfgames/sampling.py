@@ -13,16 +13,19 @@ b players with probability b/(t+1) and founds one with probability
 exchangeable, so no random arrival order is needed, and consistent under
 restriction: deleting players from a uniform CRP partition of N leaves a
 uniform CRP partition of the rest (Pitman, Combinatorial Stochastic
-Processes, 2006, ch. 3). The MPW target draws its outside partitions by
-restricting full seatings of N, and finds each drawn cell's worth-table
-position by two table lookups (``_cell_lookup``), not by a search.
+Processes, 2006, ch. 3). The MPW target seats N once per draw and cuts that
+one seating to both outside partitions it needs, and finds each drawn
+cell's worth-table position by two table lookups (``_cell_lookup``), not by
+a search. Worths are read from one float table per game (``_floats``).
 
 Randomness comes from numpy's counter-based Philox generator, so runs are
-reproducible from the recorded seed. Shard k of an estimate draws from
+reproducible from the recorded seed; the samplers read it only through
+``integers``. Shard k of an estimate draws from
 ``SeedSequence(seed, spawn_key=(k,))``, so memory does not grow with the
 sample count, and shards merge with pooled mean/variance, so the combination
 is order independent. ``GENERATOR_ID`` names the draw stream; a seed recorded
-under the older "numpy-philox" stream gives different numbers here.
+under an older stream ("numpy-philox", "numpy-philox-v2") gives different
+numbers here.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .partitions import Coalition, Partition
 from .tu_games import Game, TuGame
 from .tux_games import TuxGame
 
-GENERATOR_ID = "numpy-philox-v2"
+GENERATOR_ID = "numpy-philox-v3"
 _SHARD = 4096
 
 
@@ -55,6 +58,23 @@ def _seed_sequence(seed, spawn_key=()) -> np.random.SeedSequence:
         return np.random.SeedSequence(seed, spawn_key=spawn_key)
     except (TypeError, ValueError):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from None
+
+
+def _generator(seed_sequence: np.random.SeedSequence) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(seed_sequence))
+
+
+def _floats(game: Game):
+    """The float nearest each worth, in table order, built on the first call
+    for a game and kept in its ``_floats`` slot (read only)."""
+    try:
+        return game._floats
+    except AttributeError:
+        # int division is correctly rounded: the float nearest each exact worth
+        table = np.array([x / game.den for x in game.nums])
+        table.flags.writeable = False
+        game._floats = table
+        return table
 
 
 def _seat_shard(rng, m, bits):
@@ -84,7 +104,7 @@ def sample_crp(players, seed: int, count: int) -> list[Partition]:
     """Draw partitions whose law is the uniform CRP (Ewens rate 1)."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = np.random.Generator(np.random.Philox(_seed_sequence(seed)))
+    rng = _generator(_seed_sequence(seed))
     ids = partitions.members(partitions.as_mask(players))
     bits = np.array([partitions.singleton(p) for p in ids], dtype=np.int64)
     draws: list[Partition] = []
@@ -126,8 +146,7 @@ def _crp_shapley_samples(v: TuGame, i: int):
     """
     n = v.n
     bit = 1 << v.member_ids().index(i)
-    # int division is correctly rounded: the float nearest each exact worth
-    worth = np.array([x / v.den for x in v.nums])
+    worth = _floats(v)
     local = np.arange(1 << n)
     size = sum((local >> t) & 1 for t in range(n))
     gain = size / n * (worth[local | bit] - worth)
@@ -189,46 +208,44 @@ def _cell_lookup(players: Coalition):
 def _mpw_samples(w: TuGame | TuxGame, i: int):
     """Sampler ``(rng, m) -> m draws`` of the mpw target on ``w``.
 
-    A draw takes the predecessors S of i in a uniform arrival order and
-    seats N twice; the first seating restricted to N - S - i and the second
-    restricted to N - S give the outside partitions, and the draw is
-    w(S + i, first) - w(S, second). Only the worths of drawn cells are
-    converted to float, once each. A TU game's cell (S, pi) is worth w(S),
-    so its draw is read at the local mask S, without seating or lifting.
+    A draw takes the predecessors S of i in a uniform arrival order: the
+    other players join a queue holding i one by one, in ascending position
+    order, the k-th at one of the k + 1 places uniformly, so it lands ahead
+    of i when its place is at most the number already ahead. It then seats
+    N once and cuts that seating to N - S - i and to N - S; the draw is
+    w(S + i, first cut) - w(S, second cut). Each cut is a uniform CRP
+    partition of its own player set, so the draw is an unbiased marginal of
+    the average game, and it is 0 whenever i is a null player. A TU game's
+    cell (S, pi) is worth w(S), so its draw is read at the local mask S,
+    without seating or lifting.
     """
     n = w.n
     me = w.member_ids().index(i)
-    if isinstance(w, TuGame):
-        worth = np.array([x / w.den for x in w.nums])
-    else:
+    worth = _floats(w)
+    # wide enough for the local masks of a TU game's up to 19 players
+    bits = np.left_shift(1, np.arange(n), dtype=np.int32)
+    others = [bits[p] for p in range(n) if p != me]
+    everyone = (1 << n) - 1
+    if not isinstance(w, TuGame):
         lt, split, low, at = _cell_lookup(w.players)
-        nums, den = w.nums, w.den
-        worth = np.full(len(nums), np.nan)
         # p's row of lt, read at p's block within the outside set
         row = (np.arange(n, dtype=np.int32) << n)[:, None]
-    # intp: permuted shuffles it fastest, and the shuffle ignores the dtype
-    position = np.arange(n)
-    # wide enough for the local masks of a TU game's up to 19 players
-    bits = np.left_shift(1, position, dtype=np.int32)
-    everyone = (1 << n) - 1
 
     def draw(rng, m):
-        arrival = rng.permuted(np.tile(position, (m, 1)), axis=1)
-        upto = np.bitwise_or.accumulate(bits[arrival], axis=1)
-        S = upto[np.arange(m), (arrival == me).argmax(axis=1)] & ~bits[me]
+        S = np.zeros(m, dtype=np.int32)
+        ahead = np.zeros(m, dtype=np.int64)
+        for k, bit in enumerate(others, 1):
+            before = rng.integers(0, k + 1, size=m) <= ahead
+            S += before * bit
+            ahead += before
         if isinstance(w, TuGame):
             return worth[S | bits[me]] - worth[S]
-        outside = np.concatenate([everyone & ~(S | bits[me]), everyone & ~S])
-        blocks, founder = _seat_shard(rng, 2 * m, bits)
-        own = blocks.take(founder).reshape(n, 2 * m) & outside
+        blocks, founder = _seat_shard(rng, m, bits)
+        seated = blocks.take(founder).reshape(n, m)
+        outside = everyone & ~S
+        own = np.concatenate([seated & (outside & ~bits[me]), seated & outside], axis=1)
         code = lt.take(own + row)
-        drawn = at.take(low.take(code[:split].sum(axis=0)) + code[split:].sum(axis=0))
-        # not np.unique, which imports numpy.ma on first use
-        seen = np.zeros(len(worth), dtype=bool)
-        seen[drawn] = True
-        new = np.flatnonzero(seen & np.isnan(worth)).tolist()
-        worth[new] = [nums[r] / den for r in new]
-        x = worth[drawn]
+        x = worth.take(at.take(low.take(code[:split].sum(axis=0)) + code[split:].sum(axis=0)))
         return x[:m] - x[m:]
 
     return draw
@@ -242,10 +259,12 @@ def estimate_payoff(game, i: int, target: str, n_samples: int, seed: int) -> Sam
     staying alone. Needs a TU game (a partition-function game qualifies when
     it is externality free).
 
-    target "mpw": draw a uniform arrival order; for the predecessor
-    coalition S, draw independent CRP partitions of the players outside
-    S+i and outside S, and average the difference of the two worths. This is
-    an unbiased marginal of the average game.
+    target "mpw": draw the predecessor coalition S of a uniform arrival
+    order and one CRP seating of all players; cut the seating to the players
+    outside S+i and to those outside S, and average the difference of the
+    two worths. Each cut is a uniform CRP partition of its own players, so
+    this is an unbiased marginal of the average game; a null player's every
+    draw is 0.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -272,8 +291,6 @@ def estimate_payoff(game, i: int, target: str, n_samples: int, seed: int) -> Sam
         (np.random.SeedSequence(seed, spawn_key=(k,)), min(_SHARD, n_samples - start))
         for k, start in enumerate(range(0, n_samples, _SHARD))
     )
-    count, mean, m2 = _pool(
-        _moments(draw(np.random.Generator(np.random.Philox(child)), m)) for child, m in shards
-    )
+    count, mean, m2 = _pool(_moments(draw(_generator(child), m)) for child, m in shards)
     std_error = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
     return SampleEstimate(mean, std_error, count, seed)

@@ -35,9 +35,11 @@ class Game:
     """A worth table over a player set: what TU and partition-function games
     share. The worths are integer numerators ``nums`` in table order over
     ``den``, the lcm of their reduced denominators, so equal games have equal
-    (players, den, nums); sums, differences and multiples are reduced too."""
+    (players, den, nums); sums, differences and multiples are reduced too.
+    The sampler keeps the float of each worth in ``_floats``, filled on its
+    first estimate; it takes no part in equality."""
 
-    __slots__ = ("players", "den", "nums")
+    __slots__ = ("players", "den", "nums", "_floats")
 
     @classmethod
     def _from_numerators(cls, players: Coalition, den: int, nums):

@@ -249,12 +249,13 @@ def check_pos(family: RandomPartitionFamily, n_max: int) -> Report:
     checked = 0
     witness = None
     for N in _player_sets(n_max, family.explicit_player_sets):
-        _, nums = family.integer_distribution(N)
+        den, nums = family.integer_distribution(N)
         checked += len(nums)
         if witness is None and min(nums) <= 0:
             # the first one in the rule's own order
-            pi, p = next((pi, p) for pi, p in family.distribution(N).items() if p <= 0)
-            witness = _witness("pos", players=N, partition=pi, prob=p)
+            k = next(k for k, x in enumerate(nums) if x <= 0)
+            witness = _witness("pos", players=N, partition=partitions.enumerate_partitions(N)[k],
+                               prob=Fraction(nums[k], den))
     return Report(f"pos[{family.label}]", witness is None, checked, witness)
 
 
@@ -438,10 +439,11 @@ def monotonicity_instance(
     """
     N, B = _placement_args(players, i, pi, block)
     n, b = partitions.size(N), partitions.size(B)
-    dist = family.distribution(N)
-    prob = {C: dist[grown] for C, grown in partitions.placements(pi, i)}
+    den, nums = family.integer_distribution(N)
+    prob = {C: nums[partitions.partition_position(grown)]
+            for C, grown in partitions.placements(pi, i)}
     lhs = prob.pop(B)
-    return lhs, Fraction(b, n - b) * sum(prob.values(), ZERO)
+    return Fraction(lhs, den), Fraction(b * sum(prob.values()), (n - b) * den)
 
 
 def _monotonicity_instances(family: RandomPartitionFamily, N: Coalition):

@@ -10,6 +10,7 @@ from pfgames import partitions, sampling, tu_games, tux_games
 from pfgames.random_partitions import PSTAR
 from pfgames.sampling import GENERATOR_ID, SampleEstimate, estimate_payoff, sample_crp
 from pfgames.tux_games import lift_tu_game, mpw_value, null_game, productive_pair_game
+from pfgames.verify import null_player_witness
 
 from .corpus import prefix, random_tu_game, random_tux_game
 
@@ -89,8 +90,21 @@ def test_mpw_estimate_on_null_game_is_exactly_zero():
 
 def test_mpw_estimate_showcase_null_player_near_zero():
     est = estimate_payoff(productive_pair_game(), 1, "mpw", n_samples=20_000, seed=17)
-    slack = 4 * est.std_error + 1e-12
-    assert abs(est.mean - 0.0) <= slack
+    assert est.mean == 0.0
+    assert est.std_error == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_mpw_estimate_on_null_player_witnesses_is_exactly_zero(n):
+    """Both outside partitions are cut from one seating, so a null player's
+    every draw is 0, not just its mean in expectation."""
+    N = prefix(n)
+    for i in partitions.members(N):
+        for pi in partitions.enumerate_partitions(N & ~(1 << i)):
+            for B in pi:
+                w = null_player_witness(N, i, pi, B)
+                est = estimate_payoff(w, i, "mpw", n_samples=300, seed=n + i)
+                assert (est.mean, est.std_error) == (0.0, 0.0)
 
 
 def test_estimates_track_exact_values():
@@ -182,6 +196,21 @@ def test_sample_crp_matches_the_one_draw_reference(monkeypatch):
     assert sample_crp(ids, seed=5, count=16) == [seat_reference(row, ids) for row in j]
 
 
+def predecessors(rng, m, ids, me):
+    """The (m,) predecessor masks of ids[me]: the other players, in order,
+    join a queue holding it at a uniform one of the k + 1 places, ahead of
+    it when the place is at most the number already ahead."""
+    S, ahead = [0] * m, [0] * m
+    others = [p for q, p in enumerate(ids) if q != me]
+    for k, p in enumerate(others, 1):
+        place = rng.integers(0, k + 1, size=m).tolist()
+        for d in range(m):
+            if place[d] <= ahead[d]:
+                S[d] |= 1 << p
+                ahead[d] += 1
+    return S
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_mpw_samples_match_the_one_draw_reference(n):
     w = random_tux_game(prefix(n), random.Random(n))
@@ -190,14 +219,14 @@ def test_mpw_samples_match_the_one_draw_reference(n):
         m = 300
         got = sampling._mpw_samples(w, i)(np.random.Generator(np.random.Philox(n)), m)
         rng = np.random.Generator(np.random.Philox(n))
-        arrival = rng.permuted(np.tile(np.arange(n, dtype=np.int16), (m, 1)), axis=1)
-        j = choices(rng, 2 * m, n)
+        S = predecessors(rng, m, ids, me)
+        j = choices(rng, m, n)
         for d in range(m):
-            order = arrival[d].tolist()
-            S = partitions.mask_from(ids[p] for p in order[: order.index(me)])
-            with_i = restricted(seat_reference(j[d], ids), w.players & ~(S | 1 << i))
-            without_i = restricted(seat_reference(j[m + d], ids), w.players & ~S)
-            expected = float(w.worth(S | 1 << i, with_i)) - float(w.worth(S, without_i))
+            # one seating, cut to the players outside S + i and outside S
+            seating = seat_reference(j[d], ids)
+            with_i = restricted(seating, w.players & ~(S[d] | 1 << i))
+            without_i = restricted(seating, w.players & ~S[d])
+            expected = float(w.worth(S[d] | 1 << i, with_i)) - float(w.worth(S[d], without_i))
             assert got[d] == expected
 
 
