@@ -13,10 +13,16 @@ b players with probability b/(t+1) and founds one with probability
 exchangeable, so no random arrival order is needed, and consistent under
 restriction: deleting players from a uniform CRP partition of N leaves a
 uniform CRP partition of the rest (Pitman, Combinatorial Stochastic
-Processes, 2006, ch. 3). The MPW target seats N once per draw and cuts that
-one seating to both outside partitions it needs, and finds each drawn
-cell's worth-table position by two table lookups (``_cell_lookup``), not by
-a search. Worths are read from one float table per game (``_floats``).
+Processes, 2006, ch. 3). The first c = min(k, _TABLED) of k arrivals have
+c! equally likely combinations of choices, so they are one draw u < c!
+that reads row u of a cached table of every such seating
+(``_seating_table``): arrival t's choice is the digit (u // t!) % (t + 1),
+less one. Each later arrival draws on its own. The MPW target draws the
+predecessors of i the same way, the first insertions as one entry of
+``_queue_table``, seats N once per draw and cuts that one seating to both
+outside partitions it needs, and finds each drawn cell's worth-table
+position by two table lookups (``_cell_lookup``), not by a search. Worths
+are read from one float table per game (``_floats``).
 
 Randomness comes from numpy's counter-based Philox generator, so runs are
 reproducible from the recorded seed; the samplers read it only through
@@ -24,12 +30,13 @@ reproducible from the recorded seed; the samplers read it only through
 ``SeedSequence(seed, spawn_key=(k,))``, so memory does not grow with the
 sample count, and shards merge with pooled mean/variance, so the combination
 is order independent. ``GENERATOR_ID`` names the draw stream; a seed recorded
-under an older stream ("numpy-philox", "numpy-philox-v2") gives different
-numbers here.
+under an older stream ("numpy-philox", "numpy-philox-v2", "numpy-philox-v3")
+gives different numbers here.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,8 +47,12 @@ from .partitions import Coalition, Partition
 from .tu_games import Game, TuGame
 from .tux_games import TuxGame
 
-GENERATOR_ID = "numpy-philox-v3"
+GENERATOR_ID = "numpy-philox-v4"
 _SHARD = 4096
+# the first _TABLED arrivals of a seating, and the first _TABLED - 1 queue
+# insertions of an mpw draw, are one draw and one row of a cached table;
+# at most 8, as the tables hold masks of arrivals in one byte
+_TABLED = 8
 
 
 @dataclass(frozen=True)
@@ -77,27 +88,114 @@ def _floats(game: Game):
         return table
 
 
-def _seat_shard(rng, m, bits):
-    """Seat ``m`` draws at once; arrival t carries ``bits[t]``.
+@functools.cache
+def _seating_table(c: int):
+    """The (c!, 2c) uint8 table of every seating of arrivals 0..c-1.
+
+    Row u is the seating whose arrival t drew (u // t!) % (t + 1) - 1.
+    Columns 2t and 2t + 1 hold the arrival that founded t's table and the
+    table t founded, as a mask of arrivals (0 when t joined one). Row
+    u + (c-1)! (j + 1) is row u of the table for c - 1 with arrival c - 1
+    joining arrival j's table (founding one when j = -1).
+    """
+    if c == 0:
+        return np.zeros((1, 0), dtype=np.uint8)
+    t, prev = c - 1, _seating_table(c - 1)
+    rows = len(prev)
+    table = np.zeros((rows * c, 2 * c), dtype=np.uint8)
+    for j in range(-1, t):
+        part = table[(j + 1) * rows : (j + 2) * rows]
+        part[:, : 2 * t] = prev
+        if j < 0:
+            part[:, 2 * t :] = t, 1 << t
+        else:
+            f = part[:, 2 * t] = prev[:, 2 * j]
+            part[np.arange(rows), 2 * f + 1] |= 1 << t
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
+def _queue_table(c: int):
+    """The (c+1)! uint16 outcomes of the first c insertions of an mpw queue.
+
+    In entry u the k-th inserted player (from 1) takes place
+    k - (u // k!) % (k + 1), and lands ahead of i when that is at most the
+    number already ahead. An entry holds the mask of those ahead (bit k - 1
+    for the k-th) in its low byte and their count in its high byte. Entry
+    u + c! d is entry u of the table for c - 1 with the c-th at place c - d.
+    """
+    if c == 0:
+        return np.zeros(1, dtype=np.uint16)
+    prev = _queue_table(c - 1)
+    ahead = np.uint16(256 + (1 << c - 1))
+    table = np.concatenate([prev + (c - d <= prev >> 8) * ahead for d in range(c + 1)])
+    table.flags.writeable = False
+    return table
+
+
+def _expand(bits):
+    """``expand[mask]`` is the OR of ``bits[t]`` over the t in mask, for
+    t < min(len(bits), _TABLED): it maps a table's masks of arrivals or of
+    queued players to the caller's coalitions."""
+    c = min(len(bits), _TABLED)
+    expand = np.zeros(1 << c, dtype=bits.dtype)
+    for t in range(c):
+        expand[1 << t : 2 << t] = expand[: 1 << t] | bits[t]
+    return expand
+
+
+def _seat_shard(rng, m, bits, expand):
+    """Seat ``m`` draws at once; arrival t carries ``bits[t]``, and
+    ``expand`` is ``_expand(bits)``.
 
     The state is arrival-major: cell t * m + d holds arrival t of draw d.
     Returns ``(blocks, founder)``, flat over those len(bits) * m cells:
     ``blocks[c]`` is the OR of the bits at the table founded in cell c (0
     when its arrival joined a table), ``founder[c]`` the cell that founded
     cell c's table, so ``blocks[founder]`` is each arrival's table. Blocks
-    have the dtype of ``bits``.
+    have the dtype of ``bits``. The first c arrivals are one draw of a
+    ``_seating_table(c)`` row; each later arrival is one draw of its own.
     """
-    k = len(bits)
+    k, c = len(bits), len(expand).bit_length() - 1
     base = np.arange(m)
     founder = np.empty((k + 1) * m, dtype=np.intp)
     blocks = np.zeros(k * m, dtype=bits.dtype)
-    for t in range(k):
+    row = _seating_table(c).take(rng.integers(0, math.factorial(c), size=m), axis=0).T
+    # head, the tabled arrivals' founder cells, holds their masks first as
+    # take's indices, so take makes no index array; "clip" spares its
+    # buffered copy into out (every mask is in range)
+    head = founder[: c * m].reshape(c, m)
+    head[...] = row[1::2]
+    expand.take(head, out=blocks[: c * m].reshape(c, m), mode="clip")
+    head[...] = row[::2]
+    head *= m
+    head += base
+    for t in range(c, k):
         j = rng.integers(-1, t, size=m)
         # j = -1 wraps to the spare last row, which holds each draw's cell t
         np.add(base, t * m, out=founder[k * m :])
         f = founder[t * m : (t + 1) * m] = founder[j * m + base]
         blocks[f] |= bits[t]
     return blocks, founder[: k * m]
+
+
+def _queue_shard(rng, m, others, expand):
+    """The predecessor masks of ``m`` mpw draws: ``others[k - 1]`` is the
+    k-th player inserted into the queue, and ``expand`` is
+    ``_expand(others[: _TABLED - 1])``. The k-th draws d from 0..k and
+    takes place k - d. The first c insertions are one draw of a
+    ``_queue_table(c)`` entry; each later one is one draw of its own.
+    """
+    c = len(expand).bit_length() - 1
+    q = _queue_table(c).take(rng.integers(0, math.factorial(c + 1), size=m))
+    S, ahead = expand.take(q & 255), q >> 8
+    for k in range(c + 1, len(others) + 1):
+        # place k - d is at most ahead
+        before = rng.integers(0, k + 1, size=m) >= k - ahead
+        S += before * others[k - 1]
+        ahead += before
+    return S
 
 
 def sample_crp(players, seed: int, count: int) -> list[Partition]:
@@ -107,10 +205,11 @@ def sample_crp(players, seed: int, count: int) -> list[Partition]:
     rng = _generator(_seed_sequence(seed))
     ids = partitions.members(partitions.as_mask(players))
     bits = np.array([partitions.singleton(p) for p in ids], dtype=np.int64)
+    expand = _expand(bits)
     draws: list[Partition] = []
     for start in range(0, count, _SHARD):
         m = min(_SHARD, count - start)
-        blocks, _ = _seat_shard(rng, m, bits)
+        blocks, _ = _seat_shard(rng, m, bits, expand)
         # founders arrive in ascending id order, so blocks are already canonical
         draws.extend(tuple(b for b in row if b) for row in blocks.reshape(-1, m).T.tolist())
     return draws
@@ -136,6 +235,17 @@ def _moments(x):
     return len(x), mean, float(np.square(x - mean).sum())
 
 
+@functools.cache
+def _subset_sizes(n: int):
+    """The member count of each local mask of n players: the masks from 2^t
+    up to 2^(t+1) are those below 2^t plus bit t, one member larger."""
+    sizes = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        sizes = np.concatenate([sizes, sizes + 1])
+    sizes.flags.writeable = False
+    return sizes
+
+
 def _crp_shapley_samples(v: TuGame, i: int):
     """Sampler ``(rng, m) -> m draws`` of the shapley target on ``v``.
 
@@ -147,13 +257,12 @@ def _crp_shapley_samples(v: TuGame, i: int):
     n = v.n
     bit = 1 << v.member_ids().index(i)
     worth = _floats(v)
-    local = np.arange(1 << n)
-    size = sum((local >> t) & 1 for t in range(n))
-    gain = size / n * (worth[local | bit] - worth)
+    gain = _subset_sizes(n) / n * (worth[np.arange(1 << n) | bit] - worth)
     others = np.array([1 << t for t in range(n) if 1 << t != bit], dtype=np.int32)
+    expand = _expand(others)
 
     def draw(rng, m):
-        blocks, _ = _seat_shard(rng, m, others)
+        blocks, _ = _seat_shard(rng, m, others, expand)
         # a contiguous row per draw: numpy groups 8 or more summands by layout
         return worth[bit] / n + gain.take(blocks.reshape(-1, m).T).sum(axis=1)
 
@@ -211,11 +320,11 @@ def _mpw_samples(w: TuGame | TuxGame, i: int):
     A draw takes the predecessors S of i in a uniform arrival order: the
     other players join a queue holding i one by one, in ascending position
     order, the k-th at one of the k + 1 places uniformly, so it lands ahead
-    of i when its place is at most the number already ahead. It then seats
-    N once and cuts that seating to N - S - i and to N - S; the draw is
-    w(S + i, first cut) - w(S, second cut). Each cut is a uniform CRP
-    partition of its own player set, so the draw is an unbiased marginal of
-    the average game, and it is 0 whenever i is a null player. A TU game's
+    of i when its place is at most the number already ahead
+    (``_queue_shard``). It then seats N once and cuts that seating to
+    N - S - i and to N - S; the draw is w(S + i, first cut) - w(S, second
+    cut). Each cut is a uniform CRP partition of its own player set, so the
+    draw is an unbiased marginal of the average game, and it is 0 whenever i is a null player. A TU game's
     cell (S, pi) is worth w(S), so its draw is read at the local mask S,
     without seating or lifting.
     """
@@ -224,23 +333,20 @@ def _mpw_samples(w: TuGame | TuxGame, i: int):
     worth = _floats(w)
     # wide enough for the local masks of a TU game's up to 19 players
     bits = np.left_shift(1, np.arange(n), dtype=np.int32)
-    others = [bits[p] for p in range(n) if p != me]
+    others = np.delete(bits, me)
+    queue = _expand(others[: _TABLED - 1])
     everyone = (1 << n) - 1
     if not isinstance(w, TuGame):
+        seat = _expand(bits)
         lt, split, low, at = _cell_lookup(w.players)
         # p's row of lt, read at p's block within the outside set
         row = (np.arange(n, dtype=np.int32) << n)[:, None]
 
     def draw(rng, m):
-        S = np.zeros(m, dtype=np.int32)
-        ahead = np.zeros(m, dtype=np.int64)
-        for k, bit in enumerate(others, 1):
-            before = rng.integers(0, k + 1, size=m) <= ahead
-            S += before * bit
-            ahead += before
+        S = _queue_shard(rng, m, others, queue)
         if isinstance(w, TuGame):
             return worth[S | bits[me]] - worth[S]
-        blocks, founder = _seat_shard(rng, m, bits)
+        blocks, founder = _seat_shard(rng, m, bits, seat)
         seated = blocks.take(founder).reshape(n, m)
         outside = everyone & ~S
         own = np.concatenate([seated & (outside & ~bits[me]), seated & outside], axis=1)

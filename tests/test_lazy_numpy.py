@@ -20,10 +20,10 @@ BLOCK_NUMPY = 'import sys; sys.modules["numpy"] = None; '
 RUN_CLI = "from pfgames import cli; sys.exit(cli.main(sys.argv[1:]))"
 
 # `pfgames sample --game showcase.json --target mpw --player 2 --samples 500
-# --seed 7`, as printed under the "numpy-philox-v3" draw stream
+# --seed 7`, as printed under the "numpy-philox-v4" draw stream
 PINNED_SAMPLE = (
-    b'{\n  "generator": "numpy-philox-v3",\n  "mean": 0.42,\n  "samples": 500,\n'
-    b'  "seed": 7,\n  "std_error": 0.022094713229761795\n}\n'
+    b'{\n  "generator": "numpy-philox-v4",\n  "mean": 0.416,\n  "samples": 500,\n'
+    b'  "seed": 7,\n  "std_error": 0.022064943313928855\n}\n'
 )
 
 

@@ -176,10 +176,24 @@ def seat_reference(choice, ids):
     return tuple(tables)
 
 
+def digits(u, radices):
+    """The mixed-radix digits of u, least significant first."""
+    out = []
+    for r in radices:
+        u, d = divmod(u, r)
+        out.append(d)
+    return out
+
+
 def choices(rng, m, k):
-    """The (m, k) arrival choices of one seating, drawn column by column."""
+    """The (m, k) arrival choices of one seating: the first c are the digits
+    of one draw u < c!, arrival t's in base t + 1, less one; the rest are
+    drawn column by column."""
+    c = min(k, sampling._TABLED)
+    u = rng.integers(0, math.factorial(c), size=m).tolist()
     j = np.empty((m, k), dtype=np.int64)
-    for t in range(k):
+    j[:, :c] = [[d - 1 for d in digits(x, range(1, c + 1))] for x in u]
+    for t in range(c, k):
         j[:, t] = rng.integers(-1, t, size=m)
     return j
 
@@ -188,7 +202,9 @@ def restricted(pi, mask):
     return partitions.canonical_partition(B & mask for B in pi if B & mask)
 
 
-def test_sample_crp_matches_the_one_draw_reference(monkeypatch):
+@pytest.mark.parametrize("tabled", [3, sampling._TABLED])
+def test_sample_crp_matches_the_one_draw_reference(monkeypatch, tabled):
+    monkeypatch.setattr(sampling, "_TABLED", tabled)
     monkeypatch.setattr(sampling, "_SHARD", 7)
     ids = (0, 3, 4, 9, 31)
     rng = np.random.Generator(np.random.Philox(5))
@@ -199,11 +215,19 @@ def test_sample_crp_matches_the_one_draw_reference(monkeypatch):
 def predecessors(rng, m, ids, me):
     """The (m,) predecessor masks of ids[me]: the other players, in order,
     join a queue holding it at a uniform one of the k + 1 places, ahead of
-    it when the place is at most the number already ahead."""
+    it when the place is at most the number already ahead. The k-th draws
+    d from 0..k and takes place k - d: the first c draws are the digits of
+    one draw u < (c + 1)!, the k-th in base k + 1."""
     S, ahead = [0] * m, [0] * m
     others = [p for q, p in enumerate(ids) if q != me]
+    c = min(len(others), sampling._TABLED - 1)
+    u = rng.integers(0, math.factorial(c + 1), size=m).tolist()
+    drawn = [digits(x, range(2, c + 2)) for x in u]
     for k, p in enumerate(others, 1):
-        place = rng.integers(0, k + 1, size=m).tolist()
+        if k <= c:
+            place = [k - row[k - 1] for row in drawn]
+        else:
+            place = [k - d for d in rng.integers(0, k + 1, size=m).tolist()]
         for d in range(m):
             if place[d] <= ahead[d]:
                 S[d] |= 1 << p
@@ -211,8 +235,10 @@ def predecessors(rng, m, ids, me):
     return S
 
 
+@pytest.mark.parametrize("tabled", [3, sampling._TABLED])
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
-def test_mpw_samples_match_the_one_draw_reference(n):
+def test_mpw_samples_match_the_one_draw_reference(monkeypatch, n, tabled):
+    monkeypatch.setattr(sampling, "_TABLED", tabled)
     w = random_tux_game(prefix(n), random.Random(n))
     ids = w.member_ids()
     for me, i in enumerate(ids):
@@ -230,8 +256,10 @@ def test_mpw_samples_match_the_one_draw_reference(n):
             assert got[d] == expected
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 8])
-def test_shapley_samples_match_the_one_draw_reference(n):
+@pytest.mark.parametrize("tabled", [3, sampling._TABLED])
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 10])
+def test_shapley_samples_match_the_one_draw_reference(monkeypatch, n, tabled):
+    monkeypatch.setattr(sampling, "_TABLED", tabled)
     v = random_tu_game(prefix(n), random.Random(n))
     ids = v.member_ids()
     for i in ids:

@@ -142,6 +142,23 @@ def test_lifted_tu_game_round_trips():
     )
     assert externality_free_tu(lift_tu_game(v)) == v
     assert externality_free_tu(null_game(N4)) == tu_games.null_game(N4)
+    for n in range(1, 6):
+        v = random_tu_game(prefix(n), rng) * Fraction(1, 7)
+        assert externality_free_tu(lift_tu_game(v)) == v
+
+
+def test_one_changed_cell_in_a_coalitions_run_has_externalities():
+    """Every cell of a coalition's run is compared, not only its first."""
+    v = random_tu_game(N4, random.Random(5))
+    lifted = lift_tu_game(v)
+    assert externality_free_tu(lifted) == v
+    at = partitions.embedded_index(N4)
+    for S in partitions.subsets(N4):
+        for pi in partitions.enumerate_partitions(N4 & ~S)[1:]:
+            nums = list(lifted.nums)
+            nums[at[(S, pi)]] += 1
+            changed = TuxGame._from_numerators(N4, lifted.den, nums)
+            assert externality_free_tu(changed) is None
 
 
 def test_game_kind_conversions():
