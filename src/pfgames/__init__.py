@@ -12,7 +12,6 @@ first use, so ``import pfgames`` and the exact commands never load numpy.
 from .errors import CapacityError, PositivityError
 from .partitions import (
     bell_number,
-    delete_players,
     enumerate_embedded,
     enumerate_partitions,
     insert_player,
@@ -51,10 +50,8 @@ from .tu_games import (
 from .tux_games import (
     TuxGame,
     average_game,
-    dirac_coefficients,
     expected_accumulated_worth,
     externality_free_tu,
-    game_from_dirac_coefficients,
     is_null_player,
     lift_tu_game,
     mpw_value,

@@ -212,8 +212,8 @@ def family_table_from_json(data, label="table") -> RandomPartitionFamily:
             raise ValueError(f"table #{pos}: expected an object, got {table!r}")
         _refuse_unknown_keys(table, TABLE_KEYS, f"table #{pos}")
         n = table.get("n")
-        if "n" in table and type(n) is not int:  # not bool
-            raise ValueError(f"table #{pos}: 'n' must be an integer, got {n!r}")
+        if "n" in table and (type(n) is not int or n < 0):  # not bool
+            raise ValueError(f"table #{pos}: 'n' must be an integer >= 0, got {n!r}")
         if "players" in table:
             players = coalition_from_list(table["players"])
             if "n" in table and players != partitions.mask_from(range(1, n + 1)):

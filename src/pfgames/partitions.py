@@ -6,7 +6,10 @@ nonempty block masks sorted by least member; an embedded coalition is a pair
 ``(S, pi)`` where ``pi`` partitions the complement of ``S``. ``placements``
 is the one way a partition grows by a player: the player joins a block or
 stays alone. Everything is an immutable value, so all operations here are
-pure and safe to share across threads.
+pure. The tables built per player set are memoized with ``functools.cache``
+(the partition positions by one dict, filled a player set at a time); a
+concurrent first use may build a table twice, but both builds are equal, so
+the tables are safe to share across threads.
 
 Two lazily built tables give integer positions in ``enumerate_embedded``
 order, so hot loops index a worth table instead of hashing ``(S, pi)``:
@@ -18,6 +21,7 @@ the block mass behind p-Shapley values and the expected accumulated worth.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Iterator
 
@@ -136,10 +140,6 @@ def canonical_partition(blocks: Iterable[Coalition]) -> Partition:
     return tuple(sorted(blocks, key=least_member))
 
 
-def partition_from(blocks: Iterable[Iterable[int]]) -> Partition:
-    return canonical_partition(mask_from(block) for block in blocks)
-
-
 def union_of(pi: Partition) -> Coalition:
     mask = 0
     for block in pi:
@@ -158,10 +158,6 @@ def is_partition_of(pi: Partition, players: Coalition) -> bool:
     return union == players and pi == tuple(sorted(pi, key=least_member))
 
 
-def atomistic(players: Coalition) -> Partition:
-    return tuple(1 << i for i in range(players.bit_length()) if players >> i & 1)
-
-
 def block_of(pi: Partition, i: int) -> Coalition:
     """The block of ``pi`` containing player ``i``."""
     bit = 1 << i
@@ -169,14 +165,6 @@ def block_of(pi: Partition, i: int) -> Coalition:
         if block & bit:
             return block
     raise ValueError(f"player {i} is not covered by the partition")
-
-
-def block_sizes(pi: Partition) -> tuple[int, ...]:
-    """Sorted multiset of block cardinalities (the partition's type)."""
-    return tuple(sorted(block.bit_count() for block in pi))
-
-
-_partition_cache: dict[Coalition, tuple[Partition, ...]] = {}
 
 
 def enumerate_partitions(players) -> tuple[Partition, ...]:
@@ -187,22 +175,16 @@ def enumerate_partitions(players) -> tuple[Partition, ...]:
     """
     mask = as_mask(players)
     _check_capacity(mask)
-    cached = _partition_cache.get(mask)
-    if cached is None:
-        cached = _build_partitions(mask)
-        _partition_cache[mask] = cached
-    return cached
+    return _partitions(mask)
 
 
-def _build_partitions(mask: Coalition) -> tuple[Partition, ...]:
+@functools.cache
+def _partitions(mask: Coalition) -> tuple[Partition, ...]:
     # grow by each player in ascending order: into every block, then alone
     result: list[Partition] = [()]
     for i in members(mask):
         result = [grown for pi in result for _, grown in placements(pi, i)]
     return tuple(result)
-
-
-_embedded_cache: dict[Coalition, tuple[EmbeddedCoalition, ...]] = {}
 
 
 def enumerate_embedded(players) -> tuple[EmbeddedCoalition, ...]:
@@ -212,26 +194,22 @@ def enumerate_embedded(players) -> tuple[EmbeddedCoalition, ...]:
     """
     mask = as_mask(players)
     _check_capacity(mask)
-    cached = _embedded_cache.get(mask)
-    if cached is None:
-        cached = tuple(
-            (S, pi) for S in subsets(mask) for pi in enumerate_partitions(mask & ~S)
-        )
-        _embedded_cache[mask] = cached
-    return cached
+    return _embedded(mask)
 
 
-_embedded_index_cache: dict[Coalition, dict[EmbeddedCoalition, int]] = {}
+@functools.cache
+def _embedded(mask: Coalition) -> tuple[EmbeddedCoalition, ...]:
+    return tuple((S, pi) for S in subsets(mask) for pi in enumerate_partitions(mask & ~S))
 
 
 def embedded_index(players) -> dict[EmbeddedCoalition, int]:
     """Position of each embedded coalition in ``enumerate_embedded`` order."""
-    mask = as_mask(players)
-    index = _embedded_index_cache.get(mask)
-    if index is None:
-        index = {cell: k for k, cell in enumerate(enumerate_embedded(mask))}
-        _embedded_index_cache[mask] = index
-    return index
+    return _embedded_index(as_mask(players))
+
+
+@functools.cache
+def _embedded_index(mask: Coalition) -> dict[EmbeddedCoalition, int]:
+    return {cell: k for k, cell in enumerate(enumerate_embedded(mask))}
 
 
 _partition_positions: dict[Partition, int] = {}
@@ -255,8 +233,6 @@ def partition_position(pi: Partition) -> int:
 
 PlacementRow = tuple[int, tuple[int, ...]]
 
-_placement_cache: dict[tuple[Coalition, int], tuple[PlacementRow, ...]] = {}
-
 
 def placement_positions(players, i: int) -> tuple[PlacementRow, ...]:
     """Where player ``i`` can go, as positions in ``enumerate_embedded(players)``.
@@ -268,24 +244,22 @@ def placement_positions(players, i: int) -> tuple[PlacementRow, ...]:
     so ``grown[-1]`` leaves ``i`` alone. Built on first use per ``(players,
     i)``; ValueError when ``i`` is not a player.
     """
-    mask = as_mask(players)
-    table = _placement_cache.get((mask, i))
-    if table is None:
-        bit = singleton(i)
-        if not mask & bit:
-            raise ValueError(f"player {i} is not in the player set")
-        at = embedded_index(mask)
-        table = tuple(
-            (at[(S | bit, pi)], tuple(at[(S, grown)] for _, grown in placements(pi, i)))
-            for S, pi in enumerate_embedded(mask & ~bit)
-        )
-        _placement_cache[(mask, i)] = table
-    return table
+    return _placement_positions(as_mask(players), i)
+
+
+@functools.cache
+def _placement_positions(mask: Coalition, i: int) -> tuple[PlacementRow, ...]:
+    bit = singleton(i)
+    if not mask & bit:
+        raise ValueError(f"player {i} is not in the player set")
+    at = embedded_index(mask)
+    return tuple(
+        (at[(S | bit, pi)], tuple(at[(S, grown)] for _, grown in placements(pi, i)))
+        for S, pi in enumerate_embedded(mask & ~bit)
+    )
 
 
 BlockRun = tuple[Coalition, int, tuple[int, ...]]
-
-_block_cache: dict[Coalition, tuple[BlockRun, ...]] = {}
 
 
 def block_positions(players) -> tuple[BlockRun, ...]:
@@ -298,19 +272,19 @@ def block_positions(players) -> tuple[BlockRun, ...]:
     (players)`` of the k-th ``rho`` with ``S`` added as a block. Built on
     first use per player set.
     """
-    mask = as_mask(players)
-    table = _block_cache.get(mask)
-    if table is None:
-        table = []
-        at = 0
-        for S in subsets(mask):
-            rest = enumerate_partitions(mask & ~S)
-            if S:
-                table.append((S, at, tuple(partition_position(with_block(rho, S))
-                                           for rho in rest)))
-            at += len(rest)
-        table = _block_cache[mask] = tuple(table)
-    return table
+    return _block_positions(as_mask(players))
+
+
+@functools.cache
+def _block_positions(mask: Coalition) -> tuple[BlockRun, ...]:
+    table = []
+    at = 0
+    for S in subsets(mask):
+        rest = enumerate_partitions(mask & ~S)
+        if S:
+            table.append((S, at, tuple(partition_position(with_block(rho, S)) for rho in rest)))
+        at += len(rest)
+    return tuple(table)
 
 
 def placements(pi: Partition, i: int) -> Iterator[tuple[Coalition, Partition]]:
@@ -346,15 +320,6 @@ def insert_player(pi: Partition, i: int, target: Coalition = EMPTY) -> Partition
 def with_block(pi: Partition, block: Coalition) -> Partition:
     """``pi`` with a nonempty, disjoint ``block`` added (unchecked), canonical."""
     return tuple(sorted(pi + (block,), key=least_member))
-
-
-def delete_players(pi: Partition, removed) -> Partition:
-    """Drop the given players from every block, discarding emptied blocks."""
-    mask = as_mask(removed)
-    if mask & ~union_of(pi):
-        raise ValueError("cannot delete players that are not covered by the partition")
-    kept = tuple(block & ~mask for block in pi if block & ~mask)
-    return tuple(sorted(kept, key=least_member))
 
 
 def bell_number(n: int) -> int:

@@ -12,12 +12,13 @@ set, (den, nums) with nums the integer numerators of the probabilities in
 ``enumerate_partitions`` order over the common denominator den. The
 built-in laws compute them from closed forms in integers.
 ``integer_distribution`` memoizes that view, reduced to den the lcm of the
-probabilities' denominators, and is where every law is validated. Exact
-kernels read it; ``distribution`` builds the Fraction table from it only
-when something asks for one. ``inclusion`` adds each partition's numerator
-to each of its blocks in one pass, giving the probability that a coalition
-forms a block as an integer mass over the same denominator; the family
-checks of ``verify`` read these masses.
+probabilities' denominators, and is where every law is validated. It is the
+one cached form of a law: exact kernels read it, and ``distribution``
+builds a Fraction table from it on each request and keeps none.
+``inclusion`` adds each partition's numerator to each of its blocks in one
+pass, giving the probability that a coalition forms a block as an integer
+mass over the same denominator; the family checks of ``verify`` read these
+masses.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ class RandomPartitionFamily:
     It is evaluated lazily and memoized per player set by
     ``integer_distribution``, which validates every law it memoizes: one
     numerator per partition, none negative, summing exactly to den.
-    ``distribution`` builds the Fraction table from that view on first
-    request, and ``inclusion`` the block inclusion masses. Memo writes are
-    idempotent (identical values), so concurrent fills are harmless.
+    ``distribution`` builds a Fraction table from that view on each call,
+    uncached, and ``inclusion`` the block inclusion masses, cached. Memo
+    writes are idempotent (identical values), so concurrent fills are
+    harmless.
     """
 
     def __init__(
@@ -68,7 +70,6 @@ class RandomPartitionFamily:
         self.label = label
         self._rule = rule
         self.explicit_player_sets = explicit_player_sets
-        self._cache: dict[Coalition, Distribution] = {}
         self._int_cache: dict[Coalition, IntegerView] = {}
         self._inclusion_cache: dict[Coalition, InclusionView] = {}
         self._gen_reports: dict[int, object] = {}  # verify.check_gen reports by n_max
@@ -77,15 +78,11 @@ class RandomPartitionFamily:
         return f"RandomPartitionFamily({self.label!r})"
 
     def distribution(self, players) -> Distribution:
-        """The law as {partition: probability}, built from the integer view."""
+        """The law as {partition: probability} in ``enumerate_partitions``
+        order, built from the integer view on each call and not kept."""
         mask = partitions.as_mask(players)
-        dist = self._cache.get(mask)
-        if dist is None:
-            den, nums = self.integer_distribution(mask)
-            dist = self._cache[mask] = {
-                pi: Fraction(p, den) for pi, p in zip(partitions.enumerate_partitions(mask), nums)
-            }
-        return dist
+        den, nums = self.integer_distribution(mask)
+        return {pi: Fraction(p, den) for pi, p in zip(partitions.enumerate_partitions(mask), nums)}
 
     def integer_distribution(self, players) -> IntegerView:
         """The distribution as (den, nums), nums in ``enumerate_partitions`` order
@@ -288,20 +285,19 @@ def family_from_distributions(
     """Family backed by explicit tables, deferring to ``PSTAR`` elsewhere.
 
     Tables are validated once, immediately, against the distribution
-    invariants (full coverage, non-negativity, total exactly 1), and seed the
-    family's caches: its Fraction tables, in their own order, and their
-    integer views. Player sets without a table are answered by the uniform
-    CRP law's integer view, so a table for a single cardinality still yields
-    a family defined everywhere.
+    invariants (full coverage, non-negativity, total exactly 1); the family
+    keeps only their integer views, so ``distribution`` answers in
+    ``enumerate_partitions`` order, not the tables' own. Player sets without
+    a table are answered by the uniform CRP law's integer view, so a table
+    for a single cardinality still yields a family defined everywhere.
     """
-    tables = {
-        partitions.as_mask(k): {pi: Fraction(p) for pi, p in dict(v).items()}
-        for k, v in tables.items()
-    }
-    views = {mask: _validate_distribution(mask, table, label) for mask, table in tables.items()}
+    views = {}
+    for players, table in tables.items():
+        mask = partitions.as_mask(players)
+        table = {pi: Fraction(p) for pi, p in dict(table).items()}
+        views[mask] = _validate_distribution(mask, table, label)
     family = RandomPartitionFamily(
-        label, PSTAR.integer_distribution, explicit_player_sets=frozenset(tables)
+        label, PSTAR.integer_distribution, explicit_player_sets=frozenset(views)
     )
-    family._cache.update(tables)
     family._int_cache.update(views)
     return family

@@ -269,9 +269,7 @@ def _crp_shapley_samples(v: TuGame, i: int):
     return draw
 
 
-_lookup_cache: dict[Coalition, tuple] = {}
-
-
+@functools.cache
 def _cell_lookup(players: Coalition):
     """(lt, split, low, at): where the cells of ``enumerate_embedded(players)`` are.
 
@@ -285,33 +283,30 @@ def _cell_lookup(players: Coalition):
     below ``split``, so ``at`` has embedded_count(split) runs; ``split``
     makes the tables smallest.
     """
-    cached = _lookup_cache.get(players)
-    if cached is None:
-        n = partitions.size(players)
-        fact = math.factorial
-        split = min(range(n + 1), key=lambda s: fact(s + 1)
-                    + partitions.embedded_count(s) * fact(n + 1) // fact(s + 1))
-        radix, span = fact(split + 1), fact(n + 1) // fact(split + 1)
-        labels = np.array([(k & -k).bit_length() for k in range(1 << n)])
-        value = np.array([fact(p + 1) // (radix if p >= split else 1) for p in range(n)])
-        member = np.arange(1 << n) >> np.arange(n)[:, None] & 1
-        lt = labels * member * value[:, None]
-        # a block's code is a function of the block alone; high codes are
-        # scaled past every low code
-        block = lt[:split].sum(axis=0) + radix * lt[split:].sum(axis=0)
-        block_code = dict(zip(partitions.subsets(players), block.tolist()))
-        cells = partitions.enumerate_embedded(players)
-        codes = np.fromiter(
-            (sum(map(block_code.__getitem__, pi)) for _, pi in cells), np.int64, len(cells)
-        )
-        high, low_code = np.divmod(codes, radix)
-        seen = np.zeros(radix, dtype=bool)
-        seen[low_code] = True
-        low = ((np.cumsum(seen) - 1) * span).astype(np.int32)
-        at = np.empty(int(seen.sum()) * span, dtype=np.int32)
-        at[low[low_code] + high] = np.arange(len(cells))
-        cached = _lookup_cache[players] = (lt.astype(np.int32), split, low, at)
-    return cached
+    n = partitions.size(players)
+    fact = math.factorial
+    split = min(range(n + 1), key=lambda s: fact(s + 1)
+                + partitions.embedded_count(s) * fact(n + 1) // fact(s + 1))
+    radix, span = fact(split + 1), fact(n + 1) // fact(split + 1)
+    labels = np.array([(k & -k).bit_length() for k in range(1 << n)])
+    value = np.array([fact(p + 1) // (radix if p >= split else 1) for p in range(n)])
+    member = np.arange(1 << n) >> np.arange(n)[:, None] & 1
+    lt = labels * member * value[:, None]
+    # a block's code is a function of the block alone; high codes are
+    # scaled past every low code
+    block = lt[:split].sum(axis=0) + radix * lt[split:].sum(axis=0)
+    block_code = dict(zip(partitions.subsets(players), block.tolist()))
+    cells = partitions.enumerate_embedded(players)
+    codes = np.fromiter(
+        (sum(map(block_code.__getitem__, pi)) for _, pi in cells), np.int64, len(cells)
+    )
+    high, low_code = np.divmod(codes, radix)
+    seen = np.zeros(radix, dtype=bool)
+    seen[low_code] = True
+    low = ((np.cumsum(seen) - 1) * span).astype(np.int32)
+    at = np.empty(int(seen.sum()) * span, dtype=np.int32)
+    at[low[low_code] + high] = np.arange(len(cells))
+    return lt.astype(np.int32), split, low, at
 
 
 def _mpw_samples(w: TuGame | TuxGame, i: int):
@@ -387,14 +382,14 @@ def estimate_payoff(game, i: int, target: str, n_samples: int, seed: int) -> Sam
         sampler = _mpw_samples
     else:
         raise ValueError(f"unknown target {target!r}; expected 'shapley' or 'mpw'")
-    if not partitions.contains(game.players, i):
+    if not game.players & partitions.singleton(i):
         raise ValueError(f"player {i} is not in the game")
 
     draw = sampler(game, i)
     # shard k draws from the k-th child SeedSequence(seed).spawn would give;
     # each child is made, drawn and pooled in turn
     shards = (
-        (np.random.SeedSequence(seed, spawn_key=(k,)), min(_SHARD, n_samples - start))
+        (_seed_sequence(seed, (k,)), min(_SHARD, n_samples - start))
         for k, start in enumerate(range(0, n_samples, _SHARD))
     )
     count, mean, m2 = _pool(_moments(draw(_generator(child), m)) for child, m in shards)

@@ -18,6 +18,7 @@ Shapley value sums cached membership columns of one weighted table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -182,25 +183,20 @@ def subgame(v: TuGame, removed) -> TuGame:
     return TuGame(rest, {S: v.worth(S) for S in partitions.subsets(rest)})
 
 
-_shapley_tables: dict[int, tuple] = {}
-
-
+@functools.cache
 def _shapley_table(n: int) -> tuple:
     """(n!, inside, outside, member) for n players, in ``subsets`` order:
     with w[s] = s!(n-s-1)! and w[n] = 0, the k-th coalition T of size t has
     outside[k] = w[t] and inside[k] = w[t-1] + w[t], and member[j][k] is 1
     iff T holds the j-th player. Built once per n and cached."""
-    table = _shapley_tables.get(n)
-    if table is None:
-        fact = _factorials(n)
-        w = [fact[s] * fact[n - s - 1] for s in range(n)] + [0]
-        both = [0] + [w[t - 1] + w[t] for t in range(1, n + 1)]
-        sizes = [k.bit_count() for k in range(1 << n)]
-        outside = tuple(w[t] for t in sizes)
-        inside = tuple(both[t] for t in sizes)
-        member = tuple(bytes(k >> j & 1 for k in range(1 << n)) for j in range(n))
-        table = _shapley_tables[n] = (fact[n], inside, outside, member)
-    return table
+    fact = _factorials(n)
+    w = [fact[s] * fact[n - s - 1] for s in range(n)] + [0]
+    both = [0] + [w[t - 1] + w[t] for t in range(1, n + 1)]
+    sizes = [k.bit_count() for k in range(1 << n)]
+    outside = tuple(w[t] for t in sizes)
+    inside = tuple(both[t] for t in sizes)
+    member = tuple(bytes(k >> j & 1 for k in range(1 << n)) for j in range(n))
+    return fact[n], inside, outside, member
 
 
 def shapley_value(v: TuGame) -> PayoffVector:

@@ -120,23 +120,6 @@ def dirac_basis(players):
             yield (T, tau), dirac_game(mask, T, tau)
 
 
-def dirac_coefficients(w: TuxGame) -> dict[EmbeddedCoalition, Fraction]:
-    """Coordinates of the game in the Dirac basis; they equal the worths."""
-    return {key: value for key, value in w.cells() if key[0] != 0}
-
-
-def game_from_dirac_coefficients(players, coefficients) -> TuxGame:
-    """The game with the given worths on nonempty embedded coalitions and
-    zero elsewhere; coefficients of other cells are ignored."""
-    mask = partitions.as_mask(players)
-    at = partitions.embedded_index(mask)
-    values = [0] * len(at)
-    for cell, x in dict(coefficients).items():
-        if cell in at and cell[0]:
-            values[at[cell]] = Fraction(x)
-    return TuxGame._from_values(mask, values)
-
-
 def lift_tu_game(v: TuGame) -> TuxGame:
     """Embed a TU game as the partition-independent partition function."""
     nums = []

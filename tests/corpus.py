@@ -7,8 +7,18 @@ Dirac and unanimity bases cover the small player sets exhaustively.
 import random
 from fractions import Fraction
 
-from pfgames import partitions, tu_games, tux_games
-from pfgames.random_partitions import family_from_distributions
+from pfgames import formats, partitions, tu_games, tux_games
+from pfgames.random_partitions import RandomPartitionFamily, family_from_distributions
+
+
+def refuse_fraction_tables(monkeypatch):
+    """Make every ``RandomPartitionFamily.distribution`` call fail, so a
+    test shows that the code it runs builds no Fraction table."""
+
+    def refuse(family, players):
+        raise AssertionError(f"{family!r} built a Fraction table")
+
+    monkeypatch.setattr(RandomPartitionFamily, "distribution", refuse)
 
 
 def random_fraction(rng, span=6):
@@ -67,7 +77,7 @@ def dirac_tux_basis_up_to(n_max):
 def skewed_table_family():
     """A table family on players 1..3 that favours the pair {1, 2} and gives
     the partition {1}, {2, 3} probability zero."""
-    blocks = partitions.partition_from
+    blocks = formats.partition_from_lists
     probs = {
         blocks([[1], [2], [3]]): Fraction(1, 12),
         blocks([[1, 2], [3]]): Fraction(1, 2),

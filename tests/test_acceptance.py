@@ -287,8 +287,8 @@ def test_criterion_10_showcase_game():
     w = productive_pair_game()
     rstar = crp_restriction()
     sub = rstar.restrict(w, 4)
-    lhs = sub.worth([1, 3], partitions.partition_from([[2]]))
-    rhs = sub.worth([3], partitions.partition_from([[1, 2]]))
+    lhs = sub.worth([1, 3], formats.partition_from_lists([[2]]))
+    rhs = sub.worth([3], formats.partition_from_lists([[1, 2]]))
     c.check(lhs == Fraction(1, 2), f"cell ({{1,3}},{{{{2}}}}) = {lhs}")
     c.check(rhs == Fraction(1, 3), f"cell ({{3}},{{{{1,2}}}}) = {rhs}")
     c.check(lhs - rhs == Fraction(1, 6), "marginal contribution is not 1/6")
@@ -324,7 +324,7 @@ def test_criterion_11_generation_plus_factorization_pin_down_the_law():
     lhs, rhs = verify.ci_instance(
         EPS_BOUNDARY,
         prefix(4),
-        partitions.partition_from([[1, 2], [3], [4]]),
+        formats.partition_from_lists([[1, 2], [3], [4]]),
         partitions.mask_from([1, 2]),
     )
     c.check(lhs == 0, f"boundary one-pair probability is {lhs}")

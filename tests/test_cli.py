@@ -265,8 +265,8 @@ def test_table_family_spec_validates_each_table_once(tmp_path, monkeypatch):
     family = cli.parse_family(f"table:{path}")
     assert sorted(validated) == [partitions.mask_from([1, 2]), partitions.mask_from([7])]
     assert family.distribution(prefix(2)) == {
-        partitions.partition_from([[1, 2]]): Fraction(1, 2),
-        partitions.partition_from([[1], [2]]): Fraction(1, 2)}
+        formats.partition_from_lists([[1, 2]]): Fraction(1, 2),
+        formats.partition_from_lists([[1], [2]]): Fraction(1, 2)}
     assert family.integer_distribution([7]) == (1, (1,))
     assert len(validated) == 2
     family.distribution(prefix(3))  # a player set without a table comes from the rule
@@ -522,6 +522,14 @@ def test_bad_seed_exits_two_naming_the_seed(capsys, showcase_path):
     assert code == 2
     assert out == ""
     assert "seed" in err
+
+
+@pytest.mark.parametrize("target", ["shapley", "mpw"])
+def test_negative_player_exits_two_naming_the_player(capsys, dirac_path, target):
+    code, out, err = run(capsys, "sample", "--game", dirac_path, "--target", target,
+                         "--player", "-1", "--samples", "10")
+    assert (code, out) == (2, "")
+    assert err == "pfgames: error: player id -1 outside supported range 0..31\n"
 
 
 def test_game_kind_refusals_keep_their_messages(capsys, showcase_path):

@@ -93,7 +93,7 @@ def test_oversized_json_integer_exits_two_naming_the_file(capsys, tmp_path):
 
 
 def test_partition_encoding():
-    pi = partitions.partition_from([[3], [1, 2]])
+    pi = formats.partition_from_lists([[3], [1, 2]])
     assert formats.partition_to_lists(pi) == [[1, 2], [3]]
     assert formats.partition_from_lists([[1, 2], [3]]) == pi
     with pytest.raises(ValueError):
@@ -243,6 +243,19 @@ def test_family_table_naming_two_player_sets_is_refused(table):
 def test_family_table_with_players_and_a_non_integer_n_is_refused(n):
     with pytest.raises(ValueError, match="table #0: 'n' must be an integer"):
         formats.family_table_from_json({"players": [1, 2], "n": n, "entries": []})
+
+
+def test_family_table_with_a_negative_n_exits_two_naming_the_table(capsys, tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"n": -2, "entries": []}))
+    err = _cli_refusal(capsys, ["verify", "--check", "gen", "--family", f"table:{path}"])
+    assert "family.json" in err and "table #0: 'n'" in err and "-2" in err
+
+
+def test_family_table_on_no_players_is_accepted():
+    family = formats.family_table_from_json({"n": 0, "entries": [{"partition": [], "prob": "1"}]})
+    assert family.explicit_player_sets == frozenset({0})
+    assert family.integer_distribution(0) == (1, (1,))
 
 
 def test_family_table_may_name_its_players_twice_when_they_agree():

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from pfgames import partitions, tu_games, tux_games
+from pfgames import formats, partitions, tu_games, tux_games
 from pfgames.errors import PositivityError
 from pfgames.random_partitions import PSTAR, ewens_family, perturbed_family
 from pfgames.restriction_ops import (
@@ -199,7 +199,7 @@ def ref_null_player_witness(N, i, pi, B):
     coefficients = {(B | 1 << i, remainder): 1}
     for _, grown in partitions.placements(remainder, i):
         coefficients[(B, grown)] = 1
-    return tux_games.game_from_dirac_coefficients(N, coefficients)
+    return TuxGame.from_function(N, lambda S, pi: coefficients.get((S, pi), 0))
 
 
 def ref_auxiliary_game(op, w):
@@ -251,16 +251,16 @@ def test_tu_kernels_on_sparse_games_equal_their_fraction_references(v):
 
 
 def test_shapley_tables_are_built_once_per_player_count(monkeypatch):
-    monkeypatch.setattr(tu_games, "_shapley_tables", {})
+    tu_games._shapley_table.cache_clear()
     built = []
     factorials = tu_games._factorials
     monkeypatch.setattr(tu_games, "_factorials", lambda n: built.append(n) or factorials(n))
     for v in TU_GAMES + TU_GAMES:
         tu_games.shapley_value(v)
     assert built == list(range(9))
-    table = tu_games._shapley_tables[5]
+    table = tu_games._shapley_table(5)
     tu_games.shapley_value(TuGame(partitions.mask_from([0, 3, 4, 9, 17]), {1: 1}))
-    assert tu_games._shapley_tables[5] is table and built == list(range(9))
+    assert tu_games._shapley_table(5) is table and built == list(range(9))
 
 
 # --- partition-function kernels ----------------------------------------------
@@ -280,7 +280,7 @@ def test_partition_function_kernels_on_players_that_are_not_a_prefix():
     N = partitions.mask_from([0, 3, 4, 9, 17])
     w = TuxGame(N, {cell: exact_worth(rng) for cell in partitions.enumerate_embedded(N)
                     if cell[0]})
-    null = null_player_witness(N, 9, partitions.partition_from([[0, 4], [3, 17]]),
+    null = null_player_witness(N, 9, formats.partition_from_lists([[0, 4], [3, 17]]),
                                partitions.mask_from([3, 17]))
     for family in FAMILIES[:3]:
         assert tux_games.p_shapley_vector(w, family) == ref_p_shapley_vector(w, family)
@@ -440,14 +440,11 @@ def test_unchecked_builders_give_the_validated_games_in_table_order():
     cells = partitions.enumerate_embedded(N)
     v = wide_tu_game(4, rng)
     w = TUX_GAMES[4]
-    coefficients = {cell: exact_worth(rng) for cell in cells[::3] if cell[0]}
     T, tau = cells[17]
     built = {
         "lift": (tux_games.lift_tu_game(v), lambda S, pi: v.worth(S)),
         "null": (tux_games.null_game(N), lambda S, pi: 0),
         "dirac": (tux_games.dirac_game(N, T, tau), lambda S, pi: int((S, pi) == (T, tau))),
-        "coefficients": (tux_games.game_from_dirac_coefficients(N, coefficients),
-                         lambda S, pi: coefficients.get((S, pi), 0)),
         "restrict": (crp_restriction().restrict(w, 4),
                      lambda S, pi: crp_restriction().restricted_worth(w, 4, S, pi)),
     }

@@ -1,13 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pfgames import partitions
+from pfgames import formats, partitions
 from pfgames.errors import CapacityError
 from pfgames.partitions import (
-    atomistic,
     bell_number,
     canonical_partition,
-    delete_players,
     embedded_count,
     enumerate_embedded,
     enumerate_partitions,
@@ -22,7 +20,7 @@ from pfgames.partitions import (
 
 
 def blocks(*ids_lists):
-    return partitions.partition_from(ids_lists)
+    return formats.partition_from_lists(ids_lists)
 
 
 @pytest.fixture
@@ -128,23 +126,6 @@ def test_insert_rejects_foreign_target():
         insert_player(blocks([2], [3]), 1, mask_from([4]))
 
 
-def test_delete_drops_singleton_block():
-    assert delete_players(blocks([1, 2], [3]), [3]) == blocks([1, 2])
-
-
-def test_delete_shrinks_block():
-    assert delete_players(blocks([1, 2], [3]), [2]) == blocks([1], [3])
-
-
-def test_delete_everything():
-    assert delete_players(blocks([1, 2, 3]), [1, 2, 3]) == ()
-
-
-def test_delete_rejects_uncovered_players():
-    with pytest.raises(ValueError):
-        delete_players(blocks([1, 2]), [3])
-
-
 @st.composite
 def partition_with_insertion(draw):
     n = draw(st.integers(min_value=1, max_value=6))
@@ -162,7 +143,7 @@ def partition_with_insertion(draw):
     grouped = {}
     for player, label in zip(rest, assignment):
         grouped.setdefault(label, []).append(player)
-    pi = partitions.partition_from(grouped.values()) if grouped else ()
+    pi = formats.partition_from_lists(list(grouped.values()))
     target_choices = list(pi) + [0]
     target = draw(st.sampled_from(target_choices))
     return pi, new, target
@@ -171,7 +152,9 @@ def partition_with_insertion(draw):
 @given(partition_with_insertion())
 def test_insert_then_delete_round_trip(case):
     pi, i, target = case
-    assert delete_players(insert_player(pi, i, target), [i]) == pi
+    bit = partitions.singleton(i)
+    grown = insert_player(pi, i, target)
+    assert canonical_partition(B & ~bit for B in grown if B != bit) == pi
 
 
 @given(partition_with_insertion())
@@ -214,10 +197,6 @@ def test_canonical_orders_by_least_member():
 def test_subsets_ascending_and_complete():
     mask = mask_from([1, 3])
     assert list(subsets(mask)) == [0, 2, 8, 10]
-
-
-def test_atomistic():
-    assert atomistic(mask_from([1, 4])) == blocks([1], [4])
 
 
 def test_block_of():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from pfgames import partitions
+from pfgames import formats, partitions
 from pfgames.random_partitions import (
     PSTAR,
     EpsilonProfile,
@@ -19,7 +19,7 @@ from .corpus import prefix
 
 
 def blocks(*ids_lists):
-    return partitions.partition_from(ids_lists)
+    return formats.partition_from_lists(ids_lists)
 
 
 N3 = prefix(3)
@@ -136,7 +136,7 @@ def test_builtin_families_are_exchangeable(family, n):
     dist = family.distribution(prefix(n))
     by_type = {}
     for pi, p in dist.items():
-        by_type.setdefault(partitions.block_sizes(pi), set()).add(p)
+        by_type.setdefault(tuple(sorted(map(partitions.size, pi))), set()).add(p)
     assert all(len(values) == 1 for values in by_type.values())
 
 
@@ -162,7 +162,7 @@ def test_perturbed_matches_four_player_case_analysis(c):
     c/3 on one-pair partitions, and adds c on the atomistic one."""
     family = perturbed_family({4: c})
     for pi, p in family.distribution(N4).items():
-        sizes = partitions.block_sizes(pi)
+        sizes = tuple(sorted(map(partitions.size, pi)))
         base = PSTAR.prob(N4, pi)
         if sizes == (2, 2):
             assert p == base + c / 3
@@ -252,9 +252,13 @@ def test_table_family_is_validated_at_load_time():
         family_from_distributions("missing", {partitions.mask_from([1, 2]): missing})
 
 
-def test_distribution_is_memoized():
+def test_distribution_is_built_from_the_integer_view_on_each_call():
     family = ewens_family(3)
-    assert family.distribution(N3) is family.distribution(N3)
+    first = family.distribution(N3)
+    den, nums = family.integer_distribution(N3)
+    assert list(first) == list(partitions.enumerate_partitions(N3))
+    assert list(first.values()) == [Fraction(x, den) for x in nums]
+    assert family.distribution(N3) == first and family.distribution(N3) is not first
 
 
 @given(
@@ -294,7 +298,7 @@ def pstar_formula(pi, n):
 
 def eps_formula(eps_n, pi, n):
     """The closed form of ``perturbed_family``'s docstring."""
-    sizes = partitions.block_sizes(pi)
+    sizes = tuple(sorted(map(partitions.size, pi)))
     shift = 0
     if sizes == (1,) * n:
         shift = eps_n
@@ -347,12 +351,12 @@ def test_a_custom_rule_is_validated_like_a_table(bad):
     expected = _message(lambda: _validate_distribution(N, table, "bad"))
     assert _message(lambda: family.integer_distribution(N)) == expected
     assert _message(lambda: family.distribution(N)) == expected
-    assert not family._int_cache and not family._cache
+    assert not family._int_cache
 
 
 def test_a_custom_rule_view_is_reduced_to_the_lcm_form():
     family = RandomPartitionFamily("scaled", lambda mask: (12, (4, 2, 2, 2, 2)))
     assert family.integer_distribution(prefix(3)) == (6, (2, 1, 1, 1, 1))
-    assert family.distribution(prefix(3))[partitions.partition_from([[1, 2, 3]])] == Fraction(1, 3)
+    assert family.distribution(prefix(3))[blocks([1, 2, 3])] == Fraction(1, 3)
     with pytest.raises(ValueError, match="denominator 0"):
         RandomPartitionFamily("zero", lambda mask: (0, (0,))).integer_distribution(0)

@@ -12,6 +12,8 @@ from pathlib import Path
 
 from pfgames import cli
 
+from .corpus import refuse_fraction_tables
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -30,7 +32,7 @@ def test_python_quickstart_runs():
     exec(compile(block, "README.md", "exec"), {})
 
 
-def test_cli_block_runs(capsys, monkeypatch, tmp_path):
+def run_cli_block(capsys, monkeypatch, tmp_path):
     block = cli_block()
     script = re.search(r"<<'EOF'[^\n]*\n(.*?)^EOF$", block, flags=re.M | re.S).group(1)
     monkeypatch.chdir(tmp_path)
@@ -51,3 +53,13 @@ def test_cli_block_runs(capsys, monkeypatch, tmp_path):
         ran.append(argv[1])
     assert len(ran) >= 6
     assert "verify" in ran
+
+
+def test_cli_block_runs(capsys, monkeypatch, tmp_path):
+    run_cli_block(capsys, monkeypatch, tmp_path)
+
+
+def test_cli_block_builds_no_fraction_table(capsys, monkeypatch, tmp_path):
+    """The exact commands read each family's integer tables alone."""
+    refuse_fraction_tables(monkeypatch)
+    run_cli_block(capsys, monkeypatch, tmp_path)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pfgames import cli, partitions, tu_games, tux_games, verify
+from pfgames import cli, formats, partitions, tu_games, tux_games, verify
 from pfgames.errors import PositivityError
 from pfgames.random_partitions import PSTAR, ewens_family, perturbed_family
 from pfgames.restriction_ops import (
@@ -33,7 +33,7 @@ from .corpus import prefix, random_tux_game, tux_corpus
 
 
 def blocks(*ids_lists):
-    return partitions.partition_from(ids_lists)
+    return formats.partition_from_lists(ids_lists)
 
 
 with_block = partitions.with_block
@@ -106,7 +106,7 @@ def test_probability_operator_on_dirac_games(rp_eps, eps_interior):
                 if partitions.contains(T, i):
                     assert got == null_game(rest)
                     continue
-                shrunk = partitions.delete_players(tau, [i])
+                shrunk = partitions.canonical_partition(B & rest for B in tau if B & rest)
                 coeff = (
                     Fraction(4, 4 - T.bit_count())
                     * full
@@ -125,7 +125,7 @@ def test_restrict_many_telescopes_on_dirac_games(rp_pstar):
         S = partitions.mask_from(removed)
         s, t = S.bit_count(), T.bit_count()
         got = rp_pstar.restrict_many(delta, S)
-        shrunk = partitions.delete_players(tau, S)
+        shrunk = partitions.canonical_partition(B & ~S for B in tau if B & ~S)
         coeff = math.prod(Fraction(4 - k, 4 - t - k) for k in range(s))
         coeff *= PSTAR.prob(N4, with_block(tau, T)) / PSTAR.prob(
             N4 & ~S, with_block(shrunk, T)

@@ -161,6 +161,15 @@ def test_bad_arguments_rejected():
         sample_crp(prefix(2), seed=1, count=0)
 
 
+@pytest.mark.parametrize("player, named", [(-2, "player id -2 outside"),
+                                           (40, "player id 40 outside"),
+                                           (3, "player 3 is not in the game")])
+@pytest.mark.parametrize("target", ["shapley", "mpw"])
+def test_a_player_outside_the_game_is_named(target, player, named):
+    with pytest.raises(ValueError, match=named):
+        estimate_payoff(null_game(prefix(2)), player, target, n_samples=10, seed=1)
+
+
 def seat_reference(choice, ids):
     """The seating rule one arrival at a time: arrival t founds a table when
     choice[t] < 0, else joins the table of earlier arrival choice[t]."""

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pfgames import partitions, tu_games
+from pfgames import formats, partitions, tu_games
 from pfgames.random_partitions import PSTAR, ewens_family, perturbed_family
 from pfgames.tux_games import (
     TuxGame,
@@ -11,11 +11,9 @@ from pfgames.tux_games import (
     as_tux_game,
     average_game,
     dirac_basis,
-    dirac_coefficients,
     dirac_game,
     expected_accumulated_worth,
     externality_free_tu,
-    game_from_dirac_coefficients,
     is_null_player,
     lift_tu_game,
     mpw_value,
@@ -30,7 +28,7 @@ from .corpus import prefix, random_tu_game, random_tux_game, skewed_table_family
 
 
 def blocks(*ids_lists):
-    return partitions.partition_from(ids_lists)
+    return formats.partition_from_lists(ids_lists)
 
 
 N4 = prefix(4)
@@ -110,22 +108,23 @@ def test_grand_coalition_dirac():
 def test_dirac_decompose_round_trip():
     rng = random.Random(11)
     w = random_tux_game(N4, rng)
-    coeffs = dirac_coefficients(w)
-    assert game_from_dirac_coefficients(N4, coeffs) == w
+    coeffs = dict(w.cells())
+    assert TuxGame.from_function(N4, lambda S, pi: coeffs.get((S, pi), 0)) == w
     assert all(coeffs[cell] == w.worth(*cell) for cell in coeffs)
 
 
 def test_dirac_decompose_null_and_basis():
-    assert all(x == 0 for x in dirac_coefficients(null_game(N4)).values())
+    assert all(x == 0 for x in dict(null_game(N4).cells()).values())
     delta = dirac_game(N4, [2], blocks([1, 3], [4]))
-    coeffs = dirac_coefficients(delta)
+    coeffs = dict(delta.cells())
     assert sum(1 for x in coeffs.values() if x != 0) == 1
 
 
 def test_showcase_coefficients_match_case_analysis():
     w = productive_pair_game()
-    for (S, pi), coeff in dirac_coefficients(w).items():
-        assert coeff == showcase_worth(S, pi)
+    for (S, pi), coeff in dict(w.cells()).items():
+        if S:
+            assert coeff == showcase_worth(S, pi)
 
 
 def test_showcase_exerts_externalities():

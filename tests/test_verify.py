@@ -89,7 +89,7 @@ def test_ci_footnote_counterexample_values():
     """One pair plus singletons has probability zero at the boundary, yet the
     factorization demands (1/2) * (1/12)."""
     N4 = prefix(4)
-    pi = partitions.partition_from([[1, 2], [3], [4]])
+    pi = formats.partition_from_lists([[1, 2], [3], [4]])
     lhs, rhs = ci_instance(EPS_EIGHTH, N4, pi, partitions.mask_from([1, 2]))
     assert lhs == 0
     assert rhs == Fraction(1, 2) * Fraction(1, 12)
@@ -102,7 +102,7 @@ def test_pos_results():
     report = check_pos(EPS_EIGHTH, 4)
     assert not report.passed
     pi = formats.partition_from_lists(report.witness["partition"])
-    assert partitions.block_sizes(pi) == (1, 1, 2)
+    assert sorted(map(partitions.size, pi)) == [1, 1, 2]
     assert Fraction(report.witness["prob"]) == 0
     assert EPS_EIGHTH.prob(prefix(4), pi) == 0
 
@@ -284,7 +284,7 @@ def test_family_checks_at_the_eight_player_bound():
 
 def test_null_player_witness_validates_arguments():
     N = prefix(3)
-    pi = partitions.partition_from([[2], [3]])
+    pi = formats.partition_from_lists([[2], [3]])
     with pytest.raises(ValueError):
         null_player_witness(N, 9, pi, partitions.mask_from([2]))
     with pytest.raises(ValueError):
@@ -303,7 +303,7 @@ def test_null_player_witness_validates_arguments():
 )
 def test_placement_instances_validate_arguments(i, pi, block):
     N = prefix(3)
-    pi, block = partitions.partition_from(pi), partitions.mask_from(block)
+    pi, block = formats.partition_from_lists(pi), partitions.mask_from(block)
     with pytest.raises(ValueError):
         null_player_witness(N, i, pi, block)
     with pytest.raises(ValueError):
