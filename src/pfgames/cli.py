@@ -258,6 +258,19 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+class _Once(argparse.Action):
+    """Stores an option that may be given once: a second value is a usage
+    error (exit 2), not a silent replacement of the first."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given_once", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(
+                self, f"given twice ({getattr(namespace, self.dest)!r}, then {values!r})")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pfgames",
@@ -282,24 +295,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("potential", _cmd_potential, exact, help="potential of a game")
     p.add_argument("--game", required=True)
-    p.add_argument("--op", help="restriction operator for games with externalities")
+    p.add_argument("--op", action=_Once, help="restriction operator for games with externalities")
 
     p = add("mpw", _cmd_mpw, exact, help="MPW solution of a partition-function game")
     p.add_argument("--game", required=True)
 
     p = add("p-shapley", _cmd_p_shapley, exact, help="p-Shapley value for a family")
     p.add_argument("--game", required=True)
-    p.add_argument("--family", default="pstar")
+    p.add_argument("--family", action=_Once, default="pstar")
     p.add_argument("--player", type=int)
 
     p = add("restrict", _cmd_restrict, help="subgame after removing players")
     p.add_argument("--game", required=True)
-    p.add_argument("--op", required=True)
+    p.add_argument("--op", action=_Once, required=True)
     p.add_argument("--remove", required=True, help="comma-separated player ids")
 
     p = add("aux-game", _cmd_aux_game, help="auxiliary TU game of an operator")
     p.add_argument("--game", required=True)
-    p.add_argument("--op", required=True)
+    p.add_argument("--op", action=_Once, required=True)
 
     p = add("verify", _cmd_verify, help="run axiom checks, one JSON report per line")
     p.add_argument(
@@ -308,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["gen", "ci", "pos", "restriction", "null-player", "monotonicity"],
     )
-    p.add_argument("--family")
-    p.add_argument("--op")
-    p.add_argument("--solution")
+    p.add_argument("--family", action=_Once)
+    p.add_argument("--op", action=_Once)
+    p.add_argument("--solution", action=_Once)
     p.add_argument("--nmax", type=int, default=4)
 
     p = add("sample", _cmd_sample, help="Monte Carlo payoff estimate")

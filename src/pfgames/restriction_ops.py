@@ -7,10 +7,10 @@ the probability-ratio operator built from a potential-generating random
 partition, its closed form for the uniform CRP law, the nullifying operator,
 and a deliberately order-biased operator used to exercise the axiom checks.
 
-``restrict`` applies an operator's cell rule to a concrete game. Running the
-same rule on a game whose worths are unit linear forms gives the exact
-matrix of each removal (N, i), as integer rows over one denominator. The
-operator caches it, and the axiom check judges it, composing two with
+Running an operator's cell rule on a game whose worths are unit linear forms
+gives the exact matrix of each removal (N, i), as integer rows over one
+denominator. The operator caches it and ``restrict`` applies it; the axiom
+check judges it against the rule run on concrete worths, composing two with
 ``RemovalMatrix.after`` for PI. Chaining the removals down the lattice of
 removed sets gives the auxiliary game as one more matrix per player set, with
 a row per coalition; the operator caches that too, so the auxiliary game,
@@ -166,7 +166,7 @@ class RestrictionOperator:
     dependent operators (``biased``) both follow ``restrict_many``'s order.
 
     The rule reads the game only through ``worth``, ``players`` and ``n``;
-    the potential and value need it to be linear in the worths.
+    the subgames, potential and value need it to be linear in the worths.
     """
 
     def __init__(
@@ -189,13 +189,12 @@ class RestrictionOperator:
         return self._cell_rule(w, i, partitions.as_mask(S), pi)
 
     def restrict(self, w: TuxGame, i: int) -> TuxGame:
-        bit = partitions.singleton(i)
-        if not w.players & bit:
+        """The subgame without player ``i``: the cached ``removal_matrix`` applied
+        to the worths. A non-linear rule raises NonLinearRuleError (a ValueError)."""
+        if not w.players & partitions.singleton(i):
             raise ValueError(f"player {i} is not in the game")
-        rest = w.players & ~bit
-        rule = self._cell_rule
-        return TuxGame._from_values(
-            rest, [rule(w, i, S, pi) if S else 0 for S, pi in partitions.enumerate_embedded(rest)])
+        m = self.removal_matrix(w.players, i)
+        return TuxGame._from_numerators(w.players & ~(1 << i), m.den * w.den, m.apply(w.nums))
 
     def restrict_many(self, w: TuxGame, removed) -> TuxGame:
         """Remove several players, in ascending id order.

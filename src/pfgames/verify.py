@@ -18,9 +18,10 @@ built only for a witness, by the public helper that replays it
 ``monotonicity_instance``).
 
 The restriction check judges the integer removal matrices each operator
-caches and applies: rows against ``restrict`` (LIN) and by the cells they
-read (RES), and two composed in either order (PI). RES and the null-player
-witness games read the same table as ``tux_games.is_null_player``,
+caches and applies: rows against the rule run on concrete worths (LIN) and by
+the cells they read (RES), and two composed in either order (PI); PNG runs
+the rule on the null game. RES and the null-player witness games read the
+same table as ``tux_games.is_null_player``,
 ``partitions.placement_positions``: a row may read only its placement
 positions, and a witness game is 1 at the positions of one row.
 """
@@ -271,21 +272,20 @@ class _Violation(Exception):
 
 def _judge_removal(op, probe: TuxGame, i: int) -> RemovalMatrix:
     """The operator's exact matrix of removing ``i`` from the probe's players,
-    judged row by row: LIN against ``op.restrict(probe, i)``, then RES."""
+    judged row by row: LIN against the rule on the probe, then RES."""
     N = probe.players
     matrix = op.removal_matrix(N, i)
-    restricted = op.restrict(probe, i)
     den = matrix.den * probe.den
     cells = partitions.enumerate_embedded(N)
-    for (S, pi), (_, grown), (positions, _), num, restricted_num in zip(
+    for (S, pi), (_, grown), (positions, _), num in zip(
             partitions.enumerate_embedded(N & ~(1 << i)), partitions.placement_positions(N, i),
-            matrix.rows, matrix.apply(probe.nums), restricted.nums):
+            matrix.rows, matrix.apply(probe.nums)):
         if not S:
             continue
         where = dict(players=N, player=i, cell_coalition=S, cell_partition=pi)
-        if num * restricted.den != restricted_num * den:
-            raise _Violation(axiom="LIN", **where, lhs=Fraction(num, den),
-                             rhs=Fraction(restricted_num, restricted.den))
+        rhs = op.restricted_worth(probe, i, S, pi)
+        if num * rhs.denominator != rhs.numerator * den:
+            raise _Violation(axiom="LIN", **where, lhs=Fraction(num, den), rhs=Fraction(rhs))
         for k in positions:
             if k not in grown:
                 # the last placement leaves i alone
@@ -303,17 +303,17 @@ def check_restriction_axioms(op, n_max: int) -> Report:
     """Linearity, cell locality, null-game preservation and path independence.
 
     Judges ``op.removal_matrix``: the exact matrix of each removal, from the
-    cell rule run on unit linear forms, which is also what the operator's
-    auxiliary game, potential and value apply. LIN: the rule evaluates on
-    forms (no truth tests, comparisons, products of worths or constant
-    terms) and each row of its matrix matches ``op.restrict`` on the game
-    with worth 1/k at the k-th nonempty cell of ``enumerate_embedded(N)``.
-    RES: each row reads only the cells where the removed player joins an
-    outside block or stays alone. PNG: the null game restricts to the null
-    game. PI: the cached matrices of both removal orders, composed with
-    ``RemovalMatrix.after``, agree column by column, so the orders agree on
-    every game at once; the witness names a Dirac game (``coalition``,
-    ``outside``) and a cell where they differ.
+    cell rule run on unit linear forms, which is also what ``restrict`` and
+    the auxiliary game, potential and value apply. LIN: the rule evaluates
+    on forms (no truth tests, comparisons, products of worths or constant
+    terms) and each row of its matrix matches the rule (``restricted_worth``)
+    on the game with worth 1/k at the k-th nonempty cell of
+    ``enumerate_embedded(N)``. RES: each row reads only the cells where the
+    removed player joins an outside block or stays alone. PNG: the rule maps
+    the null game to the null game. PI: the cached matrices of both removal
+    orders, composed with ``RemovalMatrix.after``, agree column by column, so
+    the orders agree on every game at once; the witness names a Dirac game
+    (``coalition``, ``outside``) and a cell where they differ.
     """
     checked = 0
     try:
@@ -323,11 +323,12 @@ def check_restriction_axioms(op, n_max: int) -> Report:
             probe = TuxGame(N, {cell: Fraction(1, k)
                                 for k, cell in enumerate((c for c in cells if c[0]), 1)})
             matrices = {i: _judge_removal(op, probe, i) for i in ids}
+            null = tux_games.null_game(N)
             for i in ids:
                 checked += sum(1 for S, _ in partitions.enumerate_embedded(N & ~(1 << i)) if S) + 1
-                for (S, pi), x in op.restrict(tux_games.null_game(N), i).cells():
-                    if x:
-                        raise _Violation(axiom="PNG", players=N, player=i, lhs=x,
+                for S, pi in partitions.enumerate_embedded(N & ~(1 << i)):
+                    if S and (x := op.restricted_worth(null, i, S, pi)):
+                        raise _Violation(axiom="PNG", players=N, player=i, lhs=Fraction(x),
                                          rhs=ZERO, cell_coalition=S, cell_partition=pi)
             for i, j in itertools.combinations(ids, 2):
                 rest = N & ~(1 << i) & ~(1 << j)

@@ -55,6 +55,20 @@ def tux_corpus(count, n=4, seed=2718):
     return [random_tux_game(prefix(n), rng) for _ in range(count)]
 
 
+def rule_restrict(op, w, i):
+    """The subgame without ``i`` straight from the operator's cell rule, one
+    ``restricted_worth`` per cell: a route independent of its removal matrix."""
+    return tux_games.TuxGame.from_function(
+        w.players & ~(1 << i), lambda S, pi: op.restricted_worth(w, i, S, pi))
+
+
+def rule_restrict_many(op, w, removed):
+    """``rule_restrict`` once per removed player, in ascending id order."""
+    for i in partitions.members(partitions.as_mask(removed)):
+        w = rule_restrict(op, w, i)
+    return w
+
+
 def dirac_tu_basis(n):
     N = prefix(n)
     return [

@@ -473,6 +473,29 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "--check", "gen", "--family", "ewens:1/2", "--check", "ci", "--family", "pstar"],
+     "--family"),
+    (["verify", "--check", "restriction", "--op", "biased", "--op", "rstar"], "--op"),
+    (["verify", "--check", "null-player", "--solution", "mpw", "--solution", "mpw"],
+     "--solution"),
+    (["restrict", "--op", "biased", "--op", "rstar", "--remove", "2"], "--op"),
+    (["aux-game", "--op", "rstar", "--op", "nullify"], "--op"),
+    (["potential", "--op", "rstar", "--op", "nullify"], "--op"),
+    (["p-shapley", "--family", "pstar", "--family", "ewens:1/2"], "--family"),
+], ids=["verify-family", "verify-op", "verify-solution", "restrict-op", "aux-game-op",
+        "potential-op", "p-shapley-family"])
+def test_a_repeated_single_valued_option_exits_two_naming_it(capsys, showcase_path, argv, option):
+    if argv[0] != "verify":
+        argv = argv + ["--game", showcase_path]
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert f"argument {option}: given twice" in captured.err
+
+
 def test_verify_flag_requirements(capsys):
     code, _, err = run(capsys, "verify", "--check", "gen", "--nmax", "2")
     assert code == 2

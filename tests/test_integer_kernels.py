@@ -27,7 +27,7 @@ from pfgames.tu_games import TuGame
 from pfgames.tux_games import TuxGame
 from pfgames.verify import check_gen, null_player_witness
 
-from .corpus import prefix, skewed_table_family
+from .corpus import prefix, rule_restrict, skewed_table_family
 
 ZERO = Fraction(0)
 WIDE = (10**12 + 39, 10**12 + 61, 999_999_999_989)
@@ -203,14 +203,14 @@ def ref_null_player_witness(N, i, pi, B):
 
 
 def ref_auxiliary_game(op, w):
-    """The lattice walk on concrete subgames, one ``restrict`` per node."""
+    """The lattice walk on concrete subgames, the rule run once per node."""
     worth = {}
 
     def walk(game, last):
         worth[game.players] = game.worth(game.players, ())
         for h in partitions.members(game.players):
             if h > last:
-                walk(op.restrict(game, h), h)
+                walk(rule_restrict(op, game, h), h)
 
     walk(w, -1)
     return TuGame(w.players, worth)
@@ -552,12 +552,13 @@ def test_a_second_auxiliary_game_on_the_same_players_never_calls_the_rule():
     assert aux == ref_auxiliary_game(crp_restriction(), second)
 
 
-def test_auxiliary_game_of_a_non_linear_rule_names_the_operator():
+def test_every_route_of_a_non_linear_rule_names_the_operator():
     def clipped(w, i, S, pi):
         return max(w.worth(S, partitions.insert_player(pi, i, 0)), 0)
 
     op = RestrictionOperator("clipped-rule", clipped)
-    for solve in (op.auxiliary_game, op.potential, op.shapley_value):
+    for solve in (op.auxiliary_game, op.potential, op.shapley_value,
+                  lambda w: op.restrict(w, 3), lambda w: op.restrict_many(w, [1, 3])):
         with pytest.raises(ValueError, match="clipped-rule"):
             solve(TUX_GAMES[3])
 

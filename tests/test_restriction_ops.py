@@ -29,7 +29,7 @@ from pfgames.tux_games import (
 )
 from pfgames.verify import check_restriction_axioms, null_player_witness
 
-from .corpus import prefix, random_tux_game, tux_corpus
+from .corpus import prefix, random_tux_game, rule_restrict, rule_restrict_many, tux_corpus
 
 
 def blocks(*ids_lists):
@@ -334,7 +334,7 @@ def test_auxiliary_game_removes_players_in_ascending_order(rp_pstar):
                 expected = tu_games.TuGame(
                     N,
                     {
-                        S: op.restrict_many(w, N & ~S).worth(S, ())
+                        S: rule_restrict_many(op, w, N & ~S).worth(S, ())
                         for S in partitions.subsets(N)
                     },
                 )
@@ -355,7 +355,7 @@ def test_composed_removal_matrix_equals_two_restrictions_on_dirac_games(spec, n)
         for cell, delta in dirac_basis(N):
             expected = TuxGame._from_values(
                 rest, [Fraction(col.get(at[cell], 0), both.den) for col in columns])
-            assert op.restrict(op.restrict(delta, i), j) == expected, (i, j, cell)
+            assert rule_restrict(op, rule_restrict(op, delta, i), j) == expected, (i, j, cell)
 
 
 def test_biased_operator_breaks_path_independence():

@@ -116,12 +116,8 @@ def test_restriction_axioms_pass_for_builtins():
     assert check_restriction_axioms(nullifying_restriction(), 4).passed
 
 
-def test_biased_operator_fails_path_independence_with_replayable_witness():
-    report = check_restriction_axioms(removal_biased_restriction(), 3)
-    assert not report.passed
-    witness = report.witness
-    assert witness["axiom"] == "PI"
-    op = removal_biased_restriction()
+def replay_path_independence(op, witness):
+    """Both removal orders of a PI witness, through ``restrict``, on its Dirac game."""
     delta = tux_games.dirac_game(
         formats.coalition_from_list(witness["players"]),
         formats.coalition_from_list(witness["coalition"]),
@@ -132,8 +128,40 @@ def test_biased_operator_fails_path_independence_with_replayable_witness():
     cell_pi = formats.partition_from_lists(witness["cell_partition"])
     lhs = op.restrict(op.restrict(delta, i), j).worth(cell_S, cell_pi)
     rhs = op.restrict(op.restrict(delta, j), i).worth(cell_S, cell_pi)
+    return lhs, rhs
+
+
+def test_biased_operator_fails_path_independence_with_replayable_witness():
+    op = removal_biased_restriction()
+    report = check_restriction_axioms(op, 3)
+    assert not report.passed
+    witness = report.witness
+    assert witness["axiom"] == "PI"
+    lhs, rhs = replay_path_independence(op, witness)
     assert (lhs, rhs) == tuple(replay_fracs(witness, "lhs", "rhs"))
     assert lhs != rhs
+
+
+def lone_weighted_cell(w, i, S, pi):
+    # weight i + 1 on staying alone beside a nonempty outside partition, 1 on
+    # every other placement: the two removal orders agree at the first cell a
+    # composed row reads and differ at a later one
+    total = 0
+    for B, grown in partitions.placements(pi, i):
+        x = w.worth(S, grown)
+        total += (i + 1) * x if not B and pi else x
+    return total
+
+
+def test_path_dependence_past_the_first_cell_of_a_row_fails_path_independence():
+    op = RestrictionOperator("lone-weighted", lone_weighted_cell)
+    report = check_restriction_axioms(op, 3)
+    assert not report.passed
+    witness = report.witness
+    pinned = {"axiom": "PI", "players": [1, 2, 3], "coalition": [3],
+              "outside": [[1], [2]], "lhs": "2", "rhs": "3"}
+    assert {key: witness[key] for key in pinned} == pinned
+    assert replay_path_independence(op, witness) == tuple(replay_fracs(witness, "lhs", "rhs"))
 
 
 def test_null_player_axiom_mpw_passes():
@@ -161,6 +189,18 @@ def test_null_player_axiom_fails_for_egalitarian_split():
     report = check_null_player_axiom(egalitarian, 3, "egalitarian")
     assert not report.passed
     assert Fraction(report.witness["payoff"]) != 0
+
+
+def test_null_player_check_flags_negative_payoffs_like_positive_ones():
+    """A solution and its negation fail at the same witness, payoffs negated."""
+    solution = removal_biased_restriction().shapley_value
+    negated = lambda w: {i: -x for i, x in solution(w).items()}
+    report = check_null_player_axiom(solution, 3, "r-shapley[biased]")
+    mirror = check_null_player_axiom(negated, 3, "negated")
+    assert not report.passed and not mirror.passed
+    assert report.witness["payoff"] == "-1/3"
+    assert mirror.witness == dict(report.witness, payoff="1/3")
+    assert mirror.checked == report.checked
 
 
 def test_monotonicity_conditions():
@@ -354,8 +394,8 @@ def test_non_linear_rules_fail_linearity(cell):
 
 
 def test_rule_that_is_linear_only_symbolically_fails_linearity():
-    """The removal map is checked against ``restrict`` on the dense game with
-    worth 1/k at the k-th nonempty embedded coalition."""
+    """The removal map is checked against the rule, through ``restricted_worth``,
+    on the dense game with worth 1/k at the k-th nonempty embedded coalition."""
 
     def cell(w, i, S, pi):
         worth = w.worth(S, partitions.insert_player(pi, i, 0))
@@ -390,8 +430,8 @@ def test_rule_that_moves_only_the_null_game_fails_null_game_preservation():
     N = formats.coalition_from_list(witness["players"])
     S = formats.coalition_from_list(witness["cell_coalition"])
     pi = formats.partition_from_lists(witness["cell_partition"])
-    restricted = op.restrict(tux_games.null_game(N), witness["player"])
-    assert restricted.worth(S, pi) == Fraction(witness["lhs"]) != 0
+    lhs = op.restricted_worth(tux_games.null_game(N), witness["player"], S, pi)
+    assert lhs == Fraction(witness["lhs"]) != 0
 
 
 def test_builtin_operators_pass_at_six_players():
