@@ -179,33 +179,35 @@ def _cmd_aux_game(args) -> int:
     return 0
 
 
+# the checks of a family, by their --check name
+FAMILY_CHECKS = {
+    "gen": verify.check_gen,
+    "ci": verify.check_ci,
+    "pos": verify.check_pos,
+    "monotonicity": verify.check_monotonicity_conditions,
+}
+
+
 def _cmd_verify(args) -> int:
-    reports = []
+    reports, family = [], None
     for check in args.check:
-        if check in ("gen", "ci", "pos", "monotonicity"):
+        if check in FAMILY_CHECKS:
             if args.family is None:
                 raise ValueError(f"--check {check} needs --family")
-            family = parse_family(args.family)
-            fn = {
-                "gen": verify.check_gen,
-                "ci": verify.check_ci,
-                "pos": verify.check_pos,
-                "monotonicity": verify.check_monotonicity_conditions,
-            }[check]
-            reports.append(fn(family, args.nmax))
+            if family is None:
+                family = parse_family(args.family)
+            reports.append(FAMILY_CHECKS[check](family, args.nmax))
         elif check == "restriction":
             if args.op is None:
                 raise ValueError("--check restriction needs --op")
             reports.append(
                 verify.check_restriction_axioms(parse_operator(args.op), args.nmax)
             )
-        elif check == "null-player":
+        else:  # null-player, the last choice argparse allows
             if args.solution is None:
                 raise ValueError("--check null-player needs --solution")
             solution, label = parse_solution(args.solution)
             reports.append(verify.check_null_player_axiom(solution, args.nmax, label))
-        else:
-            raise ValueError(f"unknown check {check!r}")
     for report in reports:
         print(json.dumps(report.to_json(), sort_keys=True))
     return 0 if all(report.passed for report in reports) else 1
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="append",
         required=True,
-        choices=["gen", "ci", "pos", "restriction", "null-player", "monotonicity"],
+        choices=[*FAMILY_CHECKS, "restriction", "null-player"],
     )
     p.add_argument("--family", action=_Once)
     p.add_argument("--op", action=_Once)

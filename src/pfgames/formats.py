@@ -106,16 +106,19 @@ def tu_game_to_json(v: TuGame) -> dict:
 def tu_game_from_json(data) -> TuGame:
     _refuse_unknown_keys(data, GAME_KEYS, "game")
     players = coalition_from_list(data.get("players", []))
-    worth = {}
+    worth, keys = {}, {}
     for key, raw in data.get("worth", {}).items():
         try:
             ids = json.loads(key)
         except ValueError as exc:
             raise ValueError(f"worth key {key!r} is not a JSON list of ids") from exc
         try:
-            worth[coalition_from_list(ids)] = parse_rational(raw)
+            S = coalition_from_list(ids)
+            worth[S] = parse_rational(raw)
         except ValueError as exc:
             raise ValueError(f"worth key {key!r}: {exc}") from exc
+        if keys.setdefault(S, key) != key:
+            raise ValueError(f"worth keys {keys[S]!r} and {key!r} name the same coalition")
     return TuGame(players, worth)
 
 
@@ -138,7 +141,7 @@ def tux_game_to_json(w: TuxGame) -> dict:
 def tux_game_from_json(data) -> TuxGame:
     _refuse_unknown_keys(data, GAME_KEYS, "game")
     players = coalition_from_list(data.get("players", []))
-    worth = {}
+    worth, seen = {}, {}
     for pos, entry in enumerate(data.get("worth", [])):
         try:
             key = (
@@ -148,6 +151,10 @@ def tux_game_from_json(data) -> TuxGame:
             worth[key] = parse_rational(entry["w"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"worth entry #{pos}: {exc}") from exc
+        if seen.setdefault(key, pos) != pos:
+            raise ValueError(f"worth entries #{seen[key]} and #{pos} name the same embedded "
+                             f"coalition ({coalition_to_list(key[0])}, "
+                             f"{partition_to_lists(key[1])})")
     # empty-coalition cells are implied; the constructor checks full coverage
     worth = {key: x for key, x in worth.items() if key[0] != 0 or x != 0}
     return TuxGame(players, worth)
@@ -173,16 +180,26 @@ def game_from_json(data):
     raise ValueError("'worth' must be an object (TU) or an array (partition function)")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict, refusing a key given twice."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"key {key!r} is given twice in one object")
+        data[key] = value
+    return data
+
+
 def _load_json(path, parse):
     """``parse`` applied to a JSON file; every error names the file."""
     with open(path) as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
-        except ValueError as exc:  # an integer literal past Python's digit limit
+        except ValueError as exc:  # a repeated key, or an integer past the digit limit
             raise ValueError(f"{path}: {exc}") from None
     try:
         return parse(data)
@@ -205,7 +222,7 @@ def family_table_from_json(data, label="table") -> RandomPartitionFamily:
     meaning players 1..n); a table naming both must name the same set.
     Distribution invariants are enforced here, once.
     """
-    tables = {}
+    tables, named = {}, {}
     items = data if isinstance(data, list) else [data]
     for pos, table in enumerate(items):
         if not isinstance(table, dict):
@@ -225,13 +242,19 @@ def family_table_from_json(data, label="table") -> RandomPartitionFamily:
             raise ValueError(f"table #{pos}: needs a 'players' list or an integer 'n'")
         if not isinstance(table.get("entries", []), list):
             raise ValueError(f"table #{pos}: 'entries' must be an array")
-        dist = {}
+        if named.setdefault(players, pos) != pos:
+            raise ValueError(f"tables #{named[players]} and #{pos} name the same player set "
+                             f"{coalition_to_list(players)}")
+        dist, seen = {}, {}
         for entry_pos, entry in enumerate(table.get("entries", [])):
             try:
                 pi = partition_from_lists(entry["partition"])
                 dist[pi] = parse_rational(entry["prob"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"table #{pos}, entry #{entry_pos}: {exc}") from exc
+            if seen.setdefault(pi, entry_pos) != entry_pos:
+                raise ValueError(f"table #{pos}: entries #{seen[pi]} and #{entry_pos} name "
+                                 f"the same partition {partition_to_lists(pi)}")
         tables[players] = dist
     return random_partitions.family_from_distributions(label, tables)
 

@@ -7,8 +7,9 @@ the probability-ratio operator built from a potential-generating random
 partition, its closed form for the uniform CRP law, the nullifying operator,
 and a deliberately order-biased operator used to exercise the axiom checks.
 
-Running an operator's cell rule on a game whose worths are unit linear forms
-gives the exact matrix of each removal (N, i), as integer rows over one
+The cell rule runs in one place, ``restricted_worth``, and never on the empty
+coalition, which is worth 0. Run on a game whose worths are unit linear forms,
+it gives the exact matrix of each removal (N, i), as integer rows over one
 denominator. The operator caches it and ``restrict`` applies it; the axiom
 check judges it against the rule run on concrete worths, composing two with
 ``RemovalMatrix.after`` for PI. Chaining the removals down the lattice of
@@ -19,8 +20,6 @@ hence its potential and value, is one pass over the worth table.
 
 from __future__ import annotations
 
-import itertools
-import math
 import operator
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -160,6 +159,16 @@ class RemovalMatrix(NamedTuple):
         return RemovalMatrix(self.den * inner.den, tuple(rows))
 
 
+def _on_one_denominator(rows) -> RemovalMatrix:
+    """Rows {position: exact coefficient} as a RemovalMatrix, in order: zeros
+    dropped, the rest integers over the lcm of their denominators."""
+    rows = [{k: x for k, x in row.items() if x} for row in rows]
+    den, flat = over_common_denominator(x for row in rows for x in row.values())
+    coefficients = iter(flat)
+    return RemovalMatrix(den, tuple(
+        (tuple(row), tuple(map(next, [coefficients] * len(row)))) for row in rows))
+
+
 class RestrictionOperator:
     """A rule producing subgames, plus the potential and value it induces:
     the TU potential and the Shapley value of its auxiliary game. For path
@@ -185,8 +194,10 @@ class RestrictionOperator:
         return f"RestrictionOperator({self.label!r})"
 
     def restricted_worth(self, w: TuxGame, i: int, S, pi: Partition) -> Fraction:
-        """Worth of one embedded coalition of the subgame without player ``i``."""
-        return self._cell_rule(w, i, partitions.as_mask(S), pi)
+        """Worth of one embedded coalition of the subgame without player ``i``,
+        the only call of the cell rule; the empty coalition is 0 without it."""
+        S = partitions.as_mask(S)
+        return self._cell_rule(w, i, S, pi) if S else ZERO
 
     def restrict(self, w: TuxGame, i: int) -> TuxGame:
         """The subgame without player ``i``: the cached ``removal_matrix`` applied
@@ -211,7 +222,7 @@ class RestrictionOperator:
 
     def removal_matrix(self, players: Coalition, i: int) -> RemovalMatrix:
         """The exact matrix of removing ``i`` from ``players``: the cell rule
-        run once on unit linear forms, then cached.
+        run once per cell on unit linear forms, then cached.
 
         Raises NonLinearRuleError when the rule fails on linear forms.
         """
@@ -223,14 +234,10 @@ class RestrictionOperator:
             game, rows = _SymbolicGame(players), []
             for S, pi in partitions.enumerate_embedded(players & ~(1 << i)):
                 try:
-                    form = _LinearForm({}) + (self._cell_rule(game, i, S, pi) if S else 0)
+                    rows.append((_LinearForm({}) + self.restricted_worth(game, i, S, pi)).coef)
                 except TypeError as exc:
                     raise NonLinearRuleError(self.label, players, i, (S, pi), str(exc)) from None
-                rows.append({k: x for k, x in form.coef.items() if x})
-            den, flat = over_common_denominator(x for row in rows for x in row.values())
-            coefficients = iter(flat)
-            matrix = self._matrices[key] = RemovalMatrix(den, tuple(
-                (tuple(row), tuple(itertools.islice(coefficients, len(row)))) for row in rows))
+            matrix = self._matrices[key] = _on_one_denominator(rows)
         return matrix
 
     def auxiliary_map(self, players: Coalition) -> RemovalMatrix:
@@ -249,18 +256,12 @@ class RestrictionOperator:
         if aux is None:
             rows = {}
             for S, chain in self._removal_chains(players, -1, ()):
-                # the grand-coalition cell comes last in enumerate_embedded
-                row, den = {partitions.embedded_count(S.bit_count()) - 1: 1} if S else {}, 1
+                row, den = {cell_index(S, S, ()): 1} if S else {}, 1
                 for matrix in reversed(chain):
                     row, den = _pull_back(row, matrix.rows), den * matrix.den
-                row = {q: x for q, x in row.items() if x}
-                g = math.gcd(den, *row.values())
-                rows[S] = (den // g, tuple(row), tuple(x // g for x in row.values()))
-            den = math.lcm(*(d for d, _, _ in rows.values()))
-            aux = self._auxiliary_maps[players] = RemovalMatrix(den, tuple(
-                (positions, tuple(x * (den // d) for x in coefficients))
-                for d, positions, coefficients in map(rows.__getitem__,
-                                                      partitions.subsets(players))))
+                rows[S] = {q: Fraction(x, den) for q, x in row.items()}
+            aux = self._auxiliary_maps[players] = _on_one_denominator(
+                map(rows.__getitem__, partitions.subsets(players)))
         return aux
 
     def _removal_chains(self, players: Coalition, last: int, chain: tuple):
@@ -337,8 +338,6 @@ def probability_restriction(family: RandomPartitionFamily) -> RestrictionOperato
         )
 
     def cell(w: TuxGame, i: int, S: Coalition, pi: Partition) -> Fraction:
-        if S == 0:
-            return ZERO
         rest = w.players & ~(1 << i)
         base = partitions.with_block(pi, S)
         rest_den, rest_nums = family.integer_distribution(rest)

@@ -18,12 +18,13 @@ built only for a witness, by the public helper that replays it
 ``monotonicity_instance``).
 
 The restriction check judges the integer removal matrices each operator
-caches and applies: rows against the rule run on concrete worths (LIN) and by
-the cells they read (RES), and two composed in either order (PI); PNG runs
-the rule on the null game. RES and the null-player witness games read the
-same table as ``tux_games.is_null_player``,
+caches and applies: rows against the rule run by ``restricted_worth`` on
+concrete worths (LIN) and by the cells they read (RES), and two composed in
+either order (PI); PNG runs the rule there on the null game. RES and the
+null-player witness games read the table of ``tux_games.is_null_player``,
 ``partitions.placement_positions``: a row may read only its placement
-positions, and a witness game is 1 at the positions of one row.
+positions, and a witness game is 1 at the positions of one row. The empty
+coalition's rows are empty, and the rule gives it 0, so every check passes it.
 """
 
 from __future__ import annotations
@@ -280,8 +281,6 @@ def _judge_removal(op, probe: TuxGame, i: int) -> RemovalMatrix:
     for (S, pi), (_, grown), (positions, _), num in zip(
             partitions.enumerate_embedded(N & ~(1 << i)), partitions.placement_positions(N, i),
             matrix.rows, matrix.apply(probe.nums)):
-        if not S:
-            continue
         where = dict(players=N, player=i, cell_coalition=S, cell_partition=pi)
         rhs = op.restricted_worth(probe, i, S, pi)
         if num * rhs.denominator != rhs.numerator * den:
@@ -315,7 +314,7 @@ def check_restriction_axioms(op, n_max: int) -> Report:
     the orders agree on every game at once; the witness names a Dirac game
     (``coalition``, ``outside``) and a cell where they differ.
     """
-    checked = 0
+    checked, witness = 0, None
     try:
         for N in _player_sets(n_max, op.explicit_player_sets):
             ids = partitions.members(N)
@@ -327,7 +326,7 @@ def check_restriction_axioms(op, n_max: int) -> Report:
             for i in ids:
                 checked += sum(1 for S, _ in partitions.enumerate_embedded(N & ~(1 << i)) if S) + 1
                 for S, pi in partitions.enumerate_embedded(N & ~(1 << i)):
-                    if S and (x := op.restricted_worth(null, i, S, pi)):
+                    if x := op.restricted_worth(null, i, S, pi):
                         raise _Violation(axiom="PNG", players=N, player=i, lhs=Fraction(x),
                                          rhs=ZERO, cell_coalition=S, cell_partition=pi)
             for i, j in itertools.combinations(ids, 2):
@@ -352,9 +351,7 @@ def check_restriction_axioms(op, n_max: int) -> Report:
                            cell_partition=exc.cell[1], error=exc.error)
     except _Violation as violation:
         (witness,) = violation.args
-    else:
-        return Report(f"restriction-axioms[{op.label}]", True, checked)
-    return Report(f"restriction-axioms[{op.label}]", False, checked, witness)
+    return Report(f"restriction-axioms[{op.label}]", witness is None, checked, witness)
 
 
 # --- null player ------------------------------------------------------------

@@ -274,6 +274,30 @@ def test_table_family_spec_validates_each_table_once(tmp_path, monkeypatch):
     assert validated[2:] == [prefix(3)]
 
 
+def test_verify_reads_a_family_table_once_for_all_its_checks(capsys, tmp_path, monkeypatch):
+    loads = []
+    load = formats.load_family_table
+    monkeypatch.setattr(formats, "load_family_table", lambda path: loads.append(path) or load(path))
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"n": 2, "entries": [{"partition": [[1, 2]], "prob": "1/2"},
+                                                    {"partition": [[1], [2]], "prob": "1/2"}]}))
+    code, out, _ = run(capsys, "verify", "--check", "gen", "--check", "ci", "--check", "gen",
+                       "--family", f"table:{path}", "--nmax", "2")
+    assert code == 0
+    assert [json.loads(line)["subject"].split("[")[0] for line in out.splitlines()] == [
+        "gen", "ci", "gen"]
+    assert loads == [str(path)]
+
+
+def test_float_prints_decimals(capsys, showcase_path, dirac_path):
+    code, out, _ = run(capsys, "mpw", "--game", showcase_path, "--float")
+    assert code == 0
+    assert json.loads(out)["payoffs"] == {"1": 0.0, "2": 5 / 12, "3": 5 / 12, "4": 1 / 6}
+    code, out, _ = run(capsys, "potential", "--game", dirac_path, "--float")
+    assert code == 0
+    assert json.loads(out) == {"potential": 0.5}
+
+
 def test_table_format(capsys, showcase_path, dirac_path):
     code, out, _ = run(capsys, "mpw", "--game", showcase_path, "--format", "table")
     assert code == 0
@@ -314,6 +338,9 @@ def test_usage_errors_exit_two(capsys, tmp_path, showcase_path):
         (["p-shapley", "--game", "{game}", "--family", "eps:3=1/2"], "'eps:3=1/2'"),
         (["enumerate", "--players", "1,a"], "--players '1,a'"),
         (["restrict", "--game", "{game}", "--op", "rstar", "--remove", "1,a"], "--remove '1,a'"),
+        (["aux-game", "--game", "{game}", "--op", "lonely"], "operator spec 'lonely'"),
+        (["verify", "--check", "null-player", "--solution", "banzhaf"],
+         "solution spec 'banzhaf'"),
     ],
 )
 def test_spec_errors_exit_two_naming_the_spec_or_option(capsys, showcase_path, argv, named):

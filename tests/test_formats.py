@@ -289,3 +289,47 @@ def test_deeply_nested_json_is_a_value_error_naming_the_file(tmp_path, load):
 def test_payoff_encoding():
     payoff = {2: Fraction(1, 3), 1: Fraction(0)}
     assert formats.payoff_to_json(payoff) == {"1": "0", "2": "1/3"}
+
+
+PAIR_CELLS = [{"S": [1], "pi": [[2]], "w": "0"}, {"S": [2], "pi": [[1]], "w": "0"}]
+HALVES = [{"partition": [[1], [2]], "prob": "1/2"}, {"partition": [[1, 2]], "prob": "1/2"}]
+
+
+@pytest.mark.parametrize("name, text, command, named", [
+    ("pf.json",
+     json.dumps({"players": [1, 2], "worth": [{"S": [1, 2], "pi": [], "w": "3"},
+                                              {"S": [1, 2], "pi": [], "w": "7"}, *PAIR_CELLS]}),
+     ["mpw"], ["worth entries #0 and #1", "([1, 2], [])"]),
+    ("tu.json", json.dumps({"players": [1, 2], "worth": {"[1,2]": "1", "[2,1]": "5"}}),
+     ["shapley"], ["worth keys '[1,2]' and '[2,1]'"]),
+    ("verbatim.json", '{"players": [1, 2], "worth": {"[1,2]": "3", "[1,2]": "7"}}',
+     ["shapley"], ["key '[1,2]' is given twice"]),
+    ("family.json",
+     json.dumps({"n": 2, "entries": [{"partition": [[1], [2]], "prob": "1/2"},
+                                     {"partition": [[2], [1]], "prob": "1/2"},
+                                     {"partition": [[1, 2]], "prob": "1/2"}]}),
+     ["verify", "--check", "pos"], ["table #0: entries #0 and #1", "[[1], [2]]"]),
+    ("tables.json",
+     json.dumps([{"n": 2, "entries": [{"partition": [[1, 2]], "prob": "1"}]},
+                 {"players": [1, 2], "entries": HALVES}]),
+     ["verify", "--check", "pos"], ["tables #0 and #1", "player set [1, 2]"]),
+    ("keys.json", '{"n": 2, "entries": [], "entries": ' + json.dumps(HALVES) + "}",
+     ["verify", "--check", "pos"], ["key 'entries' is given twice"]),
+], ids=["pf-entry", "tu-key-order", "tu-key-verbatim", "table-entry", "table", "table-key"])
+def test_a_repeated_entry_exits_two_naming_the_file_and_both_entries(
+        capsys, tmp_path, name, text, command, named):
+    """A later entry for the same cell, coalition, partition or player set
+    must not silently replace the earlier one."""
+    path = tmp_path / name
+    path.write_text(text)
+    if command[0] == "verify":
+        argv = command + ["--family", f"table:{path}", "--nmax", "2"]
+    else:
+        argv = command + ["--game", str(path)]
+    err = _cli_refusal(capsys, argv)
+    assert name in err and all(part in err for part in named), err
+
+
+def test_family_table_whose_entries_is_not_an_array_is_refused():
+    with pytest.raises(ValueError, match="table #0: 'entries' must be an array"):
+        formats.family_table_from_json({"n": 2, "entries": {"partition": [[1, 2]]}})

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from pfgames import formats, partitions, tux_games
-from pfgames.random_partitions import PSTAR, ewens_family, perturbed_family
+from pfgames.random_partitions import (
+    PSTAR,
+    RandomPartitionFamily,
+    ewens_family,
+    perturbed_family,
+)
 from pfgames.restriction_ops import (
     RestrictionOperator,
     crp_restriction,
@@ -26,7 +31,7 @@ from pfgames.verify import (
     null_player_witness,
 )
 
-from .corpus import prefix, random_tux_game
+from .corpus import prefix, random_tux_game, rule_restrict
 
 EWENS_HALF = ewens_family(Fraction(1, 2))
 EWENS_TWO = ewens_family(2)
@@ -437,3 +442,89 @@ def test_rule_that_moves_only_the_null_game_fails_null_game_preservation():
 def test_builtin_operators_pass_at_six_players():
     assert check_restriction_axioms(crp_restriction(), 6).passed
     assert check_restriction_axioms(probability_restriction(PSTAR), 6).passed
+
+
+def first_and_alone(w, i, S, pi):
+    """The worths where ``i`` joins the first outside block (or stays alone
+    when there is none) and where it stays alone."""
+    grown = [g for _, g in partitions.placements(pi, i)]
+    return w.worth(S, grown[0]), w.worth(S, grown[-1])
+
+
+def truthy_cell(w, i, S, pi):
+    first, alone = first_and_alone(w, i, S, pi)
+    return alone if alone else first
+
+
+def equal_cell(w, i, S, pi):
+    first, alone = first_and_alone(w, i, S, pi)
+    return first if alone == 0 else alone
+
+
+@pytest.mark.parametrize("cell, error", [
+    (truthy_cell, "the truth value of a worth depends on the game"),
+    (equal_cell, "comparing worths is not linear"),
+], ids=["truth-test", "equality"])
+def test_rules_that_branch_on_a_worth_fail_linearity_at_once(cell, error):
+    """Both rules agree with a linear rule on the dense probe, whose worths are
+    all nonzero, so only the linear forms' refusals can catch them."""
+    report = check_restriction_axioms(RestrictionOperator("branching", cell), 4)
+    assert (report.passed, report.checked) == (False, 1)
+    assert report.witness == {
+        "check": "restriction-axioms", "axiom": "LIN", "players": [1, 2], "player": 1,
+        "cell_coalition": [2], "cell_partition": [], "error": error}
+
+
+def signed_crp_cell(w, i, S, pi):
+    """The ``rstar`` rule spelled with ``0 - worth``, binary and unary minus
+    and division by an integer, arranged so that no wrong sign in one of them
+    cancels a wrong sign in another."""
+    total = 0
+    for B, grown in partitions.placements(pi, i):
+        total = total - (0 - w.worth(S, grown)) * (B.bit_count() or 1)
+    return -total / -(w.n - S.bit_count())
+
+
+def test_a_linear_rule_written_with_subtraction_and_division_passes():
+    op = RestrictionOperator("signed", signed_crp_cell)
+    assert check_restriction_axioms(op, 4).passed
+    w = random_tux_game(prefix(4), random.Random(31))
+    for i in partitions.members(w.players):
+        assert op.restrict(w, i) == rule_restrict(op, w, i) == crp_restriction().restrict(w, i)
+
+
+def test_gen_notes_routes_that_disagree_while_block_probability_holds():
+    """pstar except on {2, 3}, where the two singletons have probability 1:
+    every block probability on the prefixes holds, the reduction to {2, 3}
+    does not."""
+    two_three = formats.coalition_from_list([2, 3])
+    singletons = partitions.partition_position(formats.partition_from_lists([[2], [3]]))
+
+    def rule(mask):
+        if mask != two_three:
+            return PSTAR.integer_distribution(mask)
+        return 1, tuple(int(k == singletons) for k in range(2))
+
+    report = check_gen(RandomPartitionFamily("split-pair", rule), 3)
+    assert not report.passed and report.checked == 33
+    assert report.witness == {
+        "check": "gen", "route": "one-player-reduction", "players": [1, 2, 3], "player": 1,
+        "coalition": [2, 3], "lhs": "0", "rhs": "1/2",
+        "note": "routes disagree with block-probability"}
+
+
+def test_null_player_check_flags_the_showcase_game_either_sign():
+    """A solution that pays player 1 only on the showcase game, where player
+    1 is null, passes the witness family and fails the showcase check."""
+    showcase = tux_games.productive_pair_game()
+
+    def showcase_only(w):
+        return {i: int(i == 1 and w == showcase) for i in partitions.members(w.players)}
+
+    negated = lambda w: {i: -x for i, x in showcase_only(w).items()}
+    report = check_null_player_axiom(showcase_only, 4, "showcase-only")
+    mirror = check_null_player_axiom(negated, 4, "negated")
+    pinned = {"check": "null-player", "kind": "showcase-game", "players": [1, 2, 3, 4],
+              "player": 1}
+    assert (report.passed, report.checked, report.witness) == (False, 52, dict(pinned, payoff="1"))
+    assert (mirror.passed, mirror.checked, mirror.witness) == (False, 52, dict(pinned, payoff="-1"))
