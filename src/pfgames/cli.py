@@ -19,15 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import (
-    formats,
-    partitions,
-    random_partitions,
-    restriction_ops,
-    tu_games,
-    tux_games,
-    verify,
-)
+from . import formats, partitions, random_partitions, tu_games, tux_games
 
 ENV_UNIVERSE_BOUND = "PFGAMES_UNIVERSE_BOUND"
 # 10^6 mpw samples at 8 players take about 1 s through the CLI, 0.25 s of it
@@ -60,6 +52,8 @@ def parse_family(spec: str) -> random_partitions.RandomPartitionFamily:
 
 
 def parse_operator(spec: str) -> restriction_ops.RestrictionOperator:
+    from . import restriction_ops  # only the commands that take an operator load it
+
     if spec == "rstar":
         return restriction_ops.crp_restriction()
     if spec == "nullify":
@@ -179,16 +173,18 @@ def _cmd_aux_game(args) -> int:
     return 0
 
 
-# the checks of a family, by their --check name
+# the verify functions that check a family, by their --check name
 FAMILY_CHECKS = {
-    "gen": verify.check_gen,
-    "ci": verify.check_ci,
-    "pos": verify.check_pos,
-    "monotonicity": verify.check_monotonicity_conditions,
+    "gen": "check_gen",
+    "ci": "check_ci",
+    "pos": "check_pos",
+    "monotonicity": "check_monotonicity_conditions",
 }
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # the one command that runs axiom checks
+
     reports, family = [], None
     for check in args.check:
         if check in FAMILY_CHECKS:
@@ -196,7 +192,7 @@ def _cmd_verify(args) -> int:
                 raise ValueError(f"--check {check} needs --family")
             if family is None:
                 family = parse_family(args.family)
-            reports.append(FAMILY_CHECKS[check](family, args.nmax))
+            reports.append(getattr(verify, FAMILY_CHECKS[check])(family, args.nmax))
         elif check == "restriction":
             if args.op is None:
                 raise ValueError("--check restriction needs --op")

@@ -24,7 +24,6 @@ masses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -211,20 +210,19 @@ def ewens_family(theta) -> RandomPartitionFamily:
     return RandomPartitionFamily(f"ewens:{theta}", rule)
 
 
-@dataclass(frozen=True)
 class EpsilonProfile:
     """Deviation sizes for the perturbed potential-generating family.
 
     Maps a player-set cardinality k, 4 <= k <= MAX_PLAYER_ID + 1, to a
     rational eps_k constrained to [-1/k!, C(k,2)/(2 k!)]; outside that range
-    some partition would get a negative probability.
+    some partition would get a negative probability. Immutable once built.
     """
 
-    values: Mapping[int, Fraction]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
+    def __init__(self, values: Mapping[int, Fraction]):
         cleaned = {}
-        for k, eps in dict(self.values).items():
+        for k, eps in dict(values).items():
             if not 4 <= k <= partitions.MAX_PLAYER_ID + 1:  # before computing k!
                 raise ValueError(f"perturbations are only defined for 4 to "
                                  f"{partitions.MAX_PLAYER_ID + 1} players, not {k}")
@@ -237,6 +235,18 @@ class EpsilonProfile:
                 )
             cleaned[k] = eps
         object.__setattr__(self, "values", cleaned)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return type(other) is EpsilonProfile and self.values == other.values
+
+    def __repr__(self):
+        return f"EpsilonProfile(values={self.values!r})"
 
     def at(self, k: int) -> Fraction:
         return self.values.get(k, ZERO)

@@ -367,8 +367,8 @@ def estimate_payoff(game, i: int, target: str, n_samples: int, seed: int) -> Sam
     this is an unbiased marginal of the average game; a null player's every
     draw is 0.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    if n_samples < 2:  # one draw has no sample variance, so no standard error
+        raise ValueError(f"n_samples must be at least 2, not {n_samples}")
     _seed_sequence(seed)  # refuse a bad seed before any work
     if target == "shapley":
         game = tux_games.as_tu_game(game)
@@ -393,5 +393,5 @@ def estimate_payoff(game, i: int, target: str, n_samples: int, seed: int) -> Sam
         for k, start in enumerate(range(0, n_samples, _SHARD))
     )
     count, mean, m2 = _pool(_moments(draw(_generator(child), m)) for child, m in shards)
-    std_error = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
+    std_error = math.sqrt(m2 / (count - 1) / count)
     return SampleEstimate(mean, std_error, count, seed)

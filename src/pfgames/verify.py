@@ -38,7 +38,6 @@ from typing import Callable, Mapping
 from . import formats, partitions, tu_games, tux_games
 from .partitions import Coalition, Partition
 from .random_partitions import ZERO, RandomPartitionFamily
-from .restriction_ops import NonLinearRuleError, RemovalMatrix
 from .tux_games import TuxGame
 
 
@@ -271,7 +270,7 @@ class _Violation(Exception):
         super().__init__(_witness("restriction-axioms", **fields))
 
 
-def _judge_removal(op, probe: TuxGame, i: int) -> RemovalMatrix:
+def _judge_removal(op, probe: TuxGame, i: int) -> restriction_ops.RemovalMatrix:
     """The operator's exact matrix of removing ``i`` from the probe's players,
     judged row by row: LIN against the rule on the probe, then RES."""
     N = probe.players
@@ -314,6 +313,8 @@ def check_restriction_axioms(op, n_max: int) -> Report:
     the orders agree on every game at once; the witness names a Dirac game
     (``coalition``, ``outside``) and a cell where they differ.
     """
+    from . import restriction_ops  # the family checks never load it
+
     checked, witness = 0, None
     try:
         for N in _player_sets(n_max, op.explicit_player_sets):
@@ -345,7 +346,7 @@ def check_restriction_axioms(op, n_max: int) -> Report:
                                 outside=cells[k][1], first_removed=i, second_removed=j,
                                 cell_coalition=S, cell_partition=pi,
                                 lhs=Fraction(lhs, first.den), rhs=Fraction(rhs, second.den))
-    except NonLinearRuleError as exc:
+    except restriction_ops.NonLinearRuleError as exc:
         witness = _witness("restriction-axioms", axiom="LIN", players=exc.players,
                            player=exc.player, cell_coalition=exc.cell[0],
                            cell_partition=exc.cell[1], error=exc.error)

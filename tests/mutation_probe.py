@@ -32,6 +32,7 @@ VERIFY = "src/pfgames/verify.py"
 OPS = "src/pfgames/restriction_ops.py"
 CLI = "src/pfgames/cli.py"
 FORMATS = "src/pfgames/formats.py"
+TUX = "src/pfgames/tux_games.py"
 
 
 class Mutant(NamedTuple):
@@ -99,6 +100,27 @@ MUTANTS = [
            "            raise ValueError(f\"table #{pos}: 'entries' must be an array\")\n",
            "",
            "test_family_table_whose_entries_is_not_an_array_is_refused"),
+    Mutant("null-player-sign", TUX,
+           "            if nums[k] != x:",
+           "            if nums[k] > x:",
+           "test_null_player_kernel_equals_its_fraction_reference"),
+    Mutant("block-mass-first-cell", TUX,
+           "if any(run) else 0",
+           "if run[0] else 0",
+           "test_partition_function_kernels_equal_their_fraction_references[pstar]"),
+    Mutant("average-game-first-cell", TUX,
+           "sums.append(sum(map(operator.mul, pnums, w.nums[at:end])))",
+           "sums.append(sum(map(operator.mul, pnums[1:], w.nums[at + 1:end])))",
+           "test_mpw_equals_its_fraction_reference"),
+    Mutant("eager-verify", CLI,
+           "from . import formats, partitions, random_partitions, tu_games, tux_games\n",
+           "from . import formats, partitions, random_partitions, tu_games, tux_games, verify\n",
+           "test_command_loads_only_the_modules_it_runs[enumerate --players 1,2,3 --embedded]"),
+    Mutant("block-mass-skip", TUX,
+           "if any(run) else 0",
+           "",
+           "an all-zero run adds 0 to its block mass, so skipping it only saves time",
+           equivalent=True),
     Mutant("after-zeros", OPS,
            "inner.rows).items() if x}",
            "inner.rows).items()}",

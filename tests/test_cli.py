@@ -213,6 +213,16 @@ def test_sample_refuses_more_samples_than_the_budget(capsys, dirac_path):
     assert "--samples 10000001 exceeds the budget of 10000000 samples" in err
 
 
+@pytest.mark.parametrize("samples", ["1", "0"])
+def test_sample_refuses_fewer_than_two_samples(capsys, dirac_path, samples):
+    """One draw has no sample variance: its standard error would read 0."""
+    code, out, err = run(capsys, "sample", "--game", dirac_path, "--target", "shapley",
+                         "--player", "1", "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert f"n_samples must be at least 2, not {samples}" in err
+
+
 def test_enumerate_partitions_and_embedded(capsys):
     code, out, _ = run(capsys, "enumerate", "--players", "1,2")
     assert code == 0

@@ -152,6 +152,20 @@ def test_unknown_target_rejected():
         estimate_payoff(null_game(prefix(2)), 1, "banzhaf", n_samples=10, seed=1)
 
 
+@pytest.mark.parametrize("target", ["shapley", "mpw"])
+def test_one_draw_is_refused_since_it_has_no_standard_error(target):
+    with pytest.raises(ValueError, match="n_samples must be at least 2, not 1"):
+        estimate_payoff(null_game(prefix(2)), 1, target, n_samples=1, seed=1)
+
+
+def test_two_draws_give_a_standard_error_exact_zero_only_for_a_null_player():
+    null = estimate_payoff(productive_pair_game(), 1, "mpw", n_samples=2, seed=7)
+    assert (null.mean, null.std_error, null.n_samples) == (0.0, 0.0, 2)
+    spread = [estimate_payoff(productive_pair_game(), 2, "mpw", n_samples=2, seed=s)
+              for s in range(20)]
+    assert any(est.std_error > 0 for est in spread)
+
+
 def test_bad_arguments_rejected():
     with pytest.raises(ValueError):
         estimate_payoff(null_game(prefix(2)), 9, "mpw", n_samples=10, seed=1)
