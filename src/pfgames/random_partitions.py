@@ -218,8 +218,6 @@ class EpsilonProfile:
     some partition would get a negative probability. Immutable once built.
     """
 
-    __slots__ = ("values",)
-
     def __init__(self, values: Mapping[int, Fraction]):
         cleaned = {}
         for k, eps in dict(values).items():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -191,6 +193,17 @@ def test_epsilon_profile_range_enforced():
         EpsilonProfile({4: Fraction(-1, 23)})
     with pytest.raises(ValueError):
         EpsilonProfile({3: Fraction(1, 100)})
+
+
+def test_epsilon_profile_is_immutable_and_copies_as_a_value():
+    profile = EpsilonProfile({4: "1/24"})
+    with pytest.raises(AttributeError, match="cannot assign to field 'values'"):
+        profile.values = {}
+    with pytest.raises(AttributeError, match="cannot delete field 'values'"):
+        del profile.values
+    for twin in (copy.deepcopy(profile), pickle.loads(pickle.dumps(profile))):
+        assert twin == profile and twin.values == {4: Fraction(1, 24)}
+    assert repr(profile) == "EpsilonProfile(values={4: Fraction(1, 24)})"
 
 
 @pytest.mark.parametrize("k", [33, 10**6, 10**20])
