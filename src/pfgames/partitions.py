@@ -16,6 +16,7 @@ order, so hot loops index a worth table instead of hashing ``(S, pi)``:
 ``placement_positions(players, i)``, built from ``placements``, serves the
 null-player test (``tux_games.is_null_player``), the null-player witness
 games and the RES check of ``verify``; ``block_positions(players)`` serves
+the block runs a family caches (``RandomPartitionFamily.block_runs``) for
 the block mass behind p-Shapley values and the expected accumulated worth.
 """
 
@@ -322,6 +323,7 @@ def with_block(pi: Partition, block: Coalition) -> Partition:
     return tuple(sorted(pi + (block,), key=least_member))
 
 
+@functools.cache
 def bell_number(n: int) -> int:
     """Number of partitions of an n-set, via B(n+1) = sum C(n,k) B(k)."""
     if n < 0:

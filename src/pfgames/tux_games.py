@@ -8,12 +8,14 @@ accumulated worth of a random partition share one pass over the family's
 distribution; MPW stays a separate route, through the average game.
 
 A game's worth table is integer numerators in ``enumerate_embedded`` order
-over one common denominator. The kernels read it, and each family's cached
-distributions in the same form, and build one Fraction per result. They
-find cells through the position tables of ``partitions``, never by hashing
-``(S, pi)``: the block mass behind p-Shapley values and the expected
-accumulated worth reads ``block_positions``, and the null-player test reads
-``placement_positions``.
+over one common denominator, where the cells (S, pi) of each coalition S
+are one run. The kernels read it and build one Fraction per result. The
+average game and the block mass behind p-Shapley values and the expected
+accumulated worth are one loop over the runs of a family's cached run
+table (``RandomPartitionFamily.outside_runs`` and ``block_runs``): each run
+adds the dot product of its worths with the table's law numerators, and an
+all-zero run adds 0 without one. The null-player test finds its cells
+through ``partitions.placement_positions``, never by hashing ``(S, pi)``.
 """
 
 from __future__ import annotations
@@ -159,17 +161,14 @@ def as_tux_game(game: TuGame | TuxGame) -> TuxGame:
 
 def average_game(w: TuxGame, family: random_partitions.RandomPartitionFamily) -> TuGame:
     """TU game giving each coalition its expected worth over outside partitions."""
-    sums, dens = [], []
-    at = 0  # the cells of S are the next ones in enumerate_embedded order
-    for S in partitions.subsets(w.players):
-        pden, pnums = family.integer_distribution(w.players & ~S)
-        end = at + len(pnums)
-        sums.append(sum(map(operator.mul, pnums, w.nums[at:end])))
-        dens.append(pden)
-        at = end
-    den = math.lcm(*set(dens))
-    return TuGame._from_numerators(w.players, den * w.den,
-                                   [x * (den // d) for x, d in zip(sums, dens)])
+    nums = w.nums
+    den, runs = family.outside_runs(w.players)
+    sums = []
+    for start, end, weights, scale in runs:
+        # the cells (S, pi) against the law of the outside players
+        run = nums[start:end]
+        sums.append(scale * sum(map(operator.mul, weights, run)) if any(run) else 0)
+    return TuGame._from_numerators(w.players, den * w.den, sums)
 
 
 def mpw_value(w: TuxGame) -> PayoffVector:
@@ -183,14 +182,13 @@ def _block_mass(
     """Block mass M(S): sum of p(pi) worth(S, pi - S) over partitions pi with
     block S, as (den, {S: numerator}) with every nonempty S in subsets order."""
     nums = w.nums
-    pden, pnums = family.integer_distribution(w.players)
-    p = pnums.__getitem__
+    den, runs = family.block_runs(w.players)
     mass = {}
-    for S, at, positions in partitions.block_positions(w.players):
-        # the cells (S, pi - S) are one run of the worth table
-        run = nums[at:at + len(positions)]
-        mass[S] = sum(map(operator.mul, map(p, positions), run)) if any(run) else 0
-    return pden * w.den, mass
+    for S, start, end, weights in runs:
+        # the cells (S, pi - S) against p(pi)
+        run = nums[start:end]
+        mass[S] = sum(map(operator.mul, weights, run)) if any(run) else 0
+    return den * w.den, mass
 
 
 def expected_accumulated_worth(

@@ -389,6 +389,18 @@ def null_player_witness(players, i: int, pi: Partition, block) -> TuxGame:
 
 Solution = Callable[[TuxGame], Mapping[int, Fraction]]
 
+# --nmax 8 runs 31,965 witness games (mpw takes about 14 s on 2 cores,
+# Python 3.11); --nmax 9 would run 185,028 on nine players
+MAX_NULL_PLAYER_WITNESSES = 50_000
+
+
+def _null_player_count(n_max: int) -> int:
+    """Witness games of ``check_null_player_axiom``: on k players, k choices of
+    i times the Bell(k) - Bell(k - 1) blocks of the partitions of the other
+    k - 1 players, plus the showcase game from four players on."""
+    bell = partitions.bell_number
+    return sum(k * (bell(k) - bell(k - 1)) for k in range(1, n_max + 1)) + (n_max >= 4)
+
 
 def check_null_player_axiom(
     solution: Solution, n_max: int, label: str | None = None
@@ -397,13 +409,19 @@ def check_null_player_axiom(
 
     Runs the constructed witness family over every player set, player,
     outside partition, and target block, plus the four-player showcase game
-    whose player 1 is null.
+    whose player 1 is null. Refuses, before running any, more witness games
+    than ``MAX_NULL_PLAYER_WITNESSES``.
     """
     if label is None:
         label = getattr(solution, "__name__", "solution")
+    player_sets = _player_sets(n_max)
+    count = _null_player_count(n_max)
+    if count > MAX_NULL_PLAYER_WITNESSES:
+        raise ValueError(f"the null-player check at --nmax {n_max} would run {count} "
+                         f"witness games, over the budget of {MAX_NULL_PLAYER_WITNESSES}")
     checked = 0
     witness = None
-    for N in _player_sets(n_max):
+    for N in player_sets:
         for i in partitions.members(N):
             for pi in partitions.enumerate_partitions(N & ~(1 << i)):
                 for B in pi:

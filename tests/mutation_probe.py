@@ -105,21 +105,30 @@ MUTANTS = [
            "            if nums[k] > x:",
            "test_null_player_kernel_equals_its_fraction_reference"),
     Mutant("block-mass-first-cell", TUX,
-           "if any(run) else 0",
-           "if run[0] else 0",
+           "mass[S] = sum(map(operator.mul, weights, run)) if any(run) else 0",
+           "mass[S] = sum(map(operator.mul, weights, run)) if run[0] else 0",
            "test_partition_function_kernels_equal_their_fraction_references[pstar]"),
     Mutant("average-game-first-cell", TUX,
-           "sums.append(sum(map(operator.mul, pnums, w.nums[at:end])))",
-           "sums.append(sum(map(operator.mul, pnums[1:], w.nums[at + 1:end])))",
+           "scale * sum(map(operator.mul, weights, run))",
+           "scale * sum(map(operator.mul, weights[1:], run[1:]))",
            "test_mpw_equals_its_fraction_reference"),
+    Mutant("average-game-first-cell-skip", TUX,
+           "run)) if any(run) else 0)",
+           "run)) if run[0] else 0)",
+           "test_run_kernels_read_the_cells_past_a_zero_first_cell[pstar]"),
     Mutant("eager-verify", CLI,
            "from . import formats, partitions, random_partitions, tu_games, tux_games\n",
            "from . import formats, partitions, random_partitions, tu_games, tux_games, verify\n",
            "test_command_loads_only_the_modules_it_runs[enumerate --players 1,2,3 --embedded]"),
     Mutant("block-mass-skip", TUX,
-           "if any(run) else 0",
-           "",
+           "mass[S] = sum(map(operator.mul, weights, run)) if any(run) else 0",
+           "mass[S] = sum(map(operator.mul, weights, run))",
            "an all-zero run adds 0 to its block mass, so skipping it only saves time",
+           equivalent=True),
+    Mutant("average-game-skip", TUX,
+           "run)) if any(run) else 0)",
+           "run)))",
+           "an all-zero run adds 0 to its average worth, so skipping it only saves time",
            equivalent=True),
     Mutant("after-zeros", OPS,
            "inner.rows).items() if x}",
@@ -169,7 +178,7 @@ def main(names) -> int:
         gaps += not dead and not mutant.equivalent
         verdict = "killed" if dead else "survived"
         kind = " (equivalent)" if mutant.equivalent else ""
-        print(f"{verdict:8} {mutant.name:16} {mutant.path}  {seconds:5.1f} s{kind}  "
+        print(f"{verdict:8} {mutant.name:28} {mutant.path}  {seconds:5.1f} s{kind}  "
               f"{mutant.pinned_by}", flush=True)
     print(f"{len(chosen)} mutants: {killed} killed, {survived} survived, "
           f"{gaps} of them not equivalent")

@@ -545,6 +545,21 @@ def test_verify_flag_requirements(capsys):
     assert "--solution" in err
 
 
+def test_explosive_null_player_check_exits_two_before_it_starts(capsys, monkeypatch):
+    from pfgames import verify
+
+    def unexpected(*args):
+        raise AssertionError("a witness game was built")
+
+    monkeypatch.setattr(verify, "null_player_witness", unexpected)
+    monkeypatch.setenv(cli.ENV_UNIVERSE_BOUND, "9")
+    code, out, err = run(capsys, "verify", "--check", "null-player", "--solution", "mpw",
+                         "--nmax", "9")
+    assert code == 2
+    assert out == ""
+    assert "--nmax 9" in err and "185028 witness games" in err
+
+
 def test_aux_game_with_probability_operator(capsys, showcase_path):
     code, out, _ = run(capsys, "aux-game", "--op", "rp:pstar", "--game", showcase_path)
     assert code == 0

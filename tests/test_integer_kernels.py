@@ -9,6 +9,7 @@ coprime denominators, over several families.
 import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -273,6 +274,45 @@ def test_partition_function_kernels_equal_their_fraction_references(family):
         assert tux_games.p_shapley_vector(w, family) == ref_p_shapley_vector(w, family)
         assert tux_games.expected_accumulated_worth(w, family) == sum(
             ref_block_mass(w, family).values(), ZERO)
+
+
+def null_player_witnesses(n_max):
+    for n in range(1, n_max + 1):
+        N = prefix(n)
+        for i in partitions.members(N):
+            for pi in partitions.enumerate_partitions(N & ~(1 << i)):
+                for B in pi:
+                    yield null_player_witness(N, i, pi, B)
+
+
+@pytest.mark.parametrize("family", [*FAMILIES[:4], skewed_table_family()],
+                         ids=lambda family: family.label)
+def test_run_kernels_read_the_cells_past_a_zero_first_cell(family):
+    """Witness games are 1 on a few cells, often not the first of their run;
+    a kernel that judged a run by its first cell would drop them."""
+    past = 0
+    for w in null_player_witnesses(5):
+        assert tux_games.average_game(w, family) == ref_average_game(w, family)
+        den, mass = tux_games._block_mass(w, family)
+        assert {S: Fraction(m, den) for S, m in mass.items() if m} == ref_block_mass(w, family)
+        # the block runs are the outside runs of the nonempty coalitions
+        _, runs = family.outside_runs(w.players)
+        past += any(not w.nums[a] and any(w.nums[a:e]) for a, e, _, _ in runs)
+    assert past >= 100
+
+
+def test_run_tables_die_with_their_family():
+    """The run tables live on the family, so a dropped family frees them."""
+    family = ewens_family(Fraction(1, 2))
+    alive = weakref.ref(family)
+    w = TUX_GAMES[5]
+    tux_games.mpw_value(w)
+    tux_games.p_shapley_vector(w, family)
+    tux_games.average_game(w, family)
+    assert family._outside_cache and family._block_cache
+    del family
+    gc.collect()
+    assert alive() is None
 
 
 def test_partition_function_kernels_on_players_that_are_not_a_prefix():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pfgames import formats, partitions, tux_games
+from pfgames import formats, partitions, tux_games, verify
 from pfgames.random_partitions import (
     PSTAR,
     RandomPartitionFamily,
@@ -171,6 +171,14 @@ def test_path_dependence_past_the_first_cell_of_a_row_fails_path_independence():
 
 def test_null_player_axiom_mpw_passes():
     assert check_null_player_axiom(mpw_value, 4, "mpw").passed
+
+
+def test_null_player_witness_count_is_predicted_before_the_check():
+    for n_max in range(1, 6):
+        report = check_null_player_axiom(lambda w: dict.fromkeys(w.member_ids(), 0), n_max)
+        assert verify._null_player_count(n_max) == report.checked
+    assert [verify._null_player_count(n) for n in (7, 8)] == [5861, 31965]
+    assert verify.MAX_NULL_PLAYER_WITNESSES >= 31965
 
 
 def test_null_player_axiom_fails_for_perturbed_family():
