@@ -156,7 +156,6 @@ def tux_game_from_json(data) -> TuxGame:
                              f"coalition ({coalition_to_list(key[0])}, "
                              f"{partition_to_lists(key[1])})")
     # empty-coalition cells are implied; the constructor checks full coverage
-    worth = {key: x for key, x in worth.items() if key[0] != 0 or x != 0}
     return TuxGame(players, worth)
 
 

@@ -13,11 +13,11 @@ the tables are safe to share across threads.
 
 Two lazily built tables give integer positions in ``enumerate_embedded``
 order, so hot loops index a worth table instead of hashing ``(S, pi)``:
+``runs(players)``, the only code that knows where the cells of a coalition
+lie, serves the TU lift, the externality-free test and a family's run
+tables (``RandomPartitionFamily.outside_runs`` and ``block_runs``);
 ``placement_positions(players, i)``, built from ``placements``, serves the
-null-player test (``tux_games.is_null_player``), the null-player witness
-games and the RES check of ``verify``; ``block_positions(players)`` serves
-the block runs a family caches (``RandomPartitionFamily.block_runs``) for
-the block mass behind p-Shapley values and the expected accumulated worth.
+null-player test, the null-player witness games and the RES check.
 """
 
 from __future__ import annotations
@@ -213,6 +213,25 @@ def _embedded_index(mask: Coalition) -> dict[EmbeddedCoalition, int]:
     return {cell: k for k, cell in enumerate(enumerate_embedded(mask))}
 
 
+def runs(players) -> dict[Coalition, tuple[int, int]]:
+    """Where each coalition's cells lie: ``{S: (start, end)}`` in ``subsets``
+    order, the cells ``(S, rho)`` being positions ``start`` to ``end - 1`` of
+    ``enumerate_embedded(players)``, with ``rho`` in ``enumerate_partitions``
+    order of the rest. Built on first use per player set."""
+    mask = as_mask(players)
+    _check_capacity(mask)
+    return _runs(mask)
+
+
+@functools.cache
+def _runs(mask: Coalition) -> dict[Coalition, tuple[int, int]]:
+    table, end = {}, 0
+    for S in subsets(mask):
+        start, end = end, end + bell_number(size(mask & ~S))
+        table[S] = start, end
+    return table
+
+
 _partition_positions: dict[Partition, int] = {}
 
 
@@ -258,34 +277,6 @@ def _placement_positions(mask: Coalition, i: int) -> tuple[PlacementRow, ...]:
         (at[(S | bit, pi)], tuple(at[(S, grown)] for _, grown in placements(pi, i)))
         for S, pi in enumerate_embedded(mask & ~bit)
     )
-
-
-BlockRun = tuple[Coalition, int, tuple[int, ...]]
-
-
-def block_positions(players) -> tuple[BlockRun, ...]:
-    """Where each nonempty coalition is a block, indexed by the block.
-
-    One entry ``(S, at, positions)`` per nonempty ``S`` in ``subsets`` order.
-    The cells ``(S, rho)`` are the run of ``enumerate_embedded(players)``
-    that starts at ``at``, with ``rho`` in ``enumerate_partitions`` order of
-    the rest; ``positions[k]`` is the position in ``enumerate_partitions
-    (players)`` of the k-th ``rho`` with ``S`` added as a block. Built on
-    first use per player set.
-    """
-    return _block_positions(as_mask(players))
-
-
-@functools.cache
-def _block_positions(mask: Coalition) -> tuple[BlockRun, ...]:
-    table = []
-    at = 0
-    for S in subsets(mask):
-        rest = enumerate_partitions(mask & ~S)
-        if S:
-            table.append((S, at, tuple(partition_position(with_block(rho, S)) for rho in rest)))
-        at += len(rest)
-    return tuple(table)
 
 
 def placements(pi: Partition, i: int) -> Iterator[tuple[Coalition, Partition]]:

@@ -20,11 +20,11 @@ pass, giving the probability that a coalition forms a block as an integer
 mass over the same denominator; the family checks of ``verify`` read these
 masses.
 
-Two run tables per player set N serve the kernels of ``tux_games``, which
-read a worth table one run at a time, the run of S being the cells (S, pi)
-in ``enumerate_embedded`` order. ``outside_runs`` pairs each run with the
-law of N - S (the average game), ``block_runs`` with the numerators of the
-law of N at the partitions where S is a block (the block mass).
+Two run tables of one shape per player set N serve the run kernel of
+``tux_games``, the run of S being its cells (S, pi) (``partitions.runs``).
+``outside_runs`` weights each run by the law of N - S (the average game),
+``block_runs`` by the law of N at the partitions where S is a block (the
+block mass).
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ ONE = Fraction(1)
 Distribution = dict[Partition, Fraction]
 IntegerView = tuple[int, tuple[int, ...]]
 InclusionView = tuple[int, dict[Coalition, int]]
-# (L, runs): per S, (start, end, numerators of the law of N - S, L // its den)
-OutsideRuns = tuple[int, tuple[tuple[int, int, tuple[int, ...], int], ...]]
-# (den, runs): per nonempty S, (S, start, end, numerators where S is a block)
-BlockRuns = tuple[int, tuple[tuple[Coalition, int, int, tuple[int, ...]], ...]]
+# (den, runs): per nonempty S in subsets order, (start, end, weights, scale)
+Runs = tuple[int, tuple[tuple[int, int, tuple[int, ...], int], ...]]
 
 
 def over_common_denominator(values) -> IntegerView:
@@ -66,8 +64,8 @@ class RandomPartitionFamily:
     numerator per partition, none negative, summing exactly to den.
     ``distribution`` builds a Fraction table from that view on each call,
     uncached. Cached per player set beside the views: ``inclusion``, the
-    block inclusion masses, and the run tables ``outside_runs`` and
-    ``block_runs``, which refer to the views' numerator tuples. The caches
+    block inclusion masses, and the run tables ``outside_runs``, which
+    refers to the views' numerator tuples, and ``block_runs``. The caches
     live on the instance, so they go with it. Memo writes are idempotent
     (identical values), so concurrent fills are harmless.
     """
@@ -83,8 +81,8 @@ class RandomPartitionFamily:
         self.explicit_player_sets = explicit_player_sets
         self._int_cache: dict[Coalition, IntegerView] = {}
         self._inclusion_cache: dict[Coalition, InclusionView] = {}
-        self._outside_cache: dict[Coalition, OutsideRuns] = {}
-        self._block_cache: dict[Coalition, BlockRuns] = {}
+        self._outside_cache: dict[Coalition, Runs] = {}
+        self._block_cache: dict[Coalition, Runs] = {}
         self._gen_reports: dict[int, object] = {}  # verify.check_gen reports by n_max
 
     def __repr__(self):
@@ -121,37 +119,41 @@ class RandomPartitionFamily:
             view = self._inclusion_cache[mask] = (den, mass)
         return view
 
-    def outside_runs(self, players) -> OutsideRuns:
-        """(L, runs), one run (start, end, nums, L // den) per S in ``subsets``
-        order: the cells of S span [start, end) of ``enumerate_embedded``, the
-        law of the rest is (den, nums), and L is the lcm of those dens. The
-        laws are fetched in ``subsets`` order."""
+    def outside_runs(self, players) -> Runs:
+        """(L, runs), one run (start, end, nums, L // den) per nonempty S in
+        ``subsets`` order: the cells of S span [start, end) of
+        ``enumerate_embedded``, the law of the rest is (den, nums), and L is
+        the lcm of those dens. Every law is fetched in ``subsets`` order, the
+        whole set's first, so a bad law raises here."""
         mask = partitions.as_mask(players)
         table = self._outside_cache.get(mask)
         if table is None:
-            laws = [self.integer_distribution(mask & ~S) for S in partitions.subsets(mask)]
-            lcm = math.lcm(*{den for den, _ in laws})
-            runs, start = [], 0
-            for den, nums in laws:
-                runs.append((start, start + len(nums), nums, lcm // den))
-                start += len(nums)
-            table = self._outside_cache[mask] = (lcm, tuple(runs))
+            runs = partitions.runs(mask)
+            laws = [self.integer_distribution(mask & ~S) for S in runs]
+            lcm = math.lcm(*{den for den, _ in laws[1:]})
+            table = self._outside_cache[mask] = (lcm, tuple(
+                (*runs[S], nums, lcm // den) for S, (den, nums) in zip(runs, laws) if S))
         return table
 
-    def block_runs(self, players) -> BlockRuns:
-        """(den, runs), one run (S, start, end, nums) per nonempty S in
+    def block_runs(self, players) -> Runs:
+        """(den, runs), one run (start, end, weights, 1) per nonempty S in
         ``subsets`` order: the cells (S, rho) span [start, end) of
-        ``enumerate_embedded``, and nums[k] is the numerator, over den, of the
-        law of the player set at the k-th rho with S added as a block
-        (``partitions.block_positions``)."""
+        ``enumerate_embedded``, and the weight of (S, rho) is the numerator,
+        over den, of the law of the player set at rho with S added as a
+        block. One pass over the law fills them."""
         mask = partitions.as_mask(players)
         table = self._block_cache.get(mask)
         if table is None:
             den, nums = self.integer_distribution(mask)
-            at = nums.__getitem__
+            runs = partitions.runs(mask)
+            weights = [0] * runs[mask][1]  # the run of N itself ends the table
+            for pi, p in zip(partitions.enumerate_partitions(mask), nums):
+                # p goes to the cell (B, pi - B) of each block B
+                for k, B in enumerate(pi):
+                    weights[runs[B][0] + partitions.partition_position(pi[:k] + pi[k + 1 :])] = p
             table = self._block_cache[mask] = (den, tuple(
-                (S, start, start + len(positions), tuple(map(at, positions)))
-                for S, start, positions in partitions.block_positions(mask)))
+                (start, end, tuple(weights[start:end]), 1)
+                for S, (start, end) in runs.items() if S))
         return table
 
     def prob(self, players, pi: Partition) -> Fraction:

@@ -9,11 +9,11 @@ distribution; MPW stays a separate route, through the average game.
 
 A game's worth table is integer numerators in ``enumerate_embedded`` order
 over one common denominator, where the cells (S, pi) of each coalition S
-are one run. The kernels read it and build one Fraction per result. The
-average game and the block mass behind p-Shapley values and the expected
-accumulated worth are one loop over the runs of a family's cached run
-table (``RandomPartitionFamily.outside_runs`` and ``block_runs``): each run
-adds the dot product of its worths with the table's law numerators, and an
+are one run (``partitions.runs``). The kernels read it and build one
+Fraction per result. The average game and the block mass behind p-Shapley
+values and the expected accumulated worth are one loop, ``_run_sums``, over
+a family's cached run table (``outside_runs``, ``block_runs``): each run
+adds the dot product of its worths with the table's weights, and an
 all-zero run adds 0 without one. The null-player test finds its cells
 through ``partitions.placement_positions``, never by hashing ``(S, pi)``.
 """
@@ -54,13 +54,11 @@ class TuxGame(Game):
                 value = provided.pop((S, pi))
             except KeyError:
                 raise ValueError(
-                    f"missing worth for embedded coalition "
-                    f"({sorted(partitions.members(S))}, {_pi_repr(pi)})"
-                ) from None
+                    f"missing worth for embedded coalition {_cell_repr(S, pi)}") from None
             values.append(Fraction(value))
         if provided:
-            bad = next(iter(provided))
-            raise ValueError(f"worth given for a non-embedded coalition: {bad}")
+            raise ValueError(f"worth given for a non-embedded coalition: "
+                             f"{_cell_repr(*next(iter(provided)))}")
         self.den, self.nums = over_common_denominator(values)
 
     @classmethod
@@ -87,13 +85,12 @@ def cell_index(players: Coalition, coalition, pi: Partition) -> int:
         return partitions.embedded_index(players)[(S, pi)]
     except KeyError:
         raise ValueError(
-            f"({sorted(partitions.members(S))}, {_pi_repr(pi)}) is not an "
-            "embedded coalition of this game"
-        ) from None
+            f"{_cell_repr(S, pi)} is not an embedded coalition of this game") from None
 
 
-def _pi_repr(pi: Partition) -> list[list[int]]:
-    return [sorted(partitions.members(B)) for B in pi]
+def _cell_repr(S: Coalition, pi: Partition) -> str:
+    """The embedded coalition as player lists, as the game files write it."""
+    return f"({sorted(partitions.members(S))}, {[sorted(partitions.members(B)) for B in pi]})"
 
 
 def null_game(players) -> TuxGame:
@@ -125,19 +122,20 @@ def dirac_basis(players):
 def lift_tu_game(v: TuGame) -> TuxGame:
     """Embed a TU game as the partition-independent partition function."""
     nums = []
-    for S, x in zip(partitions.subsets(v.players), v.nums):
-        # the cells of S are one run in enumerate_embedded order
-        nums += [x] * len(partitions.enumerate_partitions(v.players & ~S))
+    for (start, end), x in zip(partitions.runs(v.players).values(), v.nums):
+        nums += [x] * (end - start)
     return TuxGame._from_numerators(v.players, v.den, nums)
 
 
 def externality_free_tu(w: TuxGame) -> TuGame | None:
     """The induced TU game when worths ignore the outside partition, else None."""
-    at = partitions.embedded_index(w.players)
-    v = TuGame._from_numerators(w.players, w.den, [
-        w.nums[at[(S, partitions.enumerate_partitions(w.players & ~S)[0])]]
-        for S in partitions.subsets(w.players)])
-    return v if lift_tu_game(v) == w else None
+    firsts = []
+    for start, end in partitions.runs(w.players).values():
+        run = w.nums[start:end]
+        if run.count(run[0]) != len(run):
+            return None
+        firsts.append(run[0])
+    return TuGame._from_numerators(w.players, w.den, firsts)
 
 
 def as_tu_game(game: TuGame | TuxGame) -> TuGame | None:
@@ -159,16 +157,21 @@ def as_tux_game(game: TuGame | TuxGame) -> TuxGame:
     raise ValueError(f"expected a TU or partition-function game, got {type(game).__name__}")
 
 
-def average_game(w: TuxGame, family: random_partitions.RandomPartitionFamily) -> TuGame:
-    """TU game giving each coalition its expected worth over outside partitions."""
-    nums = w.nums
-    den, runs = family.outside_runs(w.players)
-    sums = []
+def _run_sums(nums, runs) -> list[int]:
+    """In ``subsets`` order, 0 for the empty coalition, then per run (start,
+    end, weights, scale) of a nonempty one: scale times the dot product of
+    its cells nums[start:end] with the weights."""
+    sums = [0]
     for start, end, weights, scale in runs:
-        # the cells (S, pi) against the law of the outside players
         run = nums[start:end]
         sums.append(scale * sum(map(operator.mul, weights, run)) if any(run) else 0)
-    return TuGame._from_numerators(w.players, den * w.den, sums)
+    return sums
+
+
+def average_game(w: TuxGame, family: random_partitions.RandomPartitionFamily) -> TuGame:
+    """TU game giving each coalition its expected worth over outside partitions."""
+    den, runs = family.outside_runs(w.players)
+    return TuGame._from_numerators(w.players, den * w.den, _run_sums(w.nums, runs))
 
 
 def mpw_value(w: TuxGame) -> PayoffVector:
@@ -178,17 +181,11 @@ def mpw_value(w: TuxGame) -> PayoffVector:
 
 def _block_mass(
     w: TuxGame, family: random_partitions.RandomPartitionFamily
-) -> tuple[int, dict[Coalition, int]]:
+) -> tuple[int, list[int]]:
     """Block mass M(S): sum of p(pi) worth(S, pi - S) over partitions pi with
-    block S, as (den, {S: numerator}) with every nonempty S in subsets order."""
-    nums = w.nums
+    block S, as (den, numerators in ``subsets`` order), 0 at the empty set."""
     den, runs = family.block_runs(w.players)
-    mass = {}
-    for S, start, end, weights in runs:
-        # the cells (S, pi - S) against p(pi)
-        run = nums[start:end]
-        mass[S] = sum(map(operator.mul, weights, run)) if any(run) else 0
-    return den * w.den, mass
+    return den * w.den, _run_sums(w.nums, runs)
 
 
 def expected_accumulated_worth(
@@ -196,7 +193,7 @@ def expected_accumulated_worth(
 ) -> Fraction:
     """Expected sum of block worths when the players split along a random partition."""
     den, mass = _block_mass(w, family)
-    return Fraction(sum(mass.values()), den)
+    return Fraction(sum(mass), den)
 
 
 def p_shapley(w: TuxGame, family: random_partitions.RandomPartitionFamily, i: int) -> Fraction:
@@ -215,8 +212,9 @@ def p_shapley_vector(
     den, mass = _block_mass(w, family)
     n = w.n
     weight = [s * math.comb(n, s) for s in range(n + 1)]
+    # the k-th subset has as many players as k has bits
     game = TuGame._from_numerators(w.players, den, [
-        0, *(weight[S.bit_count()] * m for S, m in mass.items())])
+        weight[k.bit_count()] * m for k, m in enumerate(mass)])
     return tu_games.shapley_value(game)
 
 

@@ -129,7 +129,8 @@ def _all_ones_mass(family: RandomPartitionFamily, N: Coalition) -> tuple[int, di
     linearity, the mass at T is the expected accumulated worth of the lifted
     Dirac game of T."""
     ones = tu_games.TuGame._from_numerators(N, 1, [0] + [1] * ((1 << partitions.size(N)) - 1))
-    return tux_games._block_mass(tux_games.lift_tu_game(ones), family)
+    den, mass = tux_games._block_mass(tux_games.lift_tu_game(ones), family)
+    return den, dict(zip(partitions.subsets(N), mass))
 
 
 GEN_ROUTES = ("block-probability", "expected-accumulated-worth", "one-player-reduction")

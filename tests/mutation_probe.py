@@ -33,6 +33,7 @@ OPS = "src/pfgames/restriction_ops.py"
 CLI = "src/pfgames/cli.py"
 FORMATS = "src/pfgames/formats.py"
 TUX = "src/pfgames/tux_games.py"
+LAWS = "src/pfgames/random_partitions.py"
 
 
 class Mutant(NamedTuple):
@@ -104,31 +105,61 @@ MUTANTS = [
            "            if nums[k] != x:",
            "            if nums[k] > x:",
            "test_null_player_kernel_equals_its_fraction_reference"),
-    Mutant("block-mass-first-cell", TUX,
-           "mass[S] = sum(map(operator.mul, weights, run)) if any(run) else 0",
-           "mass[S] = sum(map(operator.mul, weights, run)) if run[0] else 0",
-           "test_partition_function_kernels_equal_their_fraction_references[pstar]"),
-    Mutant("average-game-first-cell", TUX,
+    Mutant("run-sums-first-cell", TUX,
            "scale * sum(map(operator.mul, weights, run))",
            "scale * sum(map(operator.mul, weights[1:], run[1:]))",
-           "test_mpw_equals_its_fraction_reference"),
-    Mutant("average-game-first-cell-skip", TUX,
+           "tests/test_integer_kernels.py fails to collect (its rp:pstar fails GEN), "
+           "then test_criterion_02_potential_routes"),
+    Mutant("run-sums-first-cell-skip", TUX,
            "run)) if any(run) else 0)",
            "run)) if run[0] else 0)",
-           "test_run_kernels_read_the_cells_past_a_zero_first_cell[pstar]"),
+           "test_criterion_06_operator_potential_is_expected_worth"),
+    Mutant("block-runs-first-block", LAWS,
+           "                for k, B in enumerate(pi):",
+           "                for k, B in enumerate(pi[:1]):",
+           "tests/test_integer_kernels.py fails to collect (its rp:pstar fails GEN), "
+           "then test_criterion_02_potential_routes"),
+    Mutant("externality-free-ends", TUX,
+           "        if run.count(run[0]) != len(run):",
+           "        if run[-1] != run[0]:",
+           "test_one_changed_cell_in_a_coalitions_run_has_externalities[prefix]"),
+    Mutant("ci-largest-block", VERIFY,
+           "        for B in sorted(pi, key=int.bit_count, reverse=True):",
+           "        for B in sorted(pi, key=int.bit_count, reverse=True)[:1]:",
+           "test_exact_outputs_match_the_fixture_byte_for_byte"),
+    Mutant("ci-one-sided", VERIFY,
+           "            yield pi, B, p * rest_den == q * mass.get(B, 0)",
+           "            yield pi, B, p * rest_den <= q * mass.get(B, 0)",
+           "test_integer_verdicts_equal_the_public_helpers"),
+    Mutant("pos-zero", VERIFY,
+           "        if witness is None and min(nums) <= 0:",
+           "        if witness is None and min(nums) < 0:",
+           "test_family_check_reports_equal_the_fraction_references"
+           "[eps:4=1/8-check_pos-ref_check_pos]"),
+    Mutant("monotonicity-first-block", VERIFY,
+           "            for B, p in zip(pi, probs):",
+           "            for B, p in zip(pi[:1], probs):",
+           "test_exact_outputs_match_the_fixture_byte_for_byte"),
+    Mutant("monotonicity-one-sided", VERIFY,
+           "                yield i, pi, B, p * (n - b) == b * (total - p)",
+           "                yield i, pi, B, p * (n - b) >= b * (total - p)",
+           "test_criterion_09_null_player_selects_the_crp_law"),
+    Mutant("res-first-read", VERIFY,
+           "        for k in positions:",
+           "        for k in positions[:1]:",
+           "test_a_non_local_read_after_a_local_one_fails_locality"),
+    Mutant("res-past-first-read", VERIFY,
+           "        for k in positions:",
+           "        for k in positions[1:]:",
+           "test_exact_outputs_match_the_fixture_byte_for_byte"),
     Mutant("eager-verify", CLI,
            "from . import formats, partitions, random_partitions, tu_games, tux_games\n",
            "from . import formats, partitions, random_partitions, tu_games, tux_games, verify\n",
            "test_command_loads_only_the_modules_it_runs[enumerate --players 1,2,3 --embedded]"),
-    Mutant("block-mass-skip", TUX,
-           "mass[S] = sum(map(operator.mul, weights, run)) if any(run) else 0",
-           "mass[S] = sum(map(operator.mul, weights, run))",
-           "an all-zero run adds 0 to its block mass, so skipping it only saves time",
-           equivalent=True),
-    Mutant("average-game-skip", TUX,
+    Mutant("run-sums-skip", TUX,
            "run)) if any(run) else 0)",
            "run)))",
-           "an all-zero run adds 0 to its average worth, so skipping it only saves time",
+           "an all-zero run adds 0 to its sum, so skipping it only saves time",
            equivalent=True),
     Mutant("after-zeros", OPS,
            "inner.rows).items() if x}",

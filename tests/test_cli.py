@@ -618,3 +618,15 @@ def test_game_kind_refusals_keep_their_messages(capsys, showcase_path):
                        "--player", "1")
     assert (code, err) == (2, "pfgames: error: shapley target needs a TU game; this one "
                               "has externalities\n")
+
+
+@pytest.mark.parametrize("worth", ["0", "1"])
+def test_a_bogus_empty_coalition_entry_exits_two_naming_its_players(capsys, tmp_path, worth):
+    """An empty-coalition cell outside the game is refused whatever its worth."""
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps({"players": [0], "worth": [
+        {"S": [0], "pi": [], "w": "1"}, {"S": [], "pi": [[7, 8]], "w": worth}]}))
+    code, out, err = run(capsys, "mpw", "--game", str(path))
+    assert code == 2
+    assert out == ""
+    assert "non-embedded coalition: ([], [[7, 8]])" in err

@@ -16,7 +16,12 @@ import pytest
 
 from pfgames import formats, partitions, tu_games, tux_games
 from pfgames.errors import PositivityError
-from pfgames.random_partitions import PSTAR, ewens_family, perturbed_family
+from pfgames.random_partitions import (
+    PSTAR,
+    RandomPartitionFamily,
+    ewens_family,
+    perturbed_family,
+)
 from pfgames.restriction_ops import (
     RestrictionOperator,
     crp_restriction,
@@ -294,9 +299,12 @@ def test_run_kernels_read_the_cells_past_a_zero_first_cell(family):
     for w in null_player_witnesses(5):
         assert tux_games.average_game(w, family) == ref_average_game(w, family)
         den, mass = tux_games._block_mass(w, family)
-        assert {S: Fraction(m, den) for S, m in mass.items() if m} == ref_block_mass(w, family)
-        # the block runs are the outside runs of the nonempty coalitions
+        assert {S: Fraction(m, den) for S, m in zip(partitions.subsets(w.players), mass)
+                if m} == ref_block_mass(w, family)
+        # both run tables hold the runs of the nonempty coalitions
         _, runs = family.outside_runs(w.players)
+        assert [(a, e) for a, e, _, _ in runs] == [
+            (a, e) for a, e, _, _ in family.block_runs(w.players)[1]]
         past += any(not w.nums[a] and any(w.nums[a:e]) for a, e, _, _ in runs)
     assert past >= 100
 
@@ -390,29 +398,72 @@ def assert_placement_rows_equal_the_lookups(N, i):
         assert grown == tuple(at[(S, g)] for _, g in partitions.placements(pi, i))
 
 
+def assert_runs_equal_the_embedded_order(N):
+    """Each coalition's run is where ``enumerate_embedded`` lists its cells,
+    the runs back to back in ``subsets`` order."""
+    cells = partitions.enumerate_embedded(N)
+    runs = partitions.runs(N)
+    assert list(runs) == list(partitions.subsets(N))
+    end = 0
+    for S, (start, stop) in runs.items():
+        assert start == end
+        assert cells[start:stop] == tuple((S, rho) for rho in partitions.enumerate_partitions(N & ~S))
+        end = stop
+    assert end == len(cells)
+
+
+def numbered_law_family():
+    """Numerator k + 1 at the k-th partition: a weight names its partition."""
+    def rule(mask):
+        count = partitions.bell_number(mask.bit_count())
+        return count * (count + 1) // 2, tuple(range(1, count + 1))
+
+    return RandomPartitionFamily("numbered", rule)
+
+
 def assert_block_runs_equal_the_lookups(N):
     at = partitions.embedded_index(N)
-    expected = {(S, p): at[(S, pi[:k] + pi[k + 1 :])]
+    expected = {at[(S, pi[:k] + pi[k + 1 :])]: p + 1
                 for p, pi in enumerate(partitions.enumerate_partitions(N))
                 for k, S in enumerate(pi)}
-    table = partitions.block_positions(N)
-    assert [S for S, _, _ in table] == list(partitions.subsets(N))[1:]
-    got = {(S, p): start + k for S, start, positions in table
-           for k, p in enumerate(positions)}
+    _, table = numbered_law_family().block_runs(N)
+    runs = partitions.runs(N)
+    assert [(start, end, scale) for start, end, _, scale in table] == [
+        (*runs[S], 1) for S in runs if S]
+    got = {start + k: x for start, _, weights, _ in table for k, x in enumerate(weights)}
     assert got == expected
-    assert sum(len(positions) for _, _, positions in table) == len(expected)
+    assert sum(len(weights) for _, _, weights, _ in table) == len(expected)
 
 
 @pytest.mark.parametrize("N", TABLE_PLAYER_SETS, ids=lambda N: str(partitions.members(N)))
 def test_position_tables_equal_the_embedded_index_lookups(N):
     for i in partitions.members(N):
         assert_placement_rows_equal_the_lookups(N, i)
+    assert_runs_equal_the_embedded_order(N)
     assert_block_runs_equal_the_lookups(N)
+
+
+def test_runs_on_every_subset_of_a_set_that_is_not_a_prefix():
+    for N in partitions.subsets(partitions.mask_from([0, 3, 4, 9, 17])):
+        assert_runs_equal_the_embedded_order(N)
 
 
 def test_position_tables_on_eight_players():
     assert_placement_rows_equal_the_lookups(prefix(8), 5)
+    assert_runs_equal_the_embedded_order(prefix(8))
     assert_block_runs_equal_the_lookups(prefix(8))
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda family: family.label)
+def test_block_run_weights_are_the_law_at_the_partitions_with_the_block(family):
+    """The weight of the cell (S, rho) is p_N(rho + S), zero-probability
+    partitions included (the skewed table gives one probability zero)."""
+    for N in TABLE_PLAYER_SETS:
+        den, table = family.block_runs(N)
+        for S, (_, _, weights, _) in zip(list(partitions.subsets(N))[1:], table):
+            assert [Fraction(x, den) for x in weights] == [
+                family.prob(N, partitions.with_block(rho, S))
+                for rho in partitions.enumerate_partitions(N & ~S)]
 
 
 def test_placement_positions_refuse_a_player_outside_the_set():

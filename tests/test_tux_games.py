@@ -146,18 +146,35 @@ def test_lifted_tu_game_round_trips():
         assert externality_free_tu(lift_tu_game(v)) == v
 
 
-def test_one_changed_cell_in_a_coalitions_run_has_externalities():
-    """Every cell of a coalition's run is compared, not only its first."""
-    v = random_tu_game(N4, random.Random(5))
+@pytest.mark.parametrize("N", [N4, partitions.mask_from([0, 3, 4, 9, 17])],
+                         ids=["prefix", "not-a-prefix"])
+def test_one_changed_cell_in_a_coalitions_run_has_externalities(N):
+    """Every cell of a coalition's run is compared, not only its first or
+    its two ends: a change in the middle or at the end is seen."""
+    v = random_tu_game(N, random.Random(5))
     lifted = lift_tu_game(v)
     assert externality_free_tu(lifted) == v
-    at = partitions.embedded_index(N4)
-    for S in partitions.subsets(N4):
-        for pi in partitions.enumerate_partitions(N4 & ~S)[1:]:
+    at = partitions.embedded_index(N)
+    for S in partitions.subsets(N):
+        for pi in partitions.enumerate_partitions(N & ~S)[1:]:
             nums = list(lifted.nums)
             nums[at[(S, pi)]] += 1
-            changed = TuxGame._from_numerators(N4, lifted.den, nums)
+            changed = TuxGame._from_numerators(N, lifted.den, nums)
             assert externality_free_tu(changed) is None
+
+
+def test_the_tu_game_of_a_partition_function_is_read_without_the_lift(monkeypatch):
+    from pfgames import tux_games
+
+    v = random_tu_game(prefix(5), random.Random(12))
+    lifted, w = lift_tu_game(v), productive_pair_game()
+
+    def refuse(game):
+        raise AssertionError("as_tu_game must not lift")
+
+    monkeypatch.setattr(tux_games, "lift_tu_game", refuse)
+    assert as_tu_game(lifted) == v
+    assert as_tu_game(w) is None
 
 
 def test_game_kind_conversions():

@@ -392,6 +392,22 @@ def test_non_local_operator_fails_locality_with_replayable_witness(n_max):
     assert lhs != rhs
 
 
+def local_then_grand_coalition(w, i, S, pi):
+    # an admissible cell read first, then the grand coalition's
+    return w.worth(S, partitions.insert_player(pi, i, 0)) + w.worth(w.players, ())
+
+
+def test_a_non_local_read_after_a_local_one_fails_locality():
+    """RES judges every cell a row reads, not only the first."""
+    report = check_restriction_axioms(
+        RestrictionOperator("local-then-grand", local_then_grand_coalition), 3)
+    assert not report.passed
+    witness = report.witness
+    assert witness["axiom"] == "RES"
+    assert (witness["players"], witness["player"]) == ([1, 2], 1)
+    assert (witness["probe_coalition"], witness["probe_outside"]) == ([1, 2], [])
+
+
 def clipped_cell(w, i, S, pi):
     return max(w.worth(S, partitions.insert_player(pi, i, 0)), 0)
 
