@@ -14,6 +14,7 @@ solutions "mpw", "p-shapley:<family>", or "r-shapley:<operator>".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -65,15 +66,27 @@ def parse_operator(spec: str) -> restriction_ops.RestrictionOperator:
     raise ValueError(f"unknown operator spec {spec!r}")
 
 
+def _carrying(solution, linear_map):
+    """A callable running ``solution`` that carries ``linear_map``, its exact
+    map from worth cells to the TU game it takes the Shapley value of; the
+    null-player check reads the map (``verify.check_null_player_axiom``)."""
+    solve = functools.partial(solution)
+    solve.linear_map = linear_map
+    return solve
+
+
 def parse_solution(spec: str):
+    """(solution, label); the solution carries its ``tux_games.LinearMap``."""
     if spec == "mpw":
-        return tux_games.mpw_value, "mpw"
+        return _carrying(tux_games.mpw_value, tux_games.mpw_map), "mpw"
     if spec.startswith("p-shapley:"):
         family = parse_family(spec[10:])
-        return (lambda w: tux_games.p_shapley_vector(w, family)), f"p-shapley[{family.label}]"
+        return _carrying(functools.partial(tux_games.p_shapley_vector, family=family),
+                         functools.partial(tux_games.p_shapley_map, family=family)
+                         ), f"p-shapley[{family.label}]"
     if spec.startswith("r-shapley:"):
         op = parse_operator(spec[10:])
-        return op.shapley_value, f"r-shapley[{op.label}]"
+        return _carrying(op.shapley_value, op.value_map), f"r-shapley[{op.label}]"
     raise ValueError(f"unknown solution spec {spec!r}")
 
 

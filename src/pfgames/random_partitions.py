@@ -140,20 +140,27 @@ class RandomPartitionFamily:
         ``subsets`` order: the cells (S, rho) span [start, end) of
         ``enumerate_embedded``, and the weight of (S, rho) is the numerator,
         over den, of the law of the player set at rho with S added as a
-        block. One pass over the law fills them."""
+        block, looked up in a table of this player set's partitions only."""
         mask = partitions.as_mask(players)
         table = self._block_cache.get(mask)
         if table is None:
             den, nums = self.integer_distribution(mask)
-            runs = partitions.runs(mask)
-            weights = [0] * runs[mask][1]  # the run of N itself ends the table
-            for pi, p in zip(partitions.enumerate_partitions(mask), nums):
-                # p goes to the cell (B, pi - B) of each block B
-                for k, B in enumerate(pi):
-                    weights[runs[B][0] + partitions.partition_position(pi[:k] + pi[k + 1 :])] = p
-            table = self._block_cache[mask] = (den, tuple(
-                (start, end, tuple(weights[start:end]), 1)
-                for S, (start, end) in runs.items() if S))
+            law = dict(zip(partitions.enumerate_partitions(mask), nums))
+            runs = []
+            for S, (start, end) in partitions.runs(mask).items():
+                if not S:
+                    continue
+                low, weights = S & -S, []
+                for rho in partitions.enumerate_partitions(mask & ~S):
+                    # S goes after the blocks whose least member is below its own
+                    k = 0
+                    for C in rho:
+                        if C & -C > low:
+                            break
+                        k += 1
+                    weights.append(law[rho[:k] + (S,) + rho[k:]])
+                runs.append((start, end, tuple(weights), 1))
+            table = self._block_cache[mask] = (den, tuple(runs))
         return table
 
     def prob(self, players, pi: Partition) -> Fraction:

@@ -29,7 +29,7 @@ from .errors import PositivityError
 from .partitions import Coalition, Partition
 from .random_partitions import ONE, ZERO, RandomPartitionFamily, over_common_denominator
 from .tu_games import PayoffVector, TuGame
-from .tux_games import TuxGame, cell_index
+from .tux_games import LinearMap, TuxGame, cell_index
 
 CellRule = Callable[[TuxGame, int, Coalition, Partition], Fraction]
 
@@ -263,6 +263,12 @@ class RestrictionOperator:
             aux = self._auxiliary_maps[players] = _on_one_denominator(
                 map(rows.__getitem__, partitions.subsets(players)))
         return aux
+
+    def value_map(self, players: Coalition) -> LinearMap:
+        """The auxiliary game as a ``tux_games.LinearMap``: the TU game whose
+        Shapley value ``shapley_value`` is, read from ``auxiliary_map``."""
+        aux = self.auxiliary_map(players)
+        return aux.den, [(*row, 1) for row in aux.rows[1:]]
 
     def _removal_chains(self, players: Coalition, last: int, chain: tuple):
         """Each subgame reached by removing players above ``last`` in ascending

@@ -185,10 +185,10 @@ def subgame(v: TuGame, removed) -> TuGame:
 
 @functools.cache
 def _shapley_table(n: int) -> tuple:
-    """(n!, inside, outside, member) for n players, in ``subsets`` order:
-    with w[s] = s!(n-s-1)! and w[n] = 0, the k-th coalition T of size t has
-    outside[k] = w[t] and inside[k] = w[t-1] + w[t], and member[j][k] is 1
-    iff T holds the j-th player. Built once per n and cached."""
+    """(n!, w, inside, outside, member) for n players: w[s] = s!(n-s-1)! and
+    w[n] = 0 by size, and in ``subsets`` order the k-th coalition T of size t
+    has outside[k] = w[t] and inside[k] = w[t-1] + w[t], and member[j][k] is
+    1 iff T holds the j-th player. Built once per n and cached."""
     fact = _factorials(n)
     w = [fact[s] * fact[n - s - 1] for s in range(n)] + [0]
     both = [0] + [w[t - 1] + w[t] for t in range(1, n + 1)]
@@ -196,7 +196,7 @@ def _shapley_table(n: int) -> tuple:
     outside = tuple(w[t] for t in sizes)
     inside = tuple(both[t] for t in sizes)
     member = tuple(bytes(k >> j & 1 for k in range(1 << n)) for j in range(n))
-    return fact[n], inside, outside, member
+    return fact[n], tuple(w), inside, outside, member
 
 
 def shapley_value(v: TuGame) -> PayoffVector:
@@ -209,7 +209,7 @@ def shapley_value(v: TuGame) -> PayoffVector:
     """
     # the worth table is in subsets order, so the k-th numerator belongs to
     # the coalition whose members are bit j of k mapped to the j-th player
-    fact_n, inside, outside, member = _shapley_table(v.n)
+    fact_n, _, inside, outside, member = _shapley_table(v.n)
     nums = v.nums
     weighted = list(map(operator.mul, inside, nums))
     base = sum(map(operator.mul, outside, nums))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import partitions, random_partitions, tu_games
 from .partitions import Coalition, EmbeddedCoalition, Partition
@@ -203,6 +203,12 @@ def p_shapley(w: TuxGame, family: random_partitions.RandomPartitionFamily, i: in
     return p_shapley_vector(w, family)[i]
 
 
+def _block_weights(n: int) -> list[int]:
+    """s C(n, s) = 1/beta(s) by size s, beta(s) = (s-1)!(n-s)!/n! the
+    uniform-CRP probability that a given coalition of s players is a block."""
+    return [s * math.comb(n, s) for s in range(n + 1)]
+
+
 def p_shapley_vector(
     w: TuxGame, family: random_partitions.RandomPartitionFamily
 ) -> PayoffVector:
@@ -210,12 +216,35 @@ def p_shapley_vector(
     (s-1)!(n-s)!/n! = 1/(s C(n, s)) the uniform-CRP probability that S is a
     block; at ``PSTAR`` this TU game is the average game, so the value is MPW."""
     den, mass = _block_mass(w, family)
-    n = w.n
-    weight = [s * math.comb(n, s) for s in range(n + 1)]
+    weight = _block_weights(w.n)
     # the k-th subset has as many players as k has bits
     game = TuGame._from_numerators(w.players, den, [
         weight[k.bit_count()] * m for k, m in enumerate(mass)])
     return tu_games.shapley_value(game)
+
+
+# The exact linear map from the worth numerators of a game on a player set to
+# the numerators, over den times the game's den, of the TU game whose Shapley
+# value a solution is: one term (positions, coefficients, scale) per nonempty
+# coalition in ``subsets`` order, whose numerator is scale times the sum of
+# coefficient * nums[position] (``verify.check_null_player_axiom``).
+LinearMap = tuple[int, list[tuple[Sequence[int], Sequence[int], int]]]
+
+
+def mpw_map(players) -> LinearMap:
+    """The average game under the uniform CRP law as a ``LinearMap``: the TU
+    game whose Shapley value ``mpw_value`` is, read from ``outside_runs``."""
+    den, runs = random_partitions.PSTAR.outside_runs(players)
+    return den, [(range(start, end), weights, scale) for start, end, weights, scale in runs]
+
+
+def p_shapley_map(players, family: random_partitions.RandomPartitionFamily) -> LinearMap:
+    """The TU game of ``p_shapley_vector`` as a ``LinearMap``: the block mass
+    from ``block_runs``, the term of S scaled by s C(n, s)."""
+    den, runs = family.block_runs(players)
+    weight = _block_weights(partitions.size(partitions.as_mask(players)))
+    return den, [(range(start, end), weights, scale * weight[k.bit_count()])
+                 for k, (start, end, weights, scale) in enumerate(runs, 1)]
 
 
 def is_null_player(w: TuxGame, i: int) -> bool:

@@ -25,6 +25,14 @@ null-player witness games read the table of ``tux_games.is_null_player``,
 ``partitions.placement_positions``: a row may read only its placement
 positions, and a witness game is 1 at the positions of one row. The empty
 coalition's rows are empty, and the rule gives it 0, so every check passes it.
+
+The null-player check decides a solution that carries its exact linear map
+(``tux_games.LinearMap``, attached by ``cli.parse_solution``) on one integer
+row per player: the Shapley weights summed over the map, so a witness
+game's payoff is the sum of a row over its placement row. Other callables
+run on each witness game. Either way the first paid witness is replayed
+through the solution, which gives the reported payoff. Both it and the
+restriction check refuse, before they start, a range past a fixed budget.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from . import formats, partitions, tu_games, tux_games
-from .partitions import Coalition, Partition
+from .partitions import Coalition, Partition, PlacementRow
 from .random_partitions import ZERO, RandomPartitionFamily
 from .tux_games import TuxGame
 
@@ -52,6 +60,17 @@ class Report:
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
+
+
+# Budgets, checked before a check starts; past them it is refused (exit 2).
+# Times are CLI wall times on 2 cores, Python 3.11. --nmax 8 runs 31,965
+# null-player witness games: a built-in solution reads them in about 0.4 s
+# (mpw) to 2 s (r-shapley:rstar, mostly its cold auxiliary maps), a callable
+# without a map runs each (mpw about 14 s); --nmax 9 would run 185,028.
+MAX_NULL_PLAYER_WITNESSES = 50_000
+# --nmax 8 checks 54,719 restriction instances (rstar about 5 s); --nmax 9
+# would check 325,259.
+MAX_RESTRICTION_INSTANCES = 100_000
 
 
 def _player_sets(n_max: int, explicit=frozenset()) -> list[Coalition]:
@@ -298,6 +317,21 @@ def _judge_removal(op, probe: TuxGame, i: int) -> restriction_ops.RemovalMatrix:
     return matrix
 
 
+def _restriction_count(player_sets) -> int:
+    """Instances of ``check_restriction_axioms`` on these player sets: on k
+    players, k removals, each with the Bell(k) - Bell(k - 1) nonempty cells
+    of its subgame plus one PNG instance, and C(k, 2) pairs of removals with
+    the Bell(k - 1) - Bell(k - 2) nonempty cells of theirs."""
+    bell = partitions.bell_number
+    count = 0
+    for N in player_sets:
+        k = partitions.size(N)
+        count += k * (bell(k) - bell(k - 1) + 1)
+        if k >= 2:
+            count += math.comb(k, 2) * (bell(k - 1) - bell(k - 2))
+    return count
+
+
 def check_restriction_axioms(op, n_max: int) -> Report:
     """Linearity, cell locality, null-game preservation and path independence.
 
@@ -312,13 +346,19 @@ def check_restriction_axioms(op, n_max: int) -> Report:
     the null game to the null game. PI: the cached matrices of both removal
     orders, composed with ``RemovalMatrix.after``, agree column by column, so
     the orders agree on every game at once; the witness names a Dirac game
-    (``coalition``, ``outside``) and a cell where they differ.
+    (``coalition``, ``outside``) and a cell where they differ. Refuses, before
+    judging any, more instances than ``MAX_RESTRICTION_INSTANCES``.
     """
     from . import restriction_ops  # the family checks never load it
 
+    player_sets = _player_sets(n_max, op.explicit_player_sets)
+    count = _restriction_count(player_sets)
+    if count > MAX_RESTRICTION_INSTANCES:
+        raise ValueError(f"the restriction check at --nmax {n_max} would check {count} "
+                         f"instances, over the budget of {MAX_RESTRICTION_INSTANCES}")
     checked, witness = 0, None
     try:
-        for N in _player_sets(n_max, op.explicit_player_sets):
+        for N in player_sets:
             ids = partitions.members(N)
             cells = partitions.enumerate_embedded(N)
             probe = TuxGame(N, {cell: Fraction(1, k)
@@ -372,6 +412,13 @@ def _placement_args(players, i: int, pi: Partition, block) -> tuple[Coalition, C
     return N, B
 
 
+def _placement_row(N: Coalition, i: int, pi: Partition, B: Coalition) -> PlacementRow:
+    """The row of ``placement_positions(N, i)`` at the cell (B, pi - B) of the
+    players other than ``i`` (unchecked)."""
+    row = partitions.embedded_index(N & ~(1 << i))[(B, tuple(C for C in pi if C != B))]
+    return partitions.placement_positions(N, i)[row]
+
+
 def null_player_witness(players, i: int, pi: Partition, block) -> TuxGame:
     """Game in which player ``i`` is null by construction.
 
@@ -380,8 +427,7 @@ def null_player_witness(players, i: int, pi: Partition, block) -> TuxGame:
     the null player property must pay i nothing here.
     """
     N, B = _placement_args(players, i, pi, block)
-    row = partitions.embedded_index(N & ~(1 << i))[(B, tuple(C for C in pi if C != B))]
-    inside, grown = partitions.placement_positions(N, i)[row]
+    inside, grown = _placement_row(N, i, pi, B)
     nums = [0] * len(partitions.enumerate_embedded(N))
     for k in (inside, *grown):
         nums[k] = 1
@@ -390,17 +436,54 @@ def null_player_witness(players, i: int, pi: Partition, block) -> TuxGame:
 
 Solution = Callable[[TuxGame], Mapping[int, Fraction]]
 
-# --nmax 8 runs 31,965 witness games (mpw takes about 14 s on 2 cores,
-# Python 3.11); --nmax 9 would run 185,028 on nine players
-MAX_NULL_PLAYER_WITNESSES = 50_000
-
-
 def _null_player_count(n_max: int) -> int:
     """Witness games of ``check_null_player_axiom``: on k players, k choices of
     i times the Bell(k) - Bell(k - 1) blocks of the partitions of the other
     k - 1 players, plus the showcase game from four players on."""
     bell = partitions.bell_number
     return sum(k * (bell(k) - bell(k - 1)) for k in range(1, n_max + 1)) + (n_max >= 4)
+
+
+def _null_player_rows(linear_map, N: Coalition) -> dict[int, list[int]]:
+    """Per player i of N, the integer row with row . nums = n! den times i's
+    payoff on every game on N, den that of the solution's ``LinearMap`` L
+    times the game's: row_i = sum over T of c_i(T) L[T], with c_i(T) =
+    (t-1)!(n-t)! if T holds i and -t!(n-t-1)! if not, the weights
+    ``tu_games.shapley_value`` sums."""
+    n = partitions.size(N)
+    _, w, *_ = tu_games._shapley_table(n)
+    _, terms = linear_map(N)
+    rows = [[0] * len(partitions.enumerate_embedded(N)) for _ in range(n)]
+    # the k-th subset holds the j-th player iff bit j of k is set
+    for k, (positions, coefficients, scale) in enumerate(terms, 1):
+        t = k.bit_count()
+        for j, row in enumerate(rows):
+            c = scale * (w[t - 1] if k >> j & 1 else -w[t])
+            for p, x in zip(positions, coefficients):
+                row[p] += c * x
+    return dict(zip(partitions.members(N), rows))
+
+
+def _row_route(linear_map, N: Coalition):
+    """Whether a witness game on N is paid, read from the rows: its worths
+    are 1 on one placement row, so its payoff is the sum of row_i there."""
+    rows = _null_player_rows(linear_map, N)
+
+    def pays(i, pi, B):
+        row = rows[i]
+        inside, grown = _placement_row(N, i, pi, B)
+        return row[inside] + sum(map(row.__getitem__, grown)) != 0
+
+    return pays
+
+
+def _dense_route(solution: Solution, N: Coalition):
+    """Whether a witness game on N is paid, by running the solution on it."""
+
+    def pays(i, pi, B):
+        return solution(null_player_witness(N, i, pi, B))[i] != 0
+
+    return pays
 
 
 def check_null_player_axiom(
@@ -412,6 +495,13 @@ def check_null_player_axiom(
     outside partition, and target block, plus the four-player showcase game
     whose player 1 is null. Refuses, before running any, more witness games
     than ``MAX_NULL_PLAYER_WITNESSES``.
+
+    A solution that carries a ``linear_map`` (a ``tux_games.LinearMap`` per
+    player set, as ``cli.parse_solution`` attaches) is the Shapley value of
+    that map, so each witness game is decided on one integer row per player
+    (``_null_player_rows``); any other callable runs on each game. The scan
+    order is the same, and the first paid witness is replayed through the
+    solution, whose payoff the report gives, so both routes report alike.
     """
     if label is None:
         label = getattr(solution, "__name__", "solution")
@@ -420,16 +510,20 @@ def check_null_player_axiom(
     if count > MAX_NULL_PLAYER_WITNESSES:
         raise ValueError(f"the null-player check at --nmax {n_max} would run {count} "
                          f"witness games, over the budget of {MAX_NULL_PLAYER_WITNESSES}")
+    linear_map = getattr(solution, "linear_map", None)
     checked = 0
     witness = None
     for N in player_sets:
+        pays = _dense_route(solution, N) if linear_map is None else _row_route(linear_map, N)
         for i in partitions.members(N):
             for pi in partitions.enumerate_partitions(N & ~(1 << i)):
                 for B in pi:
-                    game = null_player_witness(N, i, pi, B)
-                    payoff = solution(game)[i]
                     checked += 1
-                    if payoff != 0 and witness is None:
+                    if pays(i, pi, B) and witness is None:
+                        payoff = solution(null_player_witness(N, i, pi, B))[i]
+                        if payoff == 0:
+                            raise RuntimeError(f"the linear map of {label} pays player {i} "
+                                               "on a witness game that the solution does not")
                         witness = _witness("null-player", kind="witness-family",
                                            players=N, player=i, partition=pi, block=B,
                                            payoff=payoff)

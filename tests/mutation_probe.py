@@ -2,22 +2,28 @@
 
 A mutant replaces one exact snippet of a file by another. For each mutant the
 probe copies the repository (without ``.git`` and caches) to a temporary
-directory, applies the mutant there, and runs the tier-1 suite on the copy
-with ``-x``. A mutant is killed when the suite fails. Every mutant not marked
-equivalent must be killed: a survivor is a comparison or branch that no test
-pins. An equivalent mutant changes no result, so it is expected to survive.
+directory and applies the mutant there. It runs the test that pins the
+mutant first; only when that test passes does it run the whole tier-1 suite
+on the copy with ``-x``. A mutant is killed when either run fails. Every
+mutant not marked equivalent must be killed: a survivor is a comparison or
+branch that no test pins. An equivalent mutant changes no result, so it is
+expected to survive; its ``pinned_by`` says why, and it goes straight to the
+suite. Before any mutant, the pinned tests run once on an unmutated copy and
+must pass, so a pinned test that fails was failed by its mutant.
 
-The suite takes about 30 s per survivor on two cores; killed mutants stop at
-the first failing test. Run from the repository root, for every mutant or
-for the named ones:
+A pinned test that kills its mutant takes a few seconds; the suite takes
+about 35 s per survivor on two cores. Run from the repository root, for
+every mutant or for the named ones:
 
     python tests/mutation_probe.py
     python tests/mutation_probe.py V5 V6
 
-It prints one line per mutant and a summary, and exits 1 when a mutant that
-is not equivalent survives. pytest does not collect this file.
+It prints one line per mutant, with the run that killed it, and a summary,
+and exits 1 when a mutant that is not equivalent survives. pytest does not
+collect this file.
 """
 
+import contextlib
 import os
 import shutil
 import subprocess
@@ -41,7 +47,7 @@ class Mutant(NamedTuple):
     path: str
     old: str
     new: str
-    pinned_by: str  # the test that kills it, or why it changes no result
+    pinned_by: str  # the node id of the test that kills it, or why it changes no result
     equivalent: bool = False
 
 
@@ -49,113 +55,148 @@ MUTANTS = [
     Mutant("V5", VERIFY,
            "for k in sorted(lhs_row.keys() | rhs_row.keys()):",
            "for k in sorted(lhs_row.keys() | rhs_row.keys())[:1]:",
+           "tests/test_verify.py::"
            "test_path_dependence_past_the_first_cell_of_a_row_fails_path_independence"),
     Mutant("V6", VERIFY,
-           "                    if payoff != 0 and witness is None:",
-           "                    if payoff > 0 and witness is None:",
+           "        return solution(null_player_witness(N, i, pi, B))[i] != 0",
+           "        return solution(null_player_witness(N, i, pi, B))[i] > 0",
+           "tests/test_verify.py::"
            "test_null_player_check_flags_negative_payoffs_like_positive_ones"),
     Mutant("showcase-sign", VERIFY,
            "        checked += 1\n        if payoff != 0 and witness is None:",
            "        checked += 1\n        if payoff > 0 and witness is None:",
-           "test_null_player_check_flags_the_showcase_game_either_sign"),
+           "tests/test_verify.py::test_null_player_check_flags_the_showcase_game_either_sign"),
     Mutant("gen-note", VERIFY,
            '        witness = dict(witness, note="routes disagree with block-probability")\n',
            "        pass\n",
+           "tests/test_verify.py::"
            "test_gen_notes_routes_that_disagree_while_block_probability_holds"),
     Mutant("bool", OPS,
            "    def __bool__(self):\n"
            '        raise TypeError("the truth value of a worth depends on the game")\n',
            "",
+           "tests/test_verify.py::"
            "test_rules_that_branch_on_a_worth_fail_linearity_at_once[truth-test]"),
     Mutant("eq", OPS,
            "    def __eq__(self, other):\n"
            '        raise TypeError("comparing worths is not linear")\n',
            "",
+           "tests/test_verify.py::"
            "test_rules_that_branch_on_a_worth_fail_linearity_at_once[equality]"),
     Mutant("neg", OPS,
            "        return self * -1", "        return self * 1",
+           "tests/test_verify.py::"
            "test_a_linear_rule_written_with_subtraction_and_division_passes"),
     Mutant("sub", OPS,
            "        return self + -other", "        return self + other",
+           "tests/test_verify.py::"
            "test_a_linear_rule_written_with_subtraction_and_division_passes"),
     Mutant("rsub", OPS,
            "        return -self + other", "        return self + other",
+           "tests/test_verify.py::"
            "test_a_linear_rule_written_with_subtraction_and_division_passes"),
     Mutant("truediv", OPS,
            "        return self * Fraction(1, k)", "        return self * k",
+           "tests/test_verify.py::"
            "test_a_linear_rule_written_with_subtraction_and_division_passes"),
     Mutant("unknown-op", CLI,
            '    raise ValueError(f"unknown operator spec {spec!r}")',
            "    return None",
-           "test_spec_errors_exit_two_naming_the_spec_or_option"),
+           "tests/test_cli.py::test_spec_errors_exit_two_naming_the_spec_or_option"),
     Mutant("unknown-solution", CLI,
            '    raise ValueError(f"unknown solution spec {spec!r}")',
            "    return None, spec",
-           "test_spec_errors_exit_two_naming_the_spec_or_option"),
+           "tests/test_cli.py::test_spec_errors_exit_two_naming_the_spec_or_option"),
     Mutant("float", CLI,
            "    return float(x) if as_float else formats.format_rational(x)",
            "    return formats.format_rational(x)",
-           "test_float_prints_decimals"),
+           "tests/test_cli.py::test_float_prints_decimals"),
     Mutant("entries-array", FORMATS,
            '        if not isinstance(table.get("entries", []), list):\n'
            "            raise ValueError(f\"table #{pos}: 'entries' must be an array\")\n",
            "",
-           "test_family_table_whose_entries_is_not_an_array_is_refused"),
+           "tests/test_formats.py::test_family_table_whose_entries_is_not_an_array_is_refused"),
     Mutant("null-player-sign", TUX,
            "            if nums[k] != x:",
            "            if nums[k] > x:",
-           "test_null_player_kernel_equals_its_fraction_reference"),
+           "tests/test_integer_kernels.py::test_null_player_kernel_equals_its_fraction_reference"),
     Mutant("run-sums-first-cell", TUX,
            "scale * sum(map(operator.mul, weights, run))",
            "scale * sum(map(operator.mul, weights[1:], run[1:]))",
-           "tests/test_integer_kernels.py fails to collect (its rp:pstar fails GEN), "
-           "then test_criterion_02_potential_routes"),
+           "tests/test_integer_kernels.py::test_partition_function_kernels_equal_their_"
+           "fraction_references[pstar]"),
     Mutant("run-sums-first-cell-skip", TUX,
            "run)) if any(run) else 0)",
            "run)) if run[0] else 0)",
-           "test_criterion_06_operator_potential_is_expected_worth"),
+           "tests/test_acceptance.py::test_criterion_06_operator_potential_is_expected_worth"),
     Mutant("block-runs-first-block", LAWS,
-           "                for k, B in enumerate(pi):",
-           "                for k, B in enumerate(pi[:1]):",
-           "tests/test_integer_kernels.py fails to collect (its rp:pstar fails GEN), "
-           "then test_criterion_02_potential_routes"),
+           "                    for C in rho:",
+           "                    for C in rho[:1]:",
+           "tests/test_integer_kernels.py::test_block_run_weights_are_the_law_at_the_"
+           "partitions_with_the_block[pstar]"),
     Mutant("externality-free-ends", TUX,
            "        if run.count(run[0]) != len(run):",
            "        if run[-1] != run[0]:",
+           "tests/test_tux_games.py::"
            "test_one_changed_cell_in_a_coalitions_run_has_externalities[prefix]"),
     Mutant("ci-largest-block", VERIFY,
            "        for B in sorted(pi, key=int.bit_count, reverse=True):",
            "        for B in sorted(pi, key=int.bit_count, reverse=True)[:1]:",
-           "test_exact_outputs_match_the_fixture_byte_for_byte"),
+           "tests/test_exact_outputs.py::test_exact_outputs_match_the_fixture_byte_for_byte"),
     Mutant("ci-one-sided", VERIFY,
            "            yield pi, B, p * rest_den == q * mass.get(B, 0)",
            "            yield pi, B, p * rest_den <= q * mass.get(B, 0)",
-           "test_integer_verdicts_equal_the_public_helpers"),
+           "tests/test_inclusion_kernels.py::test_integer_verdicts_equal_the_public_helpers"),
     Mutant("pos-zero", VERIFY,
            "        if witness is None and min(nums) <= 0:",
            "        if witness is None and min(nums) < 0:",
+           "tests/test_inclusion_kernels.py::"
            "test_family_check_reports_equal_the_fraction_references"
            "[eps:4=1/8-check_pos-ref_check_pos]"),
     Mutant("monotonicity-first-block", VERIFY,
            "            for B, p in zip(pi, probs):",
            "            for B, p in zip(pi[:1], probs):",
-           "test_exact_outputs_match_the_fixture_byte_for_byte"),
+           "tests/test_exact_outputs.py::test_exact_outputs_match_the_fixture_byte_for_byte"),
     Mutant("monotonicity-one-sided", VERIFY,
            "                yield i, pi, B, p * (n - b) == b * (total - p)",
            "                yield i, pi, B, p * (n - b) >= b * (total - p)",
-           "test_criterion_09_null_player_selects_the_crp_law"),
+           "tests/test_acceptance.py::test_criterion_09_null_player_selects_the_crp_law"),
     Mutant("res-first-read", VERIFY,
            "        for k in positions:",
            "        for k in positions[:1]:",
-           "test_a_non_local_read_after_a_local_one_fails_locality"),
+           "tests/test_verify.py::test_a_non_local_read_after_a_local_one_fails_locality"),
     Mutant("res-past-first-read", VERIFY,
            "        for k in positions:",
            "        for k in positions[1:]:",
-           "test_exact_outputs_match_the_fixture_byte_for_byte"),
+           "tests/test_exact_outputs.py::test_exact_outputs_match_the_fixture_byte_for_byte"),
     Mutant("eager-verify", CLI,
            "from . import formats, partitions, random_partitions, tu_games, tux_games\n",
            "from . import formats, partitions, random_partitions, tu_games, tux_games, verify\n",
+           "tests/test_import_budget.py::"
            "test_command_loads_only_the_modules_it_runs[enumerate --players 1,2,3 --embedded]"),
+    Mutant("row-sign-outside", VERIFY,
+           "w[t - 1] if k >> j & 1 else -w[t])",
+           "w[t - 1] if k >> j & 1 else w[t])",
+           "tests/test_verify.py::test_each_row_times_the_worths_is_n_factorial_den_"
+           "times_the_payoff[mpw]"),
+    Mutant("row-weight-off-by-one", VERIFY,
+           "w[t - 1] if k >> j & 1 else -w[t])",
+           "w[t] if k >> j & 1 else -w[t])",
+           "tests/test_verify.py::test_each_row_times_the_worths_is_n_factorial_den_"
+           "times_the_payoff[mpw]"),
+    Mutant("row-scan-sign", VERIFY,
+           "sum(map(row.__getitem__, grown)) != 0",
+           "sum(map(row.__getitem__, grown)) > 0",
+           "tests/test_verify.py::test_row_route_flags_a_first_witness_that_pays_a_"
+           "negative_amount"),
+    Mutant("row-without-grown", VERIFY,
+           "row[inside] + sum(map(row.__getitem__, grown)) != 0",
+           "row[inside] != 0",
+           "tests/test_verify.py::test_row_route_reports_equal_the_dense_route[mpw]"),
+    Mutant("showcase-dropped", VERIFY,
+           "    if n_max >= 4:\n        showcase = tux_games.productive_pair_game()",
+           "    if False:\n        showcase = tux_games.productive_pair_game()",
+           "tests/test_verify.py::test_null_player_witness_count_is_predicted_before_the_check"),
     Mutant("run-sums-skip", TUX,
            "run)) if any(run) else 0)",
            "run)))",
@@ -174,26 +215,52 @@ def _ignore(directory, names):
             if name in (".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench")}
 
 
-def run(mutant: Mutant) -> tuple[bool, float]:
-    """(killed, seconds): the tier-1 suite run on a mutated copy of the repository."""
+@contextlib.contextmanager
+def _copy(mutant: Mutant | None = None):
+    """(copy, env): a copy of the repository, with the mutant applied if one
+    is given, and the environment that imports pfgames from it."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=_ignore)
-        target = copy / mutant.path
-        text = target.read_text()
-        if text.count(mutant.old) != 1:
-            raise SystemExit(f"mutant {mutant.name}: the snippet to replace occurs "
-                             f"{text.count(mutant.old)} times in {mutant.path}, not once")
-        target.write_text(text.replace(mutant.old, mutant.new))
+        if mutant is not None:
+            target = copy / mutant.path
+            text = target.read_text()
+            if text.count(mutant.old) != 1:
+                raise SystemExit(f"mutant {mutant.name}: the snippet to replace occurs "
+                                 f"{text.count(mutant.old)} times in {mutant.path}, not once")
+            target.write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(copy / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        yield copy, env
+
+
+def _pytest(copy: Path, env: dict, *args) -> int:
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider", *args],
+        cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def check_pins(mutants) -> None:
+    """Every pinned test exists and passes on the repository as it is, so a
+    pinned test that fails on a mutant was failed by the mutant."""
+    pins = sorted({m.pinned_by for m in mutants if not m.equivalent})
+    with _copy() as (copy, env):
+        if pins and _pytest(copy, env, *pins):
+            raise SystemExit("a pinned test is missing or fails without a mutant: "
+                             f"python -m pytest {' '.join(pins)}")
+
+
+def run(mutant: Mutant) -> tuple[str | None, float]:
+    """(the run that killed the mutant, or None, seconds): its pinned test,
+    then the tier-1 suite, on a mutated copy of the repository."""
+    with _copy(mutant) as (copy, env):
         start = time.perf_counter()
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
-             "-p", "no:cacheprovider"],
-            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        return result.returncode != 0, time.perf_counter() - start
+        if not mutant.equivalent and _pytest(copy, env, mutant.pinned_by):
+            return "pinned", time.perf_counter() - start
+        killer = "suite" if _pytest(copy, env) else None
+        return killer, time.perf_counter() - start
 
 
 def main(names) -> int:
@@ -201,15 +268,16 @@ def main(names) -> int:
     if unknown:
         raise SystemExit(f"unknown mutants: {sorted(unknown)}")
     chosen = [m for m in MUTANTS if not names or m.name in names]
+    check_pins(chosen)
     killed = survived = gaps = 0
     for mutant in chosen:
-        dead, seconds = run(mutant)
-        killed += dead
-        survived += not dead
-        gaps += not dead and not mutant.equivalent
-        verdict = "killed" if dead else "survived"
+        killer, seconds = run(mutant)
+        killed += killer is not None
+        survived += killer is None
+        gaps += killer is None and not mutant.equivalent
+        verdict = f"killed by {killer}" if killer else "survived"
         kind = " (equivalent)" if mutant.equivalent else ""
-        print(f"{verdict:8} {mutant.name:28} {mutant.path}  {seconds:5.1f} s{kind}  "
+        print(f"{verdict:16} {mutant.name:28} {mutant.path}  {seconds:5.1f} s{kind}  "
               f"{mutant.pinned_by}", flush=True)
     print(f"{len(chosen)} mutants: {killed} killed, {survived} survived, "
           f"{gaps} of them not equivalent")

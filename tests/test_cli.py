@@ -560,6 +560,22 @@ def test_explosive_null_player_check_exits_two_before_it_starts(capsys, monkeypa
     assert "--nmax 9" in err and "185028 witness games" in err
 
 
+def test_explosive_restriction_check_exits_two_before_it_starts(capsys, monkeypatch):
+    from pfgames import restriction_ops
+
+    def unexpected(*args):
+        raise AssertionError("a removal matrix was built")
+
+    monkeypatch.setattr(restriction_ops.RestrictionOperator, "removal_matrix", unexpected)
+    monkeypatch.setenv(cli.ENV_UNIVERSE_BOUND, "10")
+    for n_max, count in (("9", "325259"), ("10", "2038864")):
+        code, out, err = run(capsys, "verify", "--check", "restriction", "--op", "rstar",
+                             "--nmax", n_max)
+        assert code == 2
+        assert out == ""
+        assert f"--nmax {n_max}" in err and f"{count} instances" in err
+
+
 def test_aux_game_with_probability_operator(capsys, showcase_path):
     code, out, _ = run(capsys, "aux-game", "--op", "rp:pstar", "--game", showcase_path)
     assert code == 0

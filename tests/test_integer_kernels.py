@@ -6,11 +6,16 @@ Fractions on seeded games whose worths include zeros, negatives and large
 coprime denominators, over several families.
 """
 
+import functools
 import gc
 import math
+import os
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -466,6 +471,20 @@ def test_block_run_weights_are_the_law_at_the_partitions_with_the_block(family):
                 for rho in partitions.enumerate_partitions(N & ~S)]
 
 
+def test_block_runs_of_eight_players_keep_the_shared_position_table_small():
+    """The block runs find their cells by the partitions of their own player
+    set, so the process-wide position table gains no partitions of subsets."""
+    code = ("from pfgames import partitions, random_partitions; "
+            "random_partitions.PSTAR.block_runs(partitions.mask_from(range(1, 9))); "
+            "print(len(partitions._partition_positions))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(partitions.__file__).parent.parent)]
+        + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert int(out) <= 4140
+
+
 def test_placement_positions_refuse_a_player_outside_the_set():
     with pytest.raises(ValueError, match="not in the player set"):
         partitions.placement_positions(prefix(3), 4)
@@ -476,23 +495,33 @@ def grand_copy_restriction():
     return RestrictionOperator("grand-copy", lambda w, i, S, pi: w.worth(w.players, ()) if S else 0)
 
 
-OPERATORS = [
-    crp_restriction(),
-    probability_restriction(PSTAR),
-    probability_restriction(perturbed_family({4: Fraction(1, 24)})),
-    probability_restriction(perturbed_family({4: Fraction(1, 48)})),
-    nullifying_restriction(),
-    removal_biased_restriction(),
-    grand_copy_restriction(),
-]
-LOCAL_OPERATORS = [op for op in OPERATORS if op.label not in ("nullify", "grand-copy")]
+@functools.cache
+def operators():
+    """The operators under test, built on first use: ``probability_restriction``
+    runs ``check_gen``, so a kernel fault fails the tests that use them, each
+    by name, not the collection of this module."""
+    return [
+        crp_restriction(),
+        probability_restriction(PSTAR),
+        probability_restriction(perturbed_family({4: Fraction(1, 24)})),
+        probability_restriction(perturbed_family({4: Fraction(1, 48)})),
+        nullifying_restriction(),
+        removal_biased_restriction(),
+        grand_copy_restriction(),
+    ]
+
+
+def local_operators():
+    return [op for op in operators() if op.label not in ("nullify", "grand-copy")]
+
+
 SCATTERED = partitions.mask_from([0, 3, 4, 9, 17])
 
 
 @pytest.mark.parametrize("n", range(0, 6))
 def test_auxiliary_game_equals_the_walk_on_concrete_subgames(n):
     w = TUX_GAMES[n]
-    for op in OPERATORS:
+    for op in operators():
         expected = ref_auxiliary_game(op, w)
         assert op.auxiliary_game(w) == expected, op.label
         assert op.potential(w) == ref_potential(expected), op.label
@@ -503,7 +532,7 @@ def test_auxiliary_game_on_players_that_are_not_a_prefix():
     rng = random.Random(23)
     w = TuxGame(SCATTERED, {cell: exact_worth(rng)
                             for cell in partitions.enumerate_embedded(SCATTERED) if cell[0]})
-    for op in OPERATORS:
+    for op in operators():
         assert op.auxiliary_game(w) == ref_auxiliary_game(op, w), op.label
 
 
@@ -512,7 +541,7 @@ def test_auxiliary_map_of_a_local_operator_reads_each_nonempty_cell_once(N):
     """A coalition keeps only worths of its own cells, so the rows split the
     nonempty cells of the table among the coalitions."""
     nonempty = [k for k, (S, _) in enumerate(partitions.enumerate_embedded(N)) if S]
-    for op in LOCAL_OPERATORS:
+    for op in local_operators():
         den, rows = op.auxiliary_map(N)
         assert len(rows) == 1 << partitions.size(N)
         assert sorted(k for positions, _ in rows for k in positions) == nonempty, op.label

@@ -1,9 +1,12 @@
+import json
+import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from pfgames import formats, partitions, tux_games, verify
+from pfgames import cli, formats, partitions, tux_games, verify
 from pfgames.random_partitions import (
     PSTAR,
     RandomPartitionFamily,
@@ -174,9 +177,11 @@ def test_null_player_axiom_mpw_passes():
 
 
 def test_null_player_witness_count_is_predicted_before_the_check():
+    mpw, label = cli.parse_solution("mpw")  # decided on rows
     for n_max in range(1, 6):
         report = check_null_player_axiom(lambda w: dict.fromkeys(w.member_ids(), 0), n_max)
         assert verify._null_player_count(n_max) == report.checked
+        assert check_null_player_axiom(mpw, n_max, label).checked == report.checked
     assert [verify._null_player_count(n) for n in (7, 8)] == [5861, 31965]
     assert verify.MAX_NULL_PLAYER_WITNESSES >= 31965
 
@@ -214,6 +219,83 @@ def test_null_player_check_flags_negative_payoffs_like_positive_ones():
     assert report.witness["payoff"] == "-1/3"
     assert mirror.witness == dict(report.witness, payoff="1/3")
     assert mirror.checked == report.checked
+
+
+# a table on players 1..3 that is not the uniform CRP law, so its p-Shapley
+# value pays a null player there
+SKEWED_TABLE = {"n": 3, "entries": [
+    {"partition": [[1], [2], [3]], "prob": "1/6"}, {"partition": [[1, 2], [3]], "prob": "1/3"},
+    {"partition": [[1, 3], [2]], "prob": "1/6"}, {"partition": [[1], [2, 3]], "prob": "1/12"},
+    {"partition": [[1, 2, 3]], "prob": "1/4"}]}
+BUILT_IN_SOLUTIONS = ["mpw", "p-shapley:pstar", "p-shapley:ewens:1/2", "p-shapley:eps:4=1/24",
+                      "p-shapley:table:", "r-shapley:rstar", "r-shapley:rp:pstar",
+                      "r-shapley:nullify", "r-shapley:biased"]
+
+
+def parse_built_in(spec, tmp_path):
+    if spec.endswith("table:"):
+        path = tmp_path / "skewed.json"
+        path.write_text(json.dumps(SKEWED_TABLE))
+        spec += str(path)
+    return cli.parse_solution(spec)
+
+
+@pytest.mark.parametrize("spec", BUILT_IN_SOLUTIONS)
+def test_row_route_reports_equal_the_dense_route(spec, tmp_path):
+    """A built-in solution carries its linear map, and the check decides it on
+    rows; the same callable without the map runs every witness game."""
+    solution, label = parse_built_in(spec, tmp_path)
+    assert callable(solution.linear_map)
+    dense = lambda w: solution(w)
+    verdicts = []
+    for n_max in range(1, 6):
+        report = check_null_player_axiom(solution, n_max, label)
+        assert report == check_null_player_axiom(dense, n_max, label), n_max
+        verdicts.append(report.passed)
+    expected = spec in ("mpw", "p-shapley:pstar", "r-shapley:rstar", "r-shapley:rp:pstar")
+    assert verdicts[-1] == expected
+
+
+def test_row_route_flags_a_first_witness_that_pays_a_negative_amount():
+    solution, label = cli.parse_solution("r-shapley:biased")
+    report = check_null_player_axiom(solution, 3, label)
+    pinned = {"check": "null-player", "kind": "witness-family", "players": [1, 2, 3],
+              "player": 1, "partition": [[2], [3]], "block": [2], "payoff": "-1/3"}
+    assert (report.passed, report.checked, report.witness) == (False, 11, pinned)
+
+
+def test_row_route_replays_its_witness_and_refuses_a_map_the_solution_disagrees_with():
+    solution, label = cli.parse_solution("mpw")
+    zero = lambda w: dict.fromkeys(w.member_ids(), 0)
+    zero.linear_map = solution.linear_map
+    assert check_null_player_axiom(zero, 4, "zero").passed
+    zero.linear_map = cli.parse_solution("r-shapley:nullify")[0].linear_map
+    with pytest.raises(RuntimeError, match="linear map of zero"):
+        check_null_player_axiom(zero, 2, "zero")
+
+
+def ci_game8():
+    """The dense 8-player game of the CI workflow."""
+    rng = random.Random(8)
+    N = partitions.mask_from(range(1, 9))
+    return tux_games.TuxGame(N, {cell: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                 for cell in partitions.enumerate_embedded(N) if cell[0]})
+
+
+@pytest.mark.parametrize("spec", ["mpw", "p-shapley:pstar", "r-shapley:rstar"])
+def test_each_row_times_the_worths_is_n_factorial_den_times_the_payoff(spec):
+    solution, _ = cli.parse_solution(spec)
+    rng = random.Random(26)
+    games = [random_tux_game(prefix(n), rng) for n in range(1, 7) for _ in range(2)]
+    games += [random_tux_game(partitions.mask_from([0, 3, 5, 9]), rng), ci_game8()]
+    for w in games:
+        den, _ = solution.linear_map(w.players)
+        rows = verify._null_player_rows(solution.linear_map, w.players)
+        payoff = solution(w)
+        assert sorted(rows) == sorted(payoff)
+        for i, row in rows.items():
+            numerator = sum(map(operator.mul, row, w.nums))
+            assert numerator == math.factorial(w.n) * den * w.den * payoff[i], (w.n, i)
 
 
 def test_monotonicity_conditions():
@@ -461,6 +543,26 @@ def test_rule_that_moves_only_the_null_game_fails_null_game_preservation():
     pi = formats.partition_from_lists(witness["cell_partition"])
     lhs = op.restricted_worth(tux_games.null_game(N), witness["player"], S, pi)
     assert lhs == Fraction(witness["lhs"]) != 0
+
+
+def test_restriction_instances_are_predicted_before_the_check(tmp_path):
+    # pstar's own law on a set that is not a prefix, named by the table
+    players = [2, 4, 5, 7]
+    entries = [{"partition": formats.partition_to_lists(pi), "prob": formats.format_rational(p)}
+               for pi, p in PSTAR.distribution(players).items()]
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps({"players": players, "entries": entries}))
+    for spec in ("rstar", f"rp:table:{path}"):
+        op = cli.parse_operator(spec)
+        for n_max in range(1, 6):
+            report = check_restriction_axioms(op, n_max)
+            assert report.passed, (spec, n_max)
+            sets = verify._player_sets(n_max, op.explicit_player_sets)
+            assert verify._restriction_count(sets) == report.checked, (spec, n_max)
+    assert partitions.mask_from(players) in op.explicit_player_sets
+    counts = [verify._restriction_count(verify._player_sets(n)) for n in (3, 4, 8)]
+    assert counts == [20, 82, 54719]
+    assert verify.MAX_RESTRICTION_INSTANCES >= 54719
 
 
 def test_builtin_operators_pass_at_six_players():
