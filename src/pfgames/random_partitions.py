@@ -10,7 +10,8 @@ table-backed families for counterexample experiments.
 A family's law is born as an integer table: its rule gives, for a player
 set, (den, nums) with nums the integer numerators of the probabilities in
 ``enumerate_partitions`` order over the common denominator den. The
-built-in laws compute them from closed forms in integers.
+built-in laws compute them from closed forms in integers; the Ewens and
+perturbed laws scale pstar's numerators, read from ``PSTAR``'s cached view.
 ``integer_distribution`` memoizes that view, reduced to den the lcm of the
 probabilities' denominators, and is where every law is validated. It is the
 one cached form of a law: exact kernels read it, and ``distribution``
@@ -234,7 +235,9 @@ def _factorials(n: int) -> list[int]:
 
 
 def _pstar_rule(mask: Coalition) -> IntegerView:
-    """n! and, for each partition in enumeration order, prod (b-1)!."""
+    """n! and, for each partition in enumeration order, prod (b-1)!. The
+    all-singletons numerator is 1, so ``PSTAR`` keeps this view unreduced
+    and the other built-in laws read it from there."""
     fact = _factorials(partitions.size(mask))
     return fact[-1], tuple(math.prod([fact[b.bit_count() - 1] for b in pi])
                            for pi in partitions.enumerate_partitions(mask))
@@ -260,8 +263,8 @@ def ewens_family(theta) -> RandomPartitionFamily:
         n = partitions.size(mask)
         weight = [p**k * q ** (n - k) for k in range(n + 1)]  # by block count
         return math.prod(p + j * q for j in range(n)), tuple(
-            weight[len(pi)] * num
-            for pi, num in zip(partitions.enumerate_partitions(mask), _pstar_rule(mask)[1]))
+            weight[len(pi)] * num for pi, num in zip(
+                partitions.enumerate_partitions(mask), PSTAR.integer_distribution(mask)[1]))
 
     return RandomPartitionFamily(f"ewens:{theta}", rule)
 
@@ -324,7 +327,7 @@ def perturbed_family(eps) -> RandomPartitionFamily:
     def rule(mask: Coalition) -> IntegerView:
         n = partitions.size(mask)
         eps_n = eps.at(n)
-        view = _pstar_rule(mask)
+        view = PSTAR.integer_distribution(mask)
         if n <= 3 or eps_n == 0:
             return view
         # over den = n! c C(n,2) C(n-2,2), with eps_n = a / c

@@ -42,6 +42,8 @@ class _LinearForm:
     nonzero constant terms raise TypeError.
     """
 
+    __slots__ = ("coef", "unit")
+
     def __init__(self, coef, unit=None):
         self.coef = coef
         self.unit = unit  # the cell of a single worth read, whose coefficient is 1
@@ -95,11 +97,12 @@ class _SymbolicGame:
 
     def __init__(self, players: Coalition):
         self.players, self.n = players, partitions.size(players)
+        # the cells of the empty coalition come first, one per partition
+        self._empty_cells = partitions.bell_number(self.n)
 
     def worth(self, coalition, pi: Partition) -> _LinearForm:
-        S = partitions.as_mask(coalition)
-        k = cell_index(self.players, S, pi)
-        return _LinearForm({k: ONE}, unit=k) if S else _LinearForm({})
+        k = cell_index(self.players, coalition, pi)
+        return _LinearForm({k: ONE}, unit=k) if k >= self._empty_cells else _LinearForm({})
 
 
 class NonLinearRuleError(ValueError):
@@ -196,7 +199,8 @@ class RestrictionOperator:
     def restricted_worth(self, w: TuxGame, i: int, S, pi: Partition) -> Fraction:
         """Worth of one embedded coalition of the subgame without player ``i``,
         the only call of the cell rule; the empty coalition is 0 without it."""
-        S = partitions.as_mask(S)
+        if type(S) is not int or S < 0:
+            S = partitions.as_mask(S)
         return self._cell_rule(w, i, S, pi) if S else ZERO
 
     def restrict(self, w: TuxGame, i: int) -> TuxGame:
@@ -315,10 +319,25 @@ def crp_restriction() -> RestrictionOperator:
         total = ZERO
         for B, grown in partitions.placements(pi, i):
             # alone (B = 0) weighs like a block of one
-            total += Fraction(B.bit_count() or 1, outside) * w.worth(S, grown)
+            total += w.worth(S, grown) * Fraction(B.bit_count() or 1, outside)
         return total
 
     return RestrictionOperator("rstar", cell)
+
+
+def _run_index(S: Coalition, players: Coalition) -> int:
+    """Where the run of a nonempty S sits in a run table of ``players``
+    (``RandomPartitionFamily.block_runs``): S's position in ``subsets``
+    order, its bits packed along those of ``players``, less the empty set's."""
+    index, bit = 0, 1
+    while S:
+        low = players & -players
+        if S & low:
+            index |= bit
+            S ^= low
+        bit <<= 1
+        players ^= low
+    return index - 1
 
 
 def probability_restriction(family: RandomPartitionFamily) -> RestrictionOperator:
@@ -330,6 +349,11 @@ def probability_restriction(family: RandomPartitionFamily) -> RestrictionOperato
     checked at construction time on up to 5 players (fewer when the universe
     bound is lower), once per family and player count. Probabilities
     appearing in denominators must be nonzero and are checked per query.
+
+    The rule reads both probabilities from the family's cached run tables
+    (``block_runs``), at the positions of the cells it concerns: p_N at
+    (S, pi with the removed player placed) in the table of N, p_{N-i} at
+    (S, pi) in the table of N - i.
     """
     from . import verify
 
@@ -345,10 +369,12 @@ def probability_restriction(family: RandomPartitionFamily) -> RestrictionOperato
 
     def cell(w: TuxGame, i: int, S: Coalition, pi: Partition) -> Fraction:
         rest = w.players & ~(1 << i)
-        base = partitions.with_block(pi, S)
-        rest_den, rest_nums = family.integer_distribution(rest)
-        q = rest_nums[partitions.partition_position(base)]
+        rest_den, runs = family.block_runs(rest)
+        start, _, weights, _ = runs[_run_index(S, rest)]
+        at = cell_index(rest, S, pi) - start  # where pi sits in the run of S
+        q = weights[at]
         if q == 0:
+            base = partitions.with_block(pi, S)
             raise PositivityError(
                 f"family {family.label!r} assigns probability zero to "
                 f"{[sorted(partitions.members(b)) for b in base]} on "
@@ -356,11 +382,11 @@ def probability_restriction(family: RandomPartitionFamily) -> RestrictionOperato
                 players=rest,
                 partition=base,
             )
-        den, nums = family.integer_distribution(w.players)
+        den, runs = family.block_runs(w.players)
+        start, _, weights, _ = runs[_run_index(S, w.players)]
         total = 0
         for _, grown in partitions.placements(pi, i):
-            p = nums[partitions.partition_position(partitions.with_block(grown, S))]
-            total += p * w.worth(S, grown)
+            total += w.worth(S, grown) * weights[cell_index(w.players, S, grown) - start]
         n, s = w.n, S.bit_count()
         # n/(n-s) over p_{N-i}(base), both probabilities' denominators cleared
         return total * Fraction(n * rest_den, (n - s) * den * q)
@@ -391,7 +417,7 @@ def removal_biased_restriction() -> RestrictionOperator:
         total = ZERO
         for B, grown in partitions.placements(pi, i):
             worth = w.worth(S, grown)
-            total += (i + 1) * worth if B else worth
+            total += worth * (i + 1) if B else worth
         return total
 
     return RestrictionOperator("biased", cell)

@@ -46,9 +46,14 @@ class Game:
     def _from_numerators(cls, players: Coalition, den: int, nums):
         """The game with worths nums[k] / den in table order (unchecked)."""
         g = 1 if den == 1 else math.gcd(den, *nums)
+        return cls._from_reduced(players, den // g, nums if g == 1 else (x // g for x in nums))
+
+    @classmethod
+    def _from_reduced(cls, players: Coalition, den: int, nums):
+        """The game with worths nums[k] / den in table order, where
+        gcd(den, *nums) is already 1 (unchecked: no gcd is taken)."""
         game = cls.__new__(cls)
-        game.players, game.den = players, den // g
-        game.nums = tuple(nums) if g == 1 else tuple(x // g for x in nums)
+        game.players, game.den, game.nums = players, den, tuple(nums)
         return game
 
     @classmethod

@@ -78,8 +78,14 @@ class TuxGame(Game):
 
 
 def cell_index(players: Coalition, coalition, pi: Partition) -> int:
-    """Position of the embedded coalition in ``enumerate_embedded(players)``;
-    ValueError when it is not one."""
+    """Position of the embedded coalition in ``enumerate_embedded(players)``,
+    ``players`` a mask; ValueError when it is not one. An int mask is looked
+    up as it is, once; anything else, or a miss, goes through ``as_mask``,
+    so every refusal is the one ``as_mask`` or the lookup gives."""
+    if type(coalition) is int:
+        k = partitions.embedded_index(players).get((coalition, pi))
+        if k is not None:
+            return k
     S = partitions.as_mask(coalition)
     try:
         return partitions.embedded_index(players)[(S, pi)]

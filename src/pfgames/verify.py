@@ -317,6 +317,17 @@ def _judge_removal(op, probe: TuxGame, i: int) -> restriction_ops.RemovalMatrix:
     return matrix
 
 
+def _lin_probe(N: Coalition) -> TuxGame:
+    """The LIN probe: the game on N with worth 1/k at the k-th nonempty cell
+    of ``enumerate_embedded(N)``, built in integers. Over den = lcm(1..K),
+    cell k's numerator is den // k; cell 1's is den itself, so the view is
+    already reduced and no gcd is taken."""
+    empty = partitions.bell_number(partitions.size(N))  # the empty coalition's cells lead
+    K = len(partitions.enumerate_embedded(N)) - empty
+    den = math.lcm(*range(1, K + 1))
+    return TuxGame._from_reduced(N, den, [0] * empty + [den // k for k in range(1, K + 1)])
+
+
 def _restriction_count(player_sets) -> int:
     """Instances of ``check_restriction_axioms`` on these player sets: on k
     players, k removals, each with the Bell(k) - Bell(k - 1) nonempty cells
@@ -361,8 +372,7 @@ def check_restriction_axioms(op, n_max: int) -> Report:
         for N in player_sets:
             ids = partitions.members(N)
             cells = partitions.enumerate_embedded(N)
-            probe = TuxGame(N, {cell: Fraction(1, k)
-                                for k, cell in enumerate((c for c in cells if c[0]), 1)})
+            probe = _lin_probe(N)
             matrices = {i: _judge_removal(op, probe, i) for i in ids}
             null = tux_games.null_game(N)
             for i in ids:

@@ -197,6 +197,19 @@ MUTANTS = [
            "    if n_max >= 4:\n        showcase = tux_games.productive_pair_game()",
            "    if False:\n        showcase = tux_games.productive_pair_game()",
            "tests/test_verify.py::test_null_player_witness_count_is_predicted_before_the_check"),
+    Mutant("lin-probe-numerator", VERIFY,
+           "[den // k for k in range(1, K + 1)]",
+           "[den // (k + 1) for k in range(1, K + 1)]",
+           "tests/test_verify.py::test_integer_lin_probe_equals_the_fraction_built_probe[2]"),
+    Mutant("rp-rest-cell", OPS,
+           "weights[cell_index(w.players, S, grown) - start]",
+           "weights[at]",
+           "tests/test_integer_kernels.py::test_rp_removal_matrices_equal_the_with_block_"
+           "reference[eps:4=1/24]"),
+    Mutant("eps-unperturbed", LAWS,
+           "        if n <= 3 or eps_n == 0:",
+           "        if n >= 4 or eps_n == 0:",
+           "tests/test_random_partitions.py::test_eps_law_equals_its_docstring_closed_form"),
     Mutant("run-sums-skip", TUX,
            "run)) if any(run) else 0)",
            "run)))",

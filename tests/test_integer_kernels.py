@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from pfgames import formats, partitions, tu_games, tux_games
+from pfgames import formats, partitions, tu_games, tux_games, verify
 from pfgames.errors import PositivityError
 from pfgames.random_partitions import (
     PSTAR,
@@ -483,6 +483,70 @@ def test_block_runs_of_eight_players_keep_the_shared_position_table_small():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert int(out) <= 4140
+
+
+def test_rp_auxiliary_map_of_six_players_keeps_the_shared_position_table_small():
+    """The rp rule reads its probabilities from the family's run tables, so
+    building a whole auxiliary map leaves the process-wide position table
+    within one player set's partitions."""
+    code = ("from pfgames import partitions, random_partitions, restriction_ops; "
+            "op = restriction_ops.probability_restriction(random_partitions.PSTAR); "
+            "op.auxiliary_map(partitions.mask_from(range(1, 7))); "
+            "print(len(partitions._partition_positions))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(partitions.__file__).parent.parent)]
+        + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert int(out) <= partitions.bell_number(6)
+
+
+def ref_rp_rule(family):
+    """The rp cell rule as it read the law before the run tables: each
+    partition found by ``with_block`` and its probability by ``family.prob``."""
+
+    def cell(w, i, S, pi):
+        rest = w.players & ~(1 << i)
+        base = partitions.with_block(pi, S)
+        q = family.prob(rest, base)
+        if q == 0:
+            raise PositivityError(
+                f"family {family.label!r} assigns probability zero to "
+                f"{[sorted(partitions.members(b)) for b in base]} on "
+                f"{sorted(partitions.members(rest))}", players=rest, partition=base)
+        total = 0
+        for _, grown in partitions.placements(pi, i):
+            total += w.worth(S, grown) * family.prob(w.players, partitions.with_block(grown, S))
+        return total * (Fraction(w.n, w.n - S.bit_count()) / q)
+
+    return cell
+
+
+def rp_without_gen_check(family):
+    """``probability_restriction`` of a family with its GEN report on file as
+    passed: the rule does not need GEN, and the skewed table, which fails it,
+    exercises a zero probability and weights far from the CRP law."""
+    family._gen_reports[min(5, partitions.universe_bound())] = verify.Report("gen", True, 0)
+    return probability_restriction(family)
+
+
+@pytest.mark.parametrize("family", [perturbed_family({4: Fraction(1, 24)}), skewed_table_family()],
+                         ids=lambda family: family.label)
+def test_rp_removal_matrices_equal_the_with_block_reference(family):
+    op = rp_without_gen_check(family)
+    ref = RestrictionOperator("ref", ref_rp_rule(family))
+    player_sets = [prefix(n) for n in range(1, 6)] + [SCATTERED]
+    for N in player_sets:
+        for i in partitions.members(N):
+            try:
+                expected = ref.removal_matrix(N, i)
+            except PositivityError as exc:
+                with pytest.raises(PositivityError) as got:
+                    op.removal_matrix(N, i)
+                assert (str(got.value), got.value.players, got.value.partition) == (
+                    str(exc), exc.players, exc.partition)
+                continue
+            assert op.removal_matrix(N, i) == expected, (N, i)
 
 
 def test_placement_positions_refuse_a_player_outside_the_set():

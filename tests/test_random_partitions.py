@@ -11,6 +11,7 @@ from pfgames.random_partitions import (
     PSTAR,
     EpsilonProfile,
     RandomPartitionFamily,
+    _pstar_rule,
     _validate_distribution,
     ewens_family,
     family_from_distributions,
@@ -339,6 +340,13 @@ EPS_PROFILE = {4: Fraction(1, 24), 5: Fraction(1, 240), 6: Fraction(-1, 720),
 @pytest.mark.parametrize("n", range(9))
 def test_pstar_law_equals_its_formula(n):
     assert_law(PSTAR, n, pstar_formula)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_pstar_keeps_its_rule_view_unreduced(n):
+    """The all-singletons numerator is 1, so the validated pstar law is the
+    rule's own view, which the Ewens and eps rules read from ``PSTAR``."""
+    assert PSTAR.integer_distribution(prefix(n)) == _pstar_rule(prefix(n))
 
 
 def test_eps_law_equals_its_docstring_closed_form():

@@ -99,6 +99,38 @@ def test_worth_lookup_rejects_non_embedded_cells():
         w.worth([1], blocks([1, 2]))
 
 
+# (coalition, pi) on the showcase game, and the refusal each read gives: a list
+# coalition goes through as_mask, an int mask is looked up as it is
+REFUSED_READS = [
+    (([1, 1], ()), ValueError, "duplicate player id 1"),
+    (([40], ()), ValueError, "player id 40 outside supported range 0..31"),
+    (([1], ()), ValueError, r"([1], []) is not an embedded coalition of this game"),
+    ((-1, ()), ValueError, "coalition mask must be non-negative"),
+    ((1 << 5, (prefix(4),)), ValueError,
+     "([5], [[1, 2, 3, 4]]) is not an embedded coalition of this game"),
+    ((partitions.mask_from([1, 4]), (1 << 3, 1 << 2)), ValueError,
+     "([1, 4], [[3], [2]]) is not an embedded coalition of this game"),
+    ((partitions.mask_from([1, 4]), [1 << 2, 1 << 3]), TypeError, "unhashable type: 'list'"),
+    ((1.0, ()), TypeError, "'float' object is not iterable"),
+]
+
+
+@pytest.mark.parametrize("cell, error, message", REFUSED_READS, ids=[
+    "duplicate-id", "id-out-of-range", "list-not-a-cell", "negative-mask",
+    "mask-outside-players", "non-canonical-pi", "unhashable-pi", "float-coalition"])
+def test_worth_reads_keep_every_refusal_and_its_message(cell, error, message):
+    w = productive_pair_game()
+    with pytest.raises(error) as got:
+        w.worth(*cell)
+    assert str(got.value) == message
+
+
+def test_worth_reads_a_list_coalition_as_its_mask():
+    w = productive_pair_game()
+    for (S, pi), x in w.cells():
+        assert w.worth(list(partitions.members(S)), pi) == w.worth(S, pi) == x
+
+
 def test_grand_coalition_dirac():
     delta = dirac_game(N4, N4, ())
     assert delta.worth(N4, ()) == 1

@@ -504,6 +504,18 @@ def test_non_linear_rules_fail_linearity(cell):
     assert report.witness["error"]
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_integer_lin_probe_equals_the_fraction_built_probe(n):
+    """The LIN probe built in integers is the game with worth 1/k at the k-th
+    nonempty cell, with the same reduced denominator and numerators."""
+    N = prefix(n)
+    cells = [c for c in partitions.enumerate_embedded(N) if c[0]]
+    expected = tux_games.TuxGame(N, {c: Fraction(1, k) for k, c in enumerate(cells, 1)})
+    probe = verify._lin_probe(N)
+    assert (probe.players, probe.den, probe.nums) == (N, expected.den, expected.nums)
+    assert probe == expected
+
+
 def test_rule_that_is_linear_only_symbolically_fails_linearity():
     """The removal map is checked against the rule, through ``restricted_worth``,
     on the dense game with worth 1/k at the k-th nonempty embedded coalition."""
