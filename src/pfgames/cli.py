@@ -76,9 +76,13 @@ def _carrying(solution, linear_map):
 
 
 def parse_solution(spec: str):
-    """(solution, label); the solution carries its ``tux_games.LinearMap``."""
+    """(solution, label); the solution carries, per player set, the
+    ``random_partitions.LinearMap`` of the TU game it takes the Shapley value
+    of: for ``mpw`` and ``r-shapley`` the cached table the solution itself
+    applies (``PSTAR.outside_runs``, the operator's ``auxiliary_map``), for
+    ``p-shapley`` the family's ``block_runs`` scaled by ``p_shapley_map``."""
     if spec == "mpw":
-        return _carrying(tux_games.mpw_value, tux_games.mpw_map), "mpw"
+        return _carrying(tux_games.mpw_value, random_partitions.PSTAR.outside_runs), "mpw"
     if spec.startswith("p-shapley:"):
         family = parse_family(spec[10:])
         return _carrying(functools.partial(tux_games.p_shapley_vector, family=family),
@@ -86,7 +90,7 @@ def parse_solution(spec: str):
                          ), f"p-shapley[{family.label}]"
     if spec.startswith("r-shapley:"):
         op = parse_operator(spec[10:])
-        return _carrying(op.shapley_value, op.value_map), f"r-shapley[{op.label}]"
+        return _carrying(op.shapley_value, op.auxiliary_map), f"r-shapley[{op.label}]"
     raise ValueError(f"unknown solution spec {spec!r}")
 
 

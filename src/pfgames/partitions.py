@@ -14,8 +14,9 @@ the tables are safe to share across threads.
 Two lazily built tables give integer positions in ``enumerate_embedded``
 order, so hot loops index a worth table instead of hashing ``(S, pi)``:
 ``runs(players)``, the only code that knows where the cells of a coalition
-lie, serves the TU lift, the externality-free test and a family's run
-tables (``RandomPartitionFamily.outside_runs`` and ``block_runs``);
+lie, serves the TU lift, the externality-free test and the rows of a
+family's run tables (``RandomPartitionFamily.outside_runs`` and
+``block_runs``, each a ``LinearMap`` whose rows read one run);
 ``placement_positions(players, i)``, built from ``placements``, serves the
 null-player test, the null-player witness games and the RES check.
 """

@@ -21,18 +21,22 @@ pass, giving the probability that a coalition forms a block as an integer
 mass over the same denominator; the family checks of ``verify`` read these
 masses.
 
-Two run tables of one shape per player set N serve the run kernel of
-``tux_games``, the run of S being its cells (S, pi) (``partitions.runs``).
-``outside_runs`` weights each run by the law of N - S (the average game),
-``block_runs`` by the law of N at the partitions where S is a block (the
-block mass).
+Every exact map from a game's worth numerators to integer outputs is one
+``LinearMap``, applied by its one kernel: the family's run tables here,
+the removal matrices and auxiliary maps of ``restriction_ops``, and the
+maps the null-player check reads. A family caches two per player set N,
+one row per coalition S over its run of cells (S, pi)
+(``partitions.runs``): ``outside_runs`` weights the run by the law of
+N - S (the average game), ``block_runs`` by the law of N at the
+partitions where S is a block (the block mass).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import partitions
 from .partitions import Coalition, Partition
@@ -43,8 +47,6 @@ ONE = Fraction(1)
 Distribution = dict[Partition, Fraction]
 IntegerView = tuple[int, tuple[int, ...]]
 InclusionView = tuple[int, dict[Coalition, int]]
-# (den, runs): per nonempty S in subsets order, (start, end, weights, scale)
-Runs = tuple[int, tuple[tuple[int, int, tuple[int, ...], int], ...]]
 
 
 def over_common_denominator(values) -> IntegerView:
@@ -53,6 +55,48 @@ def over_common_denominator(values) -> IntegerView:
     ratios = [x.as_integer_ratio() for x in values]
     den = math.lcm(*{d for _, d in ratios})
     return den, tuple(n * (den // d) for n, d in ratios)
+
+
+class LinearMap(NamedTuple):
+    """An exact linear map from a game's worth numerators to integer outputs
+    over ``den`` times the game's denominator: one row (positions,
+    coefficients, scale) per output, whose numerator is scale times the sum
+    of coefficient * nums[position]. An output that reads no worth, as the
+    empty coalition's, has an empty row. Positions are a ``range`` where a
+    row reads one run of cells, else a tuple in the order the row was built."""
+
+    den: int
+    rows: tuple[tuple[Sequence[int], Sequence[int], int], ...]
+
+    def apply(self, nums) -> list[int]:
+        """The outputs' numerators: a ``range`` row's cells are one slice of
+        nums, any other row's are gathered."""
+        return [scale * sum(map(operator.mul, coefficients, nums[p.start:p.stop]
+                                if type(p) is range else map(nums.__getitem__, p)))
+                for p, coefficients, scale in self.rows]
+
+    def pull_back(self, row: dict) -> dict:
+        """The integer row {position: coefficient} on this map's outputs, read
+        on its inputs: each output p expanded to its coefficient times row p,
+        the scale folded in."""
+        pulled = {}
+        for p, c in row.items():
+            positions, coefficients, scale = self.rows[p]
+            c *= scale
+            for q, x in zip(positions, coefficients):
+                pulled[q] = pulled.get(q, 0) + c * x
+        return pulled
+
+    def after(self, inner: LinearMap) -> LinearMap:
+        """This map composed after ``inner``, whose outputs are its inputs:
+        each row, scale folded in, pulled back through ``inner`` with zero
+        coefficients dropped, over the product of the denominators."""
+        rows = []
+        for positions, coefficients, scale in self.rows:
+            row = inner.pull_back({p: scale * c for p, c in zip(positions, coefficients)})
+            row = {k: x for k, x in row.items() if x}
+            rows.append((tuple(row), tuple(row.values()), 1))
+        return LinearMap(self.den * inner.den, tuple(rows))
 
 
 class RandomPartitionFamily:
@@ -65,10 +109,11 @@ class RandomPartitionFamily:
     numerator per partition, none negative, summing exactly to den.
     ``distribution`` builds a Fraction table from that view on each call,
     uncached. Cached per player set beside the views: ``inclusion``, the
-    block inclusion masses, and the run tables ``outside_runs``, which
-    refers to the views' numerator tuples, and ``block_runs``. The caches
-    live on the instance, so they go with it. Memo writes are idempotent
-    (identical values), so concurrent fills are harmless.
+    block inclusion masses, and the ``LinearMap`` run tables
+    ``outside_runs``, whose rows refer to the views' numerator tuples, and
+    ``block_runs``. The caches live on the instance, so they go with it.
+    Memo writes are idempotent (identical values), so concurrent fills are
+    harmless.
     """
 
     def __init__(
@@ -82,8 +127,8 @@ class RandomPartitionFamily:
         self.explicit_player_sets = explicit_player_sets
         self._int_cache: dict[Coalition, IntegerView] = {}
         self._inclusion_cache: dict[Coalition, InclusionView] = {}
-        self._outside_cache: dict[Coalition, Runs] = {}
-        self._block_cache: dict[Coalition, Runs] = {}
+        self._outside_cache: dict[Coalition, LinearMap] = {}
+        self._block_cache: dict[Coalition, LinearMap] = {}
         self._gen_reports: dict[int, object] = {}  # verify.check_gen reports by n_max
 
     def __repr__(self):
@@ -120,34 +165,37 @@ class RandomPartitionFamily:
             view = self._inclusion_cache[mask] = (den, mass)
         return view
 
-    def outside_runs(self, players) -> Runs:
-        """(L, runs), one run (start, end, nums, L // den) per nonempty S in
-        ``subsets`` order: the cells of S span [start, end) of
-        ``enumerate_embedded``, the law of the rest is (den, nums), and L is
-        the lcm of those dens. Every law is fetched in ``subsets`` order, the
-        whole set's first, so a bad law raises here."""
+    def outside_runs(self, players) -> LinearMap:
+        """The average game's map: per S in ``subsets`` order, the row
+        (range(start, end), nums, L // den), the cells of S spanning
+        [start, end) of ``enumerate_embedded``, the law of the rest being
+        (den, nums) and L the lcm of those dens over the nonempty S; the
+        empty coalition's row is empty. Every law is fetched in ``subsets``
+        order, the whole set's first, so a bad law raises here."""
         mask = partitions.as_mask(players)
         table = self._outside_cache.get(mask)
         if table is None:
             runs = partitions.runs(mask)
             laws = [self.integer_distribution(mask & ~S) for S in runs]
             lcm = math.lcm(*{den for den, _ in laws[1:]})
-            table = self._outside_cache[mask] = (lcm, tuple(
-                (*runs[S], nums, lcm // den) for S, (den, nums) in zip(runs, laws) if S))
+            table = self._outside_cache[mask] = LinearMap(lcm, ((range(0), (), 1), *(
+                (range(*runs[S]), nums, lcm // den)
+                for S, (den, nums) in zip(runs, laws) if S)))
         return table
 
-    def block_runs(self, players) -> Runs:
-        """(den, runs), one run (start, end, weights, 1) per nonempty S in
-        ``subsets`` order: the cells (S, rho) span [start, end) of
-        ``enumerate_embedded``, and the weight of (S, rho) is the numerator,
-        over den, of the law of the player set at rho with S added as a
-        block, looked up in a table of this player set's partitions only."""
+    def block_runs(self, players) -> LinearMap:
+        """The block mass's map over the law's den: per S in ``subsets``
+        order, the row (range(start, end), weights, 1), the cells (S, rho)
+        spanning [start, end) of ``enumerate_embedded`` and the weight of
+        (S, rho) the numerator of the law of the player set at rho with S
+        added as a block, looked up in a table of this player set's
+        partitions only; the empty coalition's row is empty."""
         mask = partitions.as_mask(players)
         table = self._block_cache.get(mask)
         if table is None:
             den, nums = self.integer_distribution(mask)
             law = dict(zip(partitions.enumerate_partitions(mask), nums))
-            runs = []
+            rows = [(range(0), (), 1)]
             for S, (start, end) in partitions.runs(mask).items():
                 if not S:
                     continue
@@ -160,8 +208,8 @@ class RandomPartitionFamily:
                             break
                         k += 1
                     weights.append(law[rho[:k] + (S,) + rho[k:]])
-                runs.append((start, end, tuple(weights), 1))
-            table = self._block_cache[mask] = (den, tuple(runs))
+                rows.append((range(start, end), tuple(weights), 1))
+            table = self._block_cache[mask] = LinearMap(den, tuple(rows))
         return table
 
     def prob(self, players, pi: Partition) -> Fraction:

@@ -9,27 +9,28 @@ and a deliberately order-biased operator used to exercise the axiom checks.
 
 The cell rule runs in one place, ``restricted_worth``, and never on the empty
 coalition, which is worth 0. Run on a game whose worths are unit linear forms,
-it gives the exact matrix of each removal (N, i), as integer rows over one
-denominator. The operator caches it and ``restrict`` applies it; the axiom
-check judges it against the rule run on concrete worths, composing two with
-``RemovalMatrix.after`` for PI. Chaining the removals down the lattice of
-removed sets gives the auxiliary game as one more matrix per player set, with
-a row per coalition; the operator caches that too, so the auxiliary game,
+it gives the exact matrix of each removal (N, i), a
+``random_partitions.LinearMap`` with one integer row per subgame cell over
+one denominator. The operator caches it and ``restrict`` applies it; the
+axiom check judges it against the rule run on concrete worths, composing two
+with ``LinearMap.after`` for PI. Chaining the removals down the lattice of
+removed sets gives the auxiliary game as one more map per player set, with a
+row per coalition; the operator caches that too, so the auxiliary game,
 hence its potential and value, is one pass over the worth table.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import partitions, tu_games
 from .errors import PositivityError
 from .partitions import Coalition, Partition
-from .random_partitions import ONE, ZERO, RandomPartitionFamily, over_common_denominator
+from .random_partitions import (ONE, ZERO, LinearMap, RandomPartitionFamily,
+                                over_common_denominator)
 from .tu_games import PayoffVector, TuGame
-from .tux_games import LinearMap, TuxGame, cell_index
+from .tux_games import TuxGame, cell_index
 
 CellRule = Callable[[TuxGame, int, Coalition, Partition], Fraction]
 
@@ -123,53 +124,15 @@ class NonLinearRuleError(ValueError):
         self.players, self.player, self.cell, self.error = players, player, cell, error
 
 
-def _apply(row, nums):
-    positions, coefficients = row
-    return sum(map(operator.mul, coefficients, map(nums.__getitem__, positions)))
-
-
-def _pull_back(row: dict, rows) -> dict:
-    """The integer row {position: coefficient} read through ``rows``: each
-    position p expanded to its coefficient times rows[p]."""
-    pulled = {}
-    for p, c in row.items():
-        for q, x in zip(*rows[p]):
-            pulled[q] = pulled.get(q, 0) + c * x
-    return pulled
-
-
-class RemovalMatrix(NamedTuple):
-    """The exact matrix of removing one player from a player set, times
-    ``den``: one (game cell positions, integer coefficients) row per subgame
-    cell, in ``enumerate_embedded`` order. A row lists the cells in the order
-    the rule read them; empty coalitions have empty rows. ``auxiliary_map``
-    gives the auxiliary game the same shape, one row per coalition."""
-
-    den: int
-    rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    def apply(self, nums) -> list:
-        """The image's worth numerators, over ``den`` times the game's denominator."""
-        return [_apply(row, nums) for row in self.rows]
-
-    def after(self, inner: RemovalMatrix) -> RemovalMatrix:
-        """The matrix of removing ``inner``'s player and then this one's:
-        each of these rows pulled back through ``inner``'s rows, on integers."""
-        rows = []
-        for row in self.rows:
-            row = {k: x for k, x in _pull_back(dict(zip(*row)), inner.rows).items() if x}
-            rows.append((tuple(row), tuple(row.values())))
-        return RemovalMatrix(self.den * inner.den, tuple(rows))
-
-
-def _on_one_denominator(rows) -> RemovalMatrix:
-    """Rows {position: exact coefficient} as a RemovalMatrix, in order: zeros
-    dropped, the rest integers over the lcm of their denominators."""
+def _on_one_denominator(rows) -> LinearMap:
+    """Rows {position: exact coefficient} as a LinearMap, in order, each of
+    scale 1: zeros dropped, the rest integers over the lcm of their
+    denominators. A row lists the cells in the order the rule read them."""
     rows = [{k: x for k, x in row.items() if x} for row in rows]
     den, flat = over_common_denominator(x for row in rows for x in row.values())
     coefficients = iter(flat)
-    return RemovalMatrix(den, tuple(
-        (tuple(row), tuple(map(next, [coefficients] * len(row)))) for row in rows))
+    return LinearMap(den, tuple(
+        (tuple(row), tuple(map(next, [coefficients] * len(row))), 1) for row in rows))
 
 
 class RestrictionOperator:
@@ -190,8 +153,8 @@ class RestrictionOperator:
         self.label = label
         self._cell_rule = cell_rule
         self.explicit_player_sets = explicit_player_sets
-        self._matrices: dict[tuple[Coalition, int], RemovalMatrix] = {}
-        self._auxiliary_maps: dict[Coalition, RemovalMatrix] = {}
+        self._matrices: dict[tuple[Coalition, int], LinearMap] = {}
+        self._auxiliary_maps: dict[Coalition, LinearMap] = {}
 
     def __repr__(self):
         return f"RestrictionOperator({self.label!r})"
@@ -224,9 +187,11 @@ class RestrictionOperator:
             w = self.restrict(w, i)
         return w
 
-    def removal_matrix(self, players: Coalition, i: int) -> RemovalMatrix:
+    def removal_matrix(self, players: Coalition, i: int) -> LinearMap:
         """The exact matrix of removing ``i`` from ``players``: the cell rule
-        run once per cell on unit linear forms, then cached.
+        run once per cell on unit linear forms, then cached, one row per cell
+        of the subgame in ``enumerate_embedded`` order; empty coalitions have
+        empty rows.
 
         Raises NonLinearRuleError when the rule fails on linear forms.
         """
@@ -244,7 +209,7 @@ class RestrictionOperator:
             matrix = self._matrices[key] = _on_one_denominator(rows)
         return matrix
 
-    def auxiliary_map(self, players: Coalition) -> RemovalMatrix:
+    def auxiliary_map(self, players: Coalition) -> LinearMap:
         """The auxiliary game as a matrix, built once per player set and cached:
         one row per coalition S in ``subsets`` order, over one common
         denominator, reading the worths that give what S keeps once the players
@@ -262,17 +227,11 @@ class RestrictionOperator:
             for S, chain in self._removal_chains(players, -1, ()):
                 row, den = {cell_index(S, S, ()): 1} if S else {}, 1
                 for matrix in reversed(chain):
-                    row, den = _pull_back(row, matrix.rows), den * matrix.den
+                    row, den = matrix.pull_back(row), den * matrix.den
                 rows[S] = {q: Fraction(x, den) for q, x in row.items()}
             aux = self._auxiliary_maps[players] = _on_one_denominator(
                 map(rows.__getitem__, partitions.subsets(players)))
         return aux
-
-    def value_map(self, players: Coalition) -> LinearMap:
-        """The auxiliary game as a ``tux_games.LinearMap``: the TU game whose
-        Shapley value ``shapley_value`` is, read from ``auxiliary_map``."""
-        aux = self.auxiliary_map(players)
-        return aux.den, [(*row, 1) for row in aux.rows[1:]]
 
     def _removal_chains(self, players: Coalition, last: int, chain: tuple):
         """Each subgame reached by removing players above ``last`` in ascending
@@ -326,9 +285,9 @@ def crp_restriction() -> RestrictionOperator:
 
 
 def _run_index(S: Coalition, players: Coalition) -> int:
-    """Where the run of a nonempty S sits in a run table of ``players``
+    """Where the row of S sits in a run table of ``players``
     (``RandomPartitionFamily.block_runs``): S's position in ``subsets``
-    order, its bits packed along those of ``players``, less the empty set's."""
+    order, its bits packed along those of ``players``."""
     index, bit = 0, 1
     while S:
         low = players & -players
@@ -337,7 +296,7 @@ def _run_index(S: Coalition, players: Coalition) -> int:
             S ^= low
         bit <<= 1
         players ^= low
-    return index - 1
+    return index
 
 
 def probability_restriction(family: RandomPartitionFamily) -> RestrictionOperator:
@@ -369,9 +328,9 @@ def probability_restriction(family: RandomPartitionFamily) -> RestrictionOperato
 
     def cell(w: TuxGame, i: int, S: Coalition, pi: Partition) -> Fraction:
         rest = w.players & ~(1 << i)
-        rest_den, runs = family.block_runs(rest)
-        start, _, weights, _ = runs[_run_index(S, rest)]
-        at = cell_index(rest, S, pi) - start  # where pi sits in the run of S
+        rest_den, rows = family.block_runs(rest)
+        cells, weights, _ = rows[_run_index(S, rest)]
+        at = cell_index(rest, S, pi) - cells.start  # where pi sits in the run of S
         q = weights[at]
         if q == 0:
             base = partitions.with_block(pi, S)
@@ -382,11 +341,11 @@ def probability_restriction(family: RandomPartitionFamily) -> RestrictionOperato
                 players=rest,
                 partition=base,
             )
-        den, runs = family.block_runs(w.players)
-        start, _, weights, _ = runs[_run_index(S, w.players)]
+        den, rows = family.block_runs(w.players)
+        cells, weights, _ = rows[_run_index(S, w.players)]
         total = 0
         for _, grown in partitions.placements(pi, i):
-            total += w.worth(S, grown) * weights[cell_index(w.players, S, grown) - start]
+            total += w.worth(S, grown) * weights[cell_index(w.players, S, grown) - cells.start]
         n, s = w.n, S.bit_count()
         # n/(n-s) over p_{N-i}(base), both probabilities' denominators cleared
         return total * Fraction(n * rest_den, (n - s) * den * q)

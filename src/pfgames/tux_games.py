@@ -11,23 +11,23 @@ A game's worth table is integer numerators in ``enumerate_embedded`` order
 over one common denominator, where the cells (S, pi) of each coalition S
 are one run (``partitions.runs``). The kernels read it and build one
 Fraction per result. The average game and the block mass behind p-Shapley
-values and the expected accumulated worth are one loop, ``_run_sums``, over
-a family's cached run table (``outside_runs``, ``block_runs``): each run
-adds the dot product of its worths with the table's weights, and an
-all-zero run adds 0 without one. The null-player test finds its cells
-through ``partitions.placement_positions``, never by hashing ``(S, pi)``.
+values and the expected accumulated worth are a family's cached run table
+(``outside_runs``, ``block_runs``) applied to it, one
+``random_partitions.LinearMap`` each: per coalition, the dot product of
+its run of worths with the table's weights. The null-player test finds its
+cells through ``partitions.placement_positions``, never by hashing
+``(S, pi)``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 from . import partitions, random_partitions, tu_games
 from .partitions import Coalition, EmbeddedCoalition, Partition
-from .random_partitions import over_common_denominator
+from .random_partitions import LinearMap, over_common_denominator
 from .tu_games import Game, PayoffVector, TuGame
 
 
@@ -163,21 +163,10 @@ def as_tux_game(game: TuGame | TuxGame) -> TuxGame:
     raise ValueError(f"expected a TU or partition-function game, got {type(game).__name__}")
 
 
-def _run_sums(nums, runs) -> list[int]:
-    """In ``subsets`` order, 0 for the empty coalition, then per run (start,
-    end, weights, scale) of a nonempty one: scale times the dot product of
-    its cells nums[start:end] with the weights."""
-    sums = [0]
-    for start, end, weights, scale in runs:
-        run = nums[start:end]
-        sums.append(scale * sum(map(operator.mul, weights, run)) if any(run) else 0)
-    return sums
-
-
 def average_game(w: TuxGame, family: random_partitions.RandomPartitionFamily) -> TuGame:
     """TU game giving each coalition its expected worth over outside partitions."""
-    den, runs = family.outside_runs(w.players)
-    return TuGame._from_numerators(w.players, den * w.den, _run_sums(w.nums, runs))
+    table = family.outside_runs(w.players)
+    return TuGame._from_numerators(w.players, table.den * w.den, table.apply(w.nums))
 
 
 def mpw_value(w: TuxGame) -> PayoffVector:
@@ -190,8 +179,8 @@ def _block_mass(
 ) -> tuple[int, list[int]]:
     """Block mass M(S): sum of p(pi) worth(S, pi - S) over partitions pi with
     block S, as (den, numerators in ``subsets`` order), 0 at the empty set."""
-    den, runs = family.block_runs(w.players)
-    return den * w.den, _run_sums(w.nums, runs)
+    table = family.block_runs(w.players)
+    return table.den * w.den, table.apply(w.nums)
 
 
 def expected_accumulated_worth(
@@ -229,28 +218,14 @@ def p_shapley_vector(
     return tu_games.shapley_value(game)
 
 
-# The exact linear map from the worth numerators of a game on a player set to
-# the numerators, over den times the game's den, of the TU game whose Shapley
-# value a solution is: one term (positions, coefficients, scale) per nonempty
-# coalition in ``subsets`` order, whose numerator is scale times the sum of
-# coefficient * nums[position] (``verify.check_null_player_axiom``).
-LinearMap = tuple[int, list[tuple[Sequence[int], Sequence[int], int]]]
-
-
-def mpw_map(players) -> LinearMap:
-    """The average game under the uniform CRP law as a ``LinearMap``: the TU
-    game whose Shapley value ``mpw_value`` is, read from ``outside_runs``."""
-    den, runs = random_partitions.PSTAR.outside_runs(players)
-    return den, [(range(start, end), weights, scale) for start, end, weights, scale in runs]
-
-
 def p_shapley_map(players, family: random_partitions.RandomPartitionFamily) -> LinearMap:
-    """The TU game of ``p_shapley_vector`` as a ``LinearMap``: the block mass
-    from ``block_runs``, the term of S scaled by s C(n, s)."""
-    den, runs = family.block_runs(players)
+    """The TU game whose Shapley value ``p_shapley_vector`` is, as a
+    ``LinearMap``: the family's ``block_runs``, the row of S scaled by
+    s C(n, s)."""
+    den, rows = family.block_runs(players)
     weight = _block_weights(partitions.size(partitions.as_mask(players)))
-    return den, [(range(start, end), weights, scale * weight[k.bit_count()])
-                 for k, (start, end, weights, scale) in enumerate(runs, 1)]
+    return LinearMap(den, tuple((positions, coefficients, scale * weight[k.bit_count()])
+                                for k, (positions, coefficients, scale) in enumerate(rows)))
 
 
 def is_null_player(w: TuxGame, i: int) -> bool:

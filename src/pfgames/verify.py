@@ -18,21 +18,23 @@ built only for a witness, by the public helper that replays it
 ``monotonicity_instance``).
 
 The restriction check judges the integer removal matrices each operator
-caches and applies: rows against the rule run by ``restricted_worth`` on
-concrete worths (LIN) and by the cells they read (RES), and two composed in
-either order (PI); PNG runs the rule there on the null game. RES and the
-null-player witness games read the table of ``tux_games.is_null_player``,
-``partitions.placement_positions``: a row may read only its placement
-positions, and a witness game is 1 at the positions of one row. The empty
-coalition's rows are empty, and the rule gives it 0, so every check passes it.
+caches and applies (``random_partitions.LinearMap``): rows against the rule
+run by ``restricted_worth`` on concrete worths (LIN) and by the cells they
+read (RES), and two composed in either order (PI); PNG runs the rule there
+on the null game. RES and the null-player witness games read the table of
+``tux_games.is_null_player``, ``partitions.placement_positions``: a row may
+read only its placement positions, and a witness game is 1 at the positions
+of one row. The empty coalition's rows are empty, and the rule gives it 0,
+so every check passes it.
 
 The null-player check decides a solution that carries its exact linear map
-(``tux_games.LinearMap``, attached by ``cli.parse_solution``) on one integer
-row per player: the Shapley weights summed over the map, so a witness
-game's payoff is the sum of a row over its placement row. Other callables
-run on each witness game. Either way the first paid witness is replayed
-through the solution, which gives the reported payoff. Both it and the
-restriction check refuse, before they start, a range past a fixed budget.
+(a ``LinearMap`` per player set, attached by ``cli.parse_solution``: the
+very table the solution applies) on one integer row per player: the
+Shapley weights summed over the map, so a witness game's payoff is the sum
+of a row over its placement row. Other callables run on each witness game.
+Either way the first paid witness is replayed through the solution, which
+gives the reported payoff. Both it and the restriction check refuse, before
+they start, a range past a fixed budget.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Callable, Mapping
 
 from . import formats, partitions, tu_games, tux_games
 from .partitions import Coalition, Partition, PlacementRow
-from .random_partitions import ZERO, RandomPartitionFamily
+from .random_partitions import ZERO, LinearMap, RandomPartitionFamily
 from .tux_games import TuxGame
 
 
@@ -290,14 +292,14 @@ class _Violation(Exception):
         super().__init__(_witness("restriction-axioms", **fields))
 
 
-def _judge_removal(op, probe: TuxGame, i: int) -> restriction_ops.RemovalMatrix:
+def _judge_removal(op, probe: TuxGame, i: int) -> LinearMap:
     """The operator's exact matrix of removing ``i`` from the probe's players,
     judged row by row: LIN against the rule on the probe, then RES."""
     N = probe.players
     matrix = op.removal_matrix(N, i)
     den = matrix.den * probe.den
     cells = partitions.enumerate_embedded(N)
-    for (S, pi), (_, grown), (positions, _), num in zip(
+    for (S, pi), (_, grown), (positions, _, _), num in zip(
             partitions.enumerate_embedded(N & ~(1 << i)), partitions.placement_positions(N, i),
             matrix.rows, matrix.apply(probe.nums)):
         where = dict(players=N, player=i, cell_coalition=S, cell_partition=pi)
@@ -355,7 +357,7 @@ def check_restriction_axioms(op, n_max: int) -> Report:
     ``enumerate_embedded(N)``. RES: each row reads only the cells where the
     removed player joins an outside block or stays alone. PNG: the rule maps
     the null game to the null game. PI: the cached matrices of both removal
-    orders, composed with ``RemovalMatrix.after``, agree column by column, so
+    orders, composed with ``LinearMap.after``, agree column by column, so
     the orders agree on every game at once; the witness names a Dirac game
     (``coalition``, ``outside``) and a cell where they differ. Refuses, before
     judging any, more instances than ``MAX_RESTRICTION_INSTANCES``.
@@ -386,9 +388,10 @@ def check_restriction_axioms(op, n_max: int) -> Report:
                 first = op.removal_matrix(N & ~(1 << i), j).after(matrices[i])
                 second = op.removal_matrix(N & ~(1 << j), i).after(matrices[j])
                 checked += sum(1 for S, _ in partitions.enumerate_embedded(rest) if S)
-                for (S, pi), lhs_row, rhs_row in zip(
+                # composed rows have scale 1
+                for (S, pi), (lhs_at, lhs_row, _), (rhs_at, rhs_row, _) in zip(
                         partitions.enumerate_embedded(rest), first.rows, second.rows):
-                    lhs_row, rhs_row = dict(zip(*lhs_row)), dict(zip(*rhs_row))
+                    lhs_row, rhs_row = dict(zip(lhs_at, lhs_row)), dict(zip(rhs_at, rhs_row))
                     for k in sorted(lhs_row.keys() | rhs_row.keys()):
                         lhs, rhs = lhs_row.get(k, 0), rhs_row.get(k, 0)
                         if lhs * second.den != rhs * first.den:
@@ -459,13 +462,13 @@ def _null_player_rows(linear_map, N: Coalition) -> dict[int, list[int]]:
     payoff on every game on N, den that of the solution's ``LinearMap`` L
     times the game's: row_i = sum over T of c_i(T) L[T], with c_i(T) =
     (t-1)!(n-t)! if T holds i and -t!(n-t-1)! if not, the weights
-    ``tu_games.shapley_value`` sums."""
+    ``tu_games.shapley_value`` sums; the empty coalition's row is empty."""
     n = partitions.size(N)
     _, w, *_ = tu_games._shapley_table(n)
     _, terms = linear_map(N)
     rows = [[0] * len(partitions.enumerate_embedded(N)) for _ in range(n)]
     # the k-th subset holds the j-th player iff bit j of k is set
-    for k, (positions, coefficients, scale) in enumerate(terms, 1):
+    for k, (positions, coefficients, scale) in enumerate(terms):
         t = k.bit_count()
         for j, row in enumerate(rows):
             c = scale * (w[t - 1] if k >> j & 1 else -w[t])
@@ -501,12 +504,12 @@ def check_null_player_axiom(
 ) -> Report:
     """Does the solution pay zero to players that never affect any worth?
 
-    Runs the constructed witness family over every player set, player,
+    Checks the constructed witness family over every player set, player,
     outside partition, and target block, plus the four-player showcase game
     whose player 1 is null. Refuses, before running any, more witness games
     than ``MAX_NULL_PLAYER_WITNESSES``.
 
-    A solution that carries a ``linear_map`` (a ``tux_games.LinearMap`` per
+    A solution that carries a ``linear_map`` (a ``LinearMap`` per
     player set, as ``cli.parse_solution`` attaches) is the Shapley value of
     that map, so each witness game is decided on one integer row per player
     (``_null_player_rows``); any other callable runs on each game. The scan

@@ -120,15 +120,20 @@ MUTANTS = [
            "            if nums[k] != x:",
            "            if nums[k] > x:",
            "tests/test_integer_kernels.py::test_null_player_kernel_equals_its_fraction_reference"),
-    Mutant("run-sums-first-cell", TUX,
-           "scale * sum(map(operator.mul, weights, run))",
-           "scale * sum(map(operator.mul, weights[1:], run[1:]))",
+    Mutant("run-sums-first-cell", LAWS,
+           "coefficients, nums[p.start:p.stop]",
+           "coefficients[1:], nums[p.start + 1:p.stop]",
            "tests/test_integer_kernels.py::test_partition_function_kernels_equal_their_"
            "fraction_references[pstar]"),
-    Mutant("run-sums-first-cell-skip", TUX,
-           "run)) if any(run) else 0)",
-           "run)) if run[0] else 0)",
-           "tests/test_acceptance.py::test_criterion_06_operator_potential_is_expected_worth"),
+    Mutant("apply-scale-dropped", LAWS,
+           "[scale * sum(map(operator.mul, coefficients",
+           "[sum(map(operator.mul, coefficients",
+           "tests/test_integer_kernels.py::test_partition_function_kernels_equal_their_"
+           "fraction_references[pstar]"),
+    Mutant("apply-range-offset", LAWS,
+           "nums[p.start:p.stop]",
+           "nums[p.start + 1:p.stop]",
+           "tests/test_integer_kernels.py::test_slicing_a_range_row_equals_gathering_it[pstar]"),
     Mutant("block-runs-first-block", LAWS,
            "                    for C in rho:",
            "                    for C in rho[:1]:",
@@ -202,7 +207,7 @@ MUTANTS = [
            "[den // (k + 1) for k in range(1, K + 1)]",
            "tests/test_verify.py::test_integer_lin_probe_equals_the_fraction_built_probe[2]"),
     Mutant("rp-rest-cell", OPS,
-           "weights[cell_index(w.players, S, grown) - start]",
+           "weights[cell_index(w.players, S, grown) - cells.start]",
            "weights[at]",
            "tests/test_integer_kernels.py::test_rp_removal_matrices_equal_the_with_block_"
            "reference[eps:4=1/24]"),
@@ -210,14 +215,9 @@ MUTANTS = [
            "        if n <= 3 or eps_n == 0:",
            "        if n >= 4 or eps_n == 0:",
            "tests/test_random_partitions.py::test_eps_law_equals_its_docstring_closed_form"),
-    Mutant("run-sums-skip", TUX,
-           "run)) if any(run) else 0)",
-           "run)))",
-           "an all-zero run adds 0 to its sum, so skipping it only saves time",
-           equivalent=True),
-    Mutant("after-zeros", OPS,
-           "inner.rows).items() if x}",
-           "inner.rows).items()}",
+    Mutant("after-zeros", LAWS,
+           "            row = {k: x for k, x in row.items() if x}\n",
+           "",
            "a zero coefficient in a composed row changes no comparison of the PI check",
            equivalent=True),
 ]

@@ -23,6 +23,7 @@ from pfgames import formats, partitions, tu_games, tux_games, verify
 from pfgames.errors import PositivityError
 from pfgames.random_partitions import (
     PSTAR,
+    LinearMap,
     RandomPartitionFamily,
     ewens_family,
     perturbed_family,
@@ -306,11 +307,8 @@ def test_run_kernels_read_the_cells_past_a_zero_first_cell(family):
         den, mass = tux_games._block_mass(w, family)
         assert {S: Fraction(m, den) for S, m in zip(partitions.subsets(w.players), mass)
                 if m} == ref_block_mass(w, family)
-        # both run tables hold the runs of the nonempty coalitions
-        _, runs = family.outside_runs(w.players)
-        assert [(a, e) for a, e, _, _ in runs] == [
-            (a, e) for a, e, _, _ in family.block_runs(w.players)[1]]
-        past += any(not w.nums[a] and any(w.nums[a:e]) for a, e, _, _ in runs)
+        past += any(not w.nums[cells.start] and any(w.nums[cells.start:cells.stop])
+                    for cells, _, _ in family.outside_runs(w.players).rows if cells)
     assert past >= 100
 
 
@@ -431,13 +429,10 @@ def assert_block_runs_equal_the_lookups(N):
     expected = {at[(S, pi[:k] + pi[k + 1 :])]: p + 1
                 for p, pi in enumerate(partitions.enumerate_partitions(N))
                 for k, S in enumerate(pi)}
-    _, table = numbered_law_family().block_runs(N)
-    runs = partitions.runs(N)
-    assert [(start, end, scale) for start, end, _, scale in table] == [
-        (*runs[S], 1) for S in runs if S]
-    got = {start + k: x for start, _, weights, _ in table for k, x in enumerate(weights)}
+    rows = numbered_law_family().block_runs(N).rows
+    got = {k: x for positions, weights, _ in rows for k, x in zip(positions, weights)}
     assert got == expected
-    assert sum(len(weights) for _, _, weights, _ in table) == len(expected)
+    assert sum(len(weights) for _, weights, _ in rows) == len(expected)
 
 
 @pytest.mark.parametrize("N", TABLE_PLAYER_SETS, ids=lambda N: str(partitions.members(N)))
@@ -464,11 +459,86 @@ def test_block_run_weights_are_the_law_at_the_partitions_with_the_block(family):
     """The weight of the cell (S, rho) is p_N(rho + S), zero-probability
     partitions included (the skewed table gives one probability zero)."""
     for N in TABLE_PLAYER_SETS:
-        den, table = family.block_runs(N)
-        for S, (_, _, weights, _) in zip(list(partitions.subsets(N))[1:], table):
+        den, rows = family.block_runs(N)
+        for S, (_, weights, _) in zip(list(partitions.subsets(N))[1:], rows[1:]):
             assert [Fraction(x, den) for x in weights] == [
                 family.prob(N, partitions.with_block(rho, S))
                 for rho in partitions.enumerate_partitions(N & ~S)]
+
+
+def run_tables(family, N):
+    return [family.outside_runs(N), family.block_runs(N), tux_games.p_shapley_map(N, family)]
+
+
+def gathering(table):
+    """The map with every ``range`` row's positions spelled out as a tuple,
+    so ``apply`` gathers the cells it would have sliced."""
+    return LinearMap(table.den, tuple((tuple(positions), coefficients, scale)
+                                      for positions, coefficients, scale in table.rows))
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda family: family.label)
+def test_slicing_a_range_row_equals_gathering_it(family):
+    rng = random.Random(28)
+    for N in [prefix(n) for n in range(0, 7)] + [SCATTERED]:
+        # nonzero at the empty coalition's cells too, which no row may read
+        nums = [rng.randint(-10**12, 10**12) for _ in partitions.enumerate_embedded(N)]
+        for table in run_tables(family, N):
+            assert all(type(positions) is range for positions, _, _ in table.rows)
+            assert table.apply(nums) == gathering(table).apply(nums), partitions.members(N)
+
+
+def assert_one_row_per_output(table, outputs, empty):
+    """One row per output, the rows of the first ``empty`` outputs (the empty
+    coalition's) empty, a coefficient per position, and den positive."""
+    assert table.den > 0
+    assert len(table.rows) == outputs
+    assert all(len(positions) == len(coefficients) for positions, coefficients, _ in table.rows)
+    assert not any(positions or coefficients for positions, coefficients, _ in table.rows[:empty])
+
+
+def assert_run_table_shapes(family, N):
+    """A run table's row of S reads S's run, ``block_runs`` has scale 1, and
+    the rows of ``outside_runs`` share the laws' numerator tuples, uncopied."""
+    runs = [range(*run) if S else range(0) for S, run in partitions.runs(N).items()]
+    for table in run_tables(family, N):
+        assert_one_row_per_output(table, 1 << partitions.size(N), 1)
+        assert [positions for positions, _, _ in table.rows] == runs
+    assert {scale for _, _, scale in family.block_runs(N).rows} == {1}
+    outside = family.outside_runs(N).rows
+    assert all(coefficients is family.integer_distribution(N & ~S)[1]
+               for S, (_, coefficients, _) in zip(partitions.subsets(N), outside) if S)
+
+
+def test_slicing_a_range_row_equals_gathering_it_on_eight_players():
+    N = prefix(8)
+    assert_run_table_shapes(PSTAR, N)
+    rng = random.Random(8)
+    nums = [rng.randint(-9, 9) for _ in partitions.enumerate_embedded(N)]
+    for table in run_tables(PSTAR, N):
+        assert table.apply(nums) == gathering(table).apply(nums)
+
+
+@pytest.mark.parametrize("N", TABLE_PLAYER_SETS, ids=lambda N: str(partitions.members(N)))
+def test_every_linear_map_has_one_row_per_output_and_an_empty_row_for_the_empty_coalition(N):
+    """The run tables, the p-Shapley map, the removal matrices, their
+    compositions and the auxiliary maps are one shape; a removal matrix,
+    composed or not, and an auxiliary map have scale 1."""
+    for family in FAMILIES:
+        assert_run_table_shapes(family, N)
+    n, bell = partitions.size(N), partitions.bell_number
+    for op in operators():
+        for i in partitions.members(N):
+            matrix = op.removal_matrix(N, i)
+            assert_one_row_per_output(matrix, bell(n), bell(n - 1))
+            assert {scale for _, _, scale in matrix.rows} == {1}
+            for j in partitions.members(N & ~(1 << i)):
+                both = op.removal_matrix(N & ~(1 << i), j).after(matrix)
+                assert_one_row_per_output(both, bell(n - 1), bell(n - 2))
+                assert {scale for _, _, scale in both.rows} == {1}
+        aux = op.auxiliary_map(N)
+        assert_one_row_per_output(aux, 1 << n, 1)
+        assert {scale for _, _, scale in aux.rows} == {1}
 
 
 def test_block_runs_of_eight_players_keep_the_shared_position_table_small():
@@ -606,13 +676,12 @@ def test_auxiliary_map_of_a_local_operator_reads_each_nonempty_cell_once(N):
     nonempty cells of the table among the coalitions."""
     nonempty = [k for k, (S, _) in enumerate(partitions.enumerate_embedded(N)) if S]
     for op in local_operators():
-        den, rows = op.auxiliary_map(N)
-        assert len(rows) == 1 << partitions.size(N)
-        assert sorted(k for positions, _ in rows for k in positions) == nonempty, op.label
-        assert all(x for _, coefficients in rows for x in coefficients), op.label
+        rows = op.auxiliary_map(N).rows
+        assert sorted(k for positions, _, _ in rows for k in positions) == nonempty, op.label
+        assert all(x for _, coefficients, _ in rows for x in coefficients), op.label
     # under the null operator a coalition keeps nothing, and N keeps its own worth
     rows = nullifying_restriction().auxiliary_map(N).rows
-    assert [k for positions, _ in rows for k in positions] == nonempty[-1:]
+    assert [k for positions, _, _ in rows for k in positions] == nonempty[-1:]
 
 
 # --- caches --------------------------------------------------------------------

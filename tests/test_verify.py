@@ -256,6 +256,18 @@ def test_row_route_reports_equal_the_dense_route(spec, tmp_path):
     assert verdicts[-1] == expected
 
 
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_the_map_a_solution_carries_is_the_cached_table_it_applies(n):
+    """One map serves computing and checking: the null-player check reads the
+    very table ``mpw`` and ``r-shapley`` apply, not a copy."""
+    N = prefix(n)
+    solution, _ = cli.parse_solution("mpw")
+    assert solution.linear_map(N) is PSTAR.outside_runs(N)
+    solution, _ = cli.parse_solution("r-shapley:rstar")
+    op = solution.func.__self__  # the operator whose value the solution is
+    assert solution.linear_map(N) is op.auxiliary_map(N)
+
+
 def test_row_route_flags_a_first_witness_that_pays_a_negative_amount():
     solution, label = cli.parse_solution("r-shapley:biased")
     report = check_null_player_axiom(solution, 3, label)
