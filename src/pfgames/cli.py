@@ -78,16 +78,15 @@ def _carrying(solution, linear_map):
 def parse_solution(spec: str):
     """(solution, label); the solution carries, per player set, the
     ``random_partitions.LinearMap`` of the TU game it takes the Shapley value
-    of: for ``mpw`` and ``r-shapley`` the cached table the solution itself
-    applies (``PSTAR.outside_runs``, the operator's ``auxiliary_map``), for
-    ``p-shapley`` the family's ``block_runs`` scaled by ``p_shapley_map``."""
+    of, the very cached table the solution applies: ``PSTAR.outside_runs``
+    for ``mpw``, the family's ``block_runs`` for ``p-shapley``, the
+    operator's ``auxiliary_map`` for ``r-shapley``."""
     if spec == "mpw":
         return _carrying(tux_games.mpw_value, random_partitions.PSTAR.outside_runs), "mpw"
     if spec.startswith("p-shapley:"):
         family = parse_family(spec[10:])
         return _carrying(functools.partial(tux_games.p_shapley_vector, family=family),
-                         functools.partial(tux_games.p_shapley_map, family=family)
-                         ), f"p-shapley[{family.label}]"
+                         family.block_runs), f"p-shapley[{family.label}]"
     if spec.startswith("r-shapley:"):
         op = parse_operator(spec[10:])
         return _carrying(op.shapley_value, op.auxiliary_map), f"r-shapley[{op.label}]"

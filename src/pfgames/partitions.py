@@ -15,8 +15,10 @@ Two lazily built tables give integer positions in ``enumerate_embedded``
 order, so hot loops index a worth table instead of hashing ``(S, pi)``:
 ``runs(players)``, the only code that knows where the cells of a coalition
 lie, serves the TU lift, the externality-free test and the rows of a
-family's run tables (``RandomPartitionFamily.outside_runs`` and
-``block_runs``, each a ``LinearMap`` whose rows read one run);
+family's run tables (``RandomPartitionFamily.outside_runs``, the average
+game, and ``block_runs``, the p-Shapley game: each a ``LinearMap`` whose
+row of S reads S's run and sits, as S's worth in a TU game does, at
+``subset_position(players, S)``);
 ``placement_positions(players, i)``, built from ``placements``, serves the
 null-player test, the null-player witness games and the RES check.
 """
@@ -231,6 +233,22 @@ def _runs(mask: Coalition) -> dict[Coalition, tuple[int, int]]:
         start, end = end, end + bell_number(size(mask & ~S))
         table[S] = start, end
     return table
+
+
+def subset_position(players: Coalition, S: Coalition) -> int:
+    """S's position in ``subsets(players)`` order: bit j of the position is
+    set iff S holds the j-th player. Unchecked: players of S outside
+    ``players`` are ignored. It indexes a TU game's worth table and the rows
+    of a run table."""
+    position, bit = 0, 1
+    while S & players:
+        low = players & -players
+        if S & low:
+            position |= bit
+            S ^= low
+        bit <<= 1
+        players ^= low
+    return position
 
 
 _partition_positions: dict[Partition, int] = {}

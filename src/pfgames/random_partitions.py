@@ -28,7 +28,9 @@ maps the null-player check reads. A family caches two per player set N,
 one row per coalition S over its run of cells (S, pi)
 (``partitions.runs``): ``outside_runs`` weights the run by the law of
 N - S (the average game), ``block_runs`` by the law of N at the
-partitions where S is a block (the block mass).
+partitions where S is a block, scaled by s C(n, s) (the p-Shapley game,
+whose Shapley value is the p-Shapley value and whose size-weight
+potential is the expected accumulated worth).
 """
 
 from __future__ import annotations
@@ -184,22 +186,26 @@ class RandomPartitionFamily:
         return table
 
     def block_runs(self, players) -> LinearMap:
-        """The block mass's map over the law's den: per S in ``subsets``
-        order, the row (range(start, end), weights, 1), the cells (S, rho)
-        spanning [start, end) of ``enumerate_embedded`` and the weight of
-        (S, rho) the numerator of the law of the player set at rho with S
-        added as a block, looked up in a table of this player set's
-        partitions only; the empty coalition's row is empty."""
+        """The p-Shapley game's map over the law's den: per S in ``subsets``
+        order, the row (range(start, end), weights, s C(n, s)), the cells
+        (S, rho) spanning [start, end) of ``enumerate_embedded`` and the
+        weight of (S, rho) the numerator of the law of the player set at rho
+        with S added as a block, looked up in a table of this player set's
+        partitions only; the empty coalition's row is empty. Applied to a
+        game, a row gives M(S) / beta(s): M(S) the block mass, the expected
+        worth of S over the partitions where it is a block, and beta(s) =
+        (s-1)!(n-s)!/n! = 1/(s C(n, s)) the uniform-CRP probability that a
+        given coalition of s players is a block."""
         mask = partitions.as_mask(players)
         table = self._block_cache.get(mask)
         if table is None:
             den, nums = self.integer_distribution(mask)
             law = dict(zip(partitions.enumerate_partitions(mask), nums))
-            rows = [(range(0), (), 1)]
+            n, rows = partitions.size(mask), [(range(0), (), 1)]
             for S, (start, end) in partitions.runs(mask).items():
                 if not S:
                     continue
-                low, weights = S & -S, []
+                s, low, weights = S.bit_count(), S & -S, []
                 for rho in partitions.enumerate_partitions(mask & ~S):
                     # S goes after the blocks whose least member is below its own
                     k = 0
@@ -208,7 +214,7 @@ class RandomPartitionFamily:
                             break
                         k += 1
                     weights.append(law[rho[:k] + (S,) + rho[k:]])
-                rows.append((range(start, end), tuple(weights), 1))
+                rows.append((range(start, end), tuple(weights), s * math.comb(n, s)))
             table = self._block_cache[mask] = LinearMap(den, tuple(rows))
         return table
 

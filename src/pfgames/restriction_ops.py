@@ -284,21 +284,6 @@ def crp_restriction() -> RestrictionOperator:
     return RestrictionOperator("rstar", cell)
 
 
-def _run_index(S: Coalition, players: Coalition) -> int:
-    """Where the row of S sits in a run table of ``players``
-    (``RandomPartitionFamily.block_runs``): S's position in ``subsets``
-    order, its bits packed along those of ``players``."""
-    index, bit = 0, 1
-    while S:
-        low = players & -players
-        if S & low:
-            index |= bit
-            S ^= low
-        bit <<= 1
-        players ^= low
-    return index
-
-
 def probability_restriction(family: RandomPartitionFamily) -> RestrictionOperator:
     """Restriction operator weighting original worths by probability ratios.
 
@@ -309,10 +294,11 @@ def probability_restriction(family: RandomPartitionFamily) -> RestrictionOperato
     bound is lower), once per family and player count. Probabilities
     appearing in denominators must be nonzero and are checked per query.
 
-    The rule reads both probabilities from the family's cached run tables
-    (``block_runs``), at the positions of the cells it concerns: p_N at
-    (S, pi with the removed player placed) in the table of N, p_{N-i} at
-    (S, pi) in the table of N - i.
+    The rule reads both probabilities from the coefficients of the family's
+    cached run tables (``block_runs``, whose rows' scale it leaves aside),
+    at the positions of the cells it concerns: p_N at (S, pi with the
+    removed player placed) in the table of N, p_{N-i} at (S, pi) in the
+    table of N - i.
     """
     from . import verify
 
@@ -329,7 +315,7 @@ def probability_restriction(family: RandomPartitionFamily) -> RestrictionOperato
     def cell(w: TuxGame, i: int, S: Coalition, pi: Partition) -> Fraction:
         rest = w.players & ~(1 << i)
         rest_den, rows = family.block_runs(rest)
-        cells, weights, _ = rows[_run_index(S, rest)]
+        cells, weights, _ = rows[partitions.subset_position(rest, S)]
         at = cell_index(rest, S, pi) - cells.start  # where pi sits in the run of S
         q = weights[at]
         if q == 0:
@@ -342,7 +328,7 @@ def probability_restriction(family: RandomPartitionFamily) -> RestrictionOperato
                 partition=base,
             )
         den, rows = family.block_runs(w.players)
-        cells, weights, _ = rows[_run_index(S, w.players)]
+        cells, weights, _ = rows[partitions.subset_position(w.players, S)]
         total = 0
         for _, grown in partitions.placements(pi, i):
             total += w.worth(S, grown) * weights[cell_index(w.players, S, grown) - cells.start]

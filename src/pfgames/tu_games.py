@@ -130,7 +130,8 @@ class TuGame(Game):
         return S
 
     def worth(self, coalition) -> Fraction:
-        return Fraction(self.nums[_position(self.players, self._subset(coalition))], self.den)
+        S = self._subset(coalition)
+        return Fraction(self.nums[partitions.subset_position(self.players, S)], self.den)
 
     def nonzero_worths(self) -> dict[Coalition, Fraction]:
         return {S: Fraction(x, self.den)
@@ -143,12 +144,6 @@ def _check_size(players: Coalition) -> Coalition:
         raise partitions.CapacityError(f"a TU game on {n} players has more than "
                                        f"{partitions.MAX_EMBEDDED_COALITIONS} coalitions")
     return players
-
-
-def _position(players: Coalition, S: Coalition) -> int:
-    """S's position in ``subsets(players)`` order: bit j set iff S holds the
-    j-th player."""
-    return sum(1 << j for j, i in enumerate(partitions.members(players)) if S >> i & 1)
 
 
 def null_game(players) -> TuGame:
@@ -164,7 +159,7 @@ def dirac_game(players, coalition) -> TuGame:
     if T & ~mask:
         raise ValueError("coalition is not a subset of the player set")
     nums = [0] * (1 << partitions.size(_check_size(mask)))
-    nums[_position(mask, T)] = 1
+    nums[partitions.subset_position(mask, T)] = 1
     return TuGame._from_numerators(mask, 1, nums)
 
 

@@ -4,30 +4,29 @@ A partition-function game assigns a worth to every embedded coalition
 ``(S, pi)``: a coalition together with a partition of the outside players.
 The module provides the Dirac basis, averaging into a TU game, the MPW
 solution, and the null-player test. p-Shapley values and the expected
-accumulated worth of a random partition share one pass over the family's
-distribution; MPW stays a separate route, through the average game.
+accumulated worth of a random partition read one TU game, the p-Shapley
+game: its Shapley value and its size-weight potential. MPW stays a
+separate route, through the average game.
 
 A game's worth table is integer numerators in ``enumerate_embedded`` order
 over one common denominator, where the cells (S, pi) of each coalition S
 are one run (``partitions.runs``). The kernels read it and build one
-Fraction per result. The average game and the block mass behind p-Shapley
-values and the expected accumulated worth are a family's cached run table
-(``outside_runs``, ``block_runs``) applied to it, one
-``random_partitions.LinearMap`` each: per coalition, the dot product of
-its run of worths with the table's weights. The null-player test finds its
-cells through ``partitions.placement_positions``, never by hashing
-``(S, pi)``.
+Fraction per result. The average game and the p-Shapley game are a
+family's cached run table (``outside_runs``, ``block_runs``) applied to
+it, one ``random_partitions.LinearMap`` each: per coalition, the dot
+product of its run of worths with the table's weights, times the row's
+scale. The null-player test finds its cells through
+``partitions.placement_positions``, never by hashing ``(S, pi)``.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
 from . import partitions, random_partitions, tu_games
 from .partitions import Coalition, EmbeddedCoalition, Partition
-from .random_partitions import LinearMap, over_common_denominator
+from .random_partitions import over_common_denominator
 from .tu_games import Game, PayoffVector, TuGame
 
 
@@ -174,21 +173,22 @@ def mpw_value(w: TuxGame) -> PayoffVector:
     return tu_games.shapley_value(average_game(w, random_partitions.PSTAR))
 
 
-def _block_mass(
-    w: TuxGame, family: random_partitions.RandomPartitionFamily
-) -> tuple[int, list[int]]:
-    """Block mass M(S): sum of p(pi) worth(S, pi - S) over partitions pi with
-    block S, as (den, numerators in ``subsets`` order), 0 at the empty set."""
+def p_shapley_game(w: TuxGame, family: random_partitions.RandomPartitionFamily) -> TuGame:
+    """The TU game S -> M(S) / beta(s) of the family's cached ``block_runs``:
+    M(S) the block mass, the sum of p(pi) worth(S, pi - S) over partitions pi
+    with block S, and beta(s) = (s-1)!(n-s)!/n! the uniform-CRP probability
+    that S is a block. At ``PSTAR`` it is the average game."""
     table = family.block_runs(w.players)
-    return table.den * w.den, table.apply(w.nums)
+    return TuGame._from_numerators(w.players, table.den * w.den, table.apply(w.nums))
 
 
 def expected_accumulated_worth(
     w: TuxGame, family: random_partitions.RandomPartitionFamily
 ) -> Fraction:
-    """Expected sum of block worths when the players split along a random partition."""
-    den, mass = _block_mass(w, family)
-    return Fraction(sum(mass), den)
+    """Expected sum of block worths when the players split along a random
+    partition: the size-weight potential of ``p_shapley_game``, whose terms
+    beta(s) M(S) / beta(s) are the block masses."""
+    return tu_games.potential_via_size_weights(p_shapley_game(w, family))
 
 
 def p_shapley(w: TuxGame, family: random_partitions.RandomPartitionFamily, i: int) -> Fraction:
@@ -198,34 +198,11 @@ def p_shapley(w: TuxGame, family: random_partitions.RandomPartitionFamily, i: in
     return p_shapley_vector(w, family)[i]
 
 
-def _block_weights(n: int) -> list[int]:
-    """s C(n, s) = 1/beta(s) by size s, beta(s) = (s-1)!(n-s)!/n! the
-    uniform-CRP probability that a given coalition of s players is a block."""
-    return [s * math.comb(n, s) for s in range(n + 1)]
-
-
 def p_shapley_vector(
     w: TuxGame, family: random_partitions.RandomPartitionFamily
 ) -> PayoffVector:
-    """Shapley value of S -> M(S) / beta(s), M the block mass and beta(s) =
-    (s-1)!(n-s)!/n! = 1/(s C(n, s)) the uniform-CRP probability that S is a
-    block; at ``PSTAR`` this TU game is the average game, so the value is MPW."""
-    den, mass = _block_mass(w, family)
-    weight = _block_weights(w.n)
-    # the k-th subset has as many players as k has bits
-    game = TuGame._from_numerators(w.players, den, [
-        weight[k.bit_count()] * m for k, m in enumerate(mass)])
-    return tu_games.shapley_value(game)
-
-
-def p_shapley_map(players, family: random_partitions.RandomPartitionFamily) -> LinearMap:
-    """The TU game whose Shapley value ``p_shapley_vector`` is, as a
-    ``LinearMap``: the family's ``block_runs``, the row of S scaled by
-    s C(n, s)."""
-    den, rows = family.block_runs(players)
-    weight = _block_weights(partitions.size(partitions.as_mask(players)))
-    return LinearMap(den, tuple((positions, coefficients, scale * weight[k.bit_count()])
-                                for k, (positions, coefficients, scale) in enumerate(rows)))
+    """Shapley value of ``p_shapley_game``; at ``PSTAR`` it is MPW."""
+    return tu_games.shapley_value(p_shapley_game(w, family))
 
 
 def is_null_player(w: TuxGame, i: int) -> bool:

@@ -145,13 +145,14 @@ def reduction_identity(
     return lhs, Fraction(n, n - s) * family.coalition_inclusion_prob(N, S)
 
 
-def _all_ones_mass(family: RandomPartitionFamily, N: Coalition) -> tuple[int, dict]:
-    """Block masses of the lifted TU game with worth 1 on every coalition: by
-    linearity, the mass at T is the expected accumulated worth of the lifted
-    Dirac game of T."""
+def _all_ones_game(family: RandomPartitionFamily, N: Coalition) -> tu_games.TuGame:
+    """The p-Shapley game of the lifted TU game with worth 1 on every
+    coalition. By linearity, the p-Shapley game of the lifted Dirac game of
+    T is this game's worth at T on T alone, so the expected accumulated
+    worth of that Dirac game, the block mass at T, is the worth at T over
+    the scale s C(n, s) of T's row of ``block_runs``."""
     ones = tu_games.TuGame._from_numerators(N, 1, [0] + [1] * ((1 << partitions.size(N)) - 1))
-    den, mass = tux_games._block_mass(tux_games.lift_tu_game(ones), family)
-    return den, dict(zip(partitions.subsets(N), mass))
+    return tux_games.p_shapley_game(tux_games.lift_tu_game(ones), family)
 
 
 GEN_ROUTES = ("block-probability", "expected-accumulated-worth", "one-player-reduction")
@@ -163,7 +164,7 @@ def _gen_instances(family: RandomPartitionFamily, N: Coalition):
     block, expected, reduction = GEN_ROUTES
     n = partitions.size(N)
     den, mass = family.inclusion(N)
-    worth_den, worth_mass = _all_ones_mass(family, N)
+    ones, rows = _all_ones_game(family, N), family.block_runs(N).rows
     # by symmetry the potential of a Dirac game depends on (n, t) alone
     potentials = {}
     for T in _nonempty_subsets_large_first(N):
@@ -172,8 +173,10 @@ def _gen_instances(family: RandomPartitionFamily, N: Coalition):
         yield block, None, T, mass.get(T, 0) * math.factorial(n) == required
         if t not in potentials:
             potentials[t] = tu_games.potential(tu_games.dirac_game(N, T))
-        pot = potentials[t]
-        yield expected, None, T, worth_mass.get(T, 0) * pot.denominator == pot.numerator * worth_den
+        pot, k = potentials[t], partitions.subset_position(N, T)
+        # ones(T) is the lifted Dirac game's expected worth times its row's scale
+        yield expected, None, T, (ones.nums[k] * pot.denominator
+                                  == pot.numerator * rows[k][2] * ones.den)
     for i in partitions.members(N):
         rest_den, rest_mass = family.inclusion(N & ~(1 << i))
         for S in _nonempty_subsets_large_first(N & ~(1 << i)):
@@ -203,8 +206,9 @@ def check_gen(family: RandomPartitionFamily, n_max: int) -> Report:
     the two equivalent routes (expected accumulated worth on the Dirac TU
     basis, one-player reduction identity) agree with it. The block and
     reduction routes read the family's inclusion masses; the expected-worth
-    route reads the block masses of one lifted game per player set against
-    the potential of each Dirac game.
+    route reads the p-Shapley game of one lifted game per player set
+    (``_all_ones_game``) against the potential of each Dirac game, scaled
+    by s C(n, s) as read from the row of ``block_runs``.
     """
     checked = 0
     first: dict[str, dict] = {}

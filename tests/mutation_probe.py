@@ -139,6 +139,11 @@ MUTANTS = [
            "                    for C in rho[:1]:",
            "tests/test_integer_kernels.py::test_block_run_weights_are_the_law_at_the_"
            "partitions_with_the_block[pstar]"),
+    Mutant("block-runs-scale", LAWS,
+           "tuple(weights), s * math.comb(n, s)))",
+           "tuple(weights), 1))",
+           "tests/test_integer_kernels.py::test_partition_function_kernels_equal_their_"
+           "fraction_references[pstar]"),
     Mutant("externality-free-ends", TUX,
            "        if run.count(run[0]) != len(run):",
            "        if run[-1] != run[0]:",

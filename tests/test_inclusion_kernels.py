@@ -284,11 +284,12 @@ def test_instances_run_in_the_reference_order():
 def test_expected_worth_route_reads_the_lifted_dirac_games(name):
     family = FAMILIES[name]()
     for N in _player_sets(5, family.explicit_player_sets):
-        den, mass = verify._all_ones_mass(family, N)
+        ones, n = verify._all_ones_game(family, N), partitions.size(N)
         for T in _nonempty_subsets_large_first(N):
             dirac = tux_games.lift_tu_game(tu_games.dirac_game(N, T))
-            assert Fraction(mass.get(T, 0), den) == tux_games.expected_accumulated_worth(
-                dirac, family)
+            t = T.bit_count()
+            assert ones.worth(T) / (t * math.comb(n, t)) == (
+                tux_games.expected_accumulated_worth(dirac, family))
 
 
 # --- the cached views ---------------------------------------------------------

@@ -191,10 +191,14 @@ def ref_block_mass(w, family):
     return mass
 
 
-def ref_p_shapley_vector(w, family):
+def ref_p_shapley_game(w, family):
     mass = ref_block_mass(w, family)
-    game = {S: S.bit_count() * math.comb(w.n, S.bit_count()) * m for S, m in mass.items()}
-    return ref_shapley_value(TuGame(w.players, game))
+    return TuGame(w.players, {S: S.bit_count() * math.comb(w.n, S.bit_count()) * m
+                              for S, m in mass.items()})
+
+
+def ref_p_shapley_vector(w, family):
+    return ref_shapley_value(ref_p_shapley_game(w, family))
 
 
 def ref_is_null_player(w, i):
@@ -304,9 +308,7 @@ def test_run_kernels_read_the_cells_past_a_zero_first_cell(family):
     past = 0
     for w in null_player_witnesses(5):
         assert tux_games.average_game(w, family) == ref_average_game(w, family)
-        den, mass = tux_games._block_mass(w, family)
-        assert {S: Fraction(m, den) for S, m in zip(partitions.subsets(w.players), mass)
-                if m} == ref_block_mass(w, family)
+        assert tux_games.p_shapley_game(w, family) == ref_p_shapley_game(w, family)
         past += any(not w.nums[cells.start] and any(w.nums[cells.start:cells.stop])
                     for cells, _, _ in family.outside_runs(w.players).rows if cells)
     assert past >= 100
@@ -467,7 +469,7 @@ def test_block_run_weights_are_the_law_at_the_partitions_with_the_block(family):
 
 
 def run_tables(family, N):
-    return [family.outside_runs(N), family.block_runs(N), tux_games.p_shapley_map(N, family)]
+    return [family.outside_runs(N), family.block_runs(N)]
 
 
 def gathering(table):
@@ -498,13 +500,16 @@ def assert_one_row_per_output(table, outputs, empty):
 
 
 def assert_run_table_shapes(family, N):
-    """A run table's row of S reads S's run, ``block_runs`` has scale 1, and
-    the rows of ``outside_runs`` share the laws' numerator tuples, uncopied."""
+    """A run table's row of S reads S's run, ``block_runs`` scales it by
+    s C(n, s), and the rows of ``outside_runs`` share the laws' numerator
+    tuples, uncopied."""
     runs = [range(*run) if S else range(0) for S, run in partitions.runs(N).items()]
     for table in run_tables(family, N):
         assert_one_row_per_output(table, 1 << partitions.size(N), 1)
         assert [positions for positions, _, _ in table.rows] == runs
-    assert {scale for _, _, scale in family.block_runs(N).rows} == {1}
+    n = partitions.size(N)
+    assert [scale for _, _, scale in family.block_runs(N).rows[1:]] == [
+        S.bit_count() * math.comb(n, S.bit_count()) for S in partitions.subsets(N) if S]
     outside = family.outside_runs(N).rows
     assert all(coefficients is family.integer_distribution(N & ~S)[1]
                for S, (_, coefficients, _) in zip(partitions.subsets(N), outside) if S)
@@ -521,9 +526,9 @@ def test_slicing_a_range_row_equals_gathering_it_on_eight_players():
 
 @pytest.mark.parametrize("N", TABLE_PLAYER_SETS, ids=lambda N: str(partitions.members(N)))
 def test_every_linear_map_has_one_row_per_output_and_an_empty_row_for_the_empty_coalition(N):
-    """The run tables, the p-Shapley map, the removal matrices, their
-    compositions and the auxiliary maps are one shape; a removal matrix,
-    composed or not, and an auxiliary map have scale 1."""
+    """The run tables, the removal matrices, their compositions and the
+    auxiliary maps are one shape; a removal matrix, composed or not, and an
+    auxiliary map have scale 1."""
     for family in FAMILIES:
         assert_run_table_shapes(family, N)
     n, bell = partitions.size(N), partitions.bell_number

@@ -199,6 +199,18 @@ def test_subsets_ascending_and_complete():
     assert list(subsets(mask)) == [0, 2, 8, 10]
 
 
+@pytest.mark.parametrize("players", [*(range(1, n + 1) for n in range(9)), (0, 3, 4, 9, 17)],
+                         ids=lambda players: str(list(players)))
+def test_subset_position_is_the_index_in_subsets_order(players):
+    N = mask_from(players)
+    order = list(subsets(N))
+    assert [partitions.subset_position(N, S) for S in order] == list(range(len(order)))
+
+
+def test_subset_position_ignores_players_outside_the_set():
+    assert partitions.subset_position(mask_from([1, 3]), mask_from([0, 3, 5])) == 2
+
+
 def test_block_of():
     pi = blocks([1, 2], [3])
     assert partitions.block_of(pi, 2) == mask_from([1, 2])

@@ -257,12 +257,18 @@ def test_row_route_reports_equal_the_dense_route(spec, tmp_path):
 
 
 @pytest.mark.parametrize("n", [1, 4, 6])
-def test_the_map_a_solution_carries_is_the_cached_table_it_applies(n):
+def test_the_map_a_solution_carries_is_the_cached_table_it_applies(n, tmp_path):
     """One map serves computing and checking: the null-player check reads the
-    very table ``mpw`` and ``r-shapley`` apply, not a copy."""
+    very table ``mpw``, ``p-shapley`` and ``r-shapley`` apply, not a copy."""
     N = prefix(n)
     solution, _ = cli.parse_solution("mpw")
     assert solution.linear_map(N) is PSTAR.outside_runs(N)
+    for spec in ("p-shapley:pstar", "p-shapley:ewens:1/2", "p-shapley:eps:4=1/24",
+                 "p-shapley:table:"):
+        solution, _ = parse_built_in(spec, tmp_path)
+        assert solution.func is p_shapley_vector
+        family = solution.keywords["family"]  # the family whose value the solution is
+        assert solution.linear_map(N) is family.block_runs(N), spec
     solution, _ = cli.parse_solution("r-shapley:rstar")
     op = solution.func.__self__  # the operator whose value the solution is
     assert solution.linear_map(N) is op.auxiliary_map(N)
