@@ -59,6 +59,20 @@ def over_common_denominator(values) -> IntegerView:
     return den, tuple(n * (den // d) for n, d in ratios)
 
 
+def pull_back(row: dict, rows) -> dict:
+    """The integer row {position: coefficient} on the outputs of ``rows``,
+    read on their inputs: each output p expanded to its coefficient times
+    ``rows[p]``, a (positions, coefficients, scale) row, the scale folded in.
+    Every output of ``row`` is read, a zero coefficient's too."""
+    pulled = {}
+    for p, c in row.items():
+        positions, coefficients, scale = rows[p]
+        c *= scale
+        for q, x in zip(positions, coefficients):
+            pulled[q] = pulled.get(q, 0) + c * x
+    return pulled
+
+
 class LinearMap(NamedTuple):
     """An exact linear map from a game's worth numerators to integer outputs
     over ``den`` times the game's denominator: one row (positions,
@@ -77,25 +91,13 @@ class LinearMap(NamedTuple):
                                 if type(p) is range else map(nums.__getitem__, p)))
                 for p, coefficients, scale in self.rows]
 
-    def pull_back(self, row: dict) -> dict:
-        """The integer row {position: coefficient} on this map's outputs, read
-        on its inputs: each output p expanded to its coefficient times row p,
-        the scale folded in."""
-        pulled = {}
-        for p, c in row.items():
-            positions, coefficients, scale = self.rows[p]
-            c *= scale
-            for q, x in zip(positions, coefficients):
-                pulled[q] = pulled.get(q, 0) + c * x
-        return pulled
-
     def after(self, inner: LinearMap) -> LinearMap:
         """This map composed after ``inner``, whose outputs are its inputs:
         each row, scale folded in, pulled back through ``inner`` with zero
         coefficients dropped, over the product of the denominators."""
         rows = []
         for positions, coefficients, scale in self.rows:
-            row = inner.pull_back({p: scale * c for p, c in zip(positions, coefficients)})
+            row = pull_back({p: scale * c for p, c in zip(positions, coefficients)}, inner.rows)
             row = {k: x for k, x in row.items() if x}
             rows.append((tuple(row), tuple(row.values()), 1))
         return LinearMap(self.den * inner.den, tuple(rows))

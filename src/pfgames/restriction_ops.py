@@ -8,19 +8,24 @@ partition, its closed form for the uniform CRP law, the nullifying operator,
 and a deliberately order-biased operator used to exercise the axiom checks.
 
 The cell rule runs in one place, ``restricted_worth``, and never on the empty
-coalition, which is worth 0. Run on a game whose worths are unit linear forms,
-it gives the exact matrix of each removal (N, i), a
+coalition, which is worth 0. Run at one subgame cell on a game whose worths
+are unit linear forms (``_cell_forms``), it gives one exact row of a removal
+(N, i). Run at every cell, it gives the removal's matrix, a
 ``random_partitions.LinearMap`` with one integer row per subgame cell over
 one denominator. The operator caches it and ``restrict`` applies it; the
 axiom check judges it against the rule run on concrete worths, composing two
 with ``LinearMap.after`` for PI. Chaining the removals down the lattice of
 removed sets gives the auxiliary game as one more map per player set, with a
-row per coalition; the operator caches that too, so the auxiliary game,
-hence its potential and value, is one pass over the worth table.
+row per coalition, pulled back from the removal rows its chains read: each
+row is built when first read and cached, so the rule runs on a small part of
+the rows of the lattice's removal matrices (395 of 2,386 at 6 players). The
+operator caches the map too, so the auxiliary game, hence its potential and
+value, is one pass over the worth table.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable
 
@@ -28,7 +33,7 @@ from . import partitions, tu_games
 from .errors import PositivityError
 from .partitions import Coalition, Partition
 from .random_partitions import (ONE, ZERO, LinearMap, RandomPartitionFamily,
-                                over_common_denominator)
+                                over_common_denominator, pull_back)
 from .tu_games import PayoffVector, TuGame
 from .tux_games import TuxGame, cell_index
 
@@ -154,6 +159,8 @@ class RestrictionOperator:
         self._cell_rule = cell_rule
         self.explicit_player_sets = explicit_player_sets
         self._matrices: dict[tuple[Coalition, int], LinearMap] = {}
+        # removal rows built when first read, per removal: {cell position: row}
+        self._rows: dict[tuple[Coalition, int], dict[int, tuple]] = {}
         self._auxiliary_maps: dict[Coalition, LinearMap] = {}
 
     def __repr__(self):
@@ -188,10 +195,9 @@ class RestrictionOperator:
         return w
 
     def removal_matrix(self, players: Coalition, i: int) -> LinearMap:
-        """The exact matrix of removing ``i`` from ``players``: the cell rule
-        run once per cell on unit linear forms, then cached, one row per cell
-        of the subgame in ``enumerate_embedded`` order; empty coalitions have
-        empty rows.
+        """The exact matrix of removing ``i`` from ``players``: ``_cell_forms``
+        at every cell, then cached, one row per cell of the subgame in
+        ``enumerate_embedded`` order; empty coalitions have empty rows.
 
         Raises NonLinearRuleError when the rule fails on linear forms.
         """
@@ -200,14 +206,40 @@ class RestrictionOperator:
         if matrix is None:
             if not players & partitions.singleton(i):
                 raise ValueError(f"player {i} is not in the player set")
-            game, rows = _SymbolicGame(players), []
-            for S, pi in partitions.enumerate_embedded(players & ~(1 << i)):
-                try:
-                    rows.append((_LinearForm({}) + self.restricted_worth(game, i, S, pi)).coef)
-                except TypeError as exc:
-                    raise NonLinearRuleError(self.label, players, i, (S, pi), str(exc)) from None
-            matrix = self._matrices[key] = _on_one_denominator(rows)
+            matrix = self._matrices[key] = _on_one_denominator(self._cell_forms(
+                players, i, partitions.enumerate_embedded(players & ~(1 << i))))
         return matrix
+
+    def _cell_forms(self, players: Coalition, i: int, cells) -> list[dict]:
+        """The cell rule of removing ``i`` from ``players`` run on unit linear
+        forms at each of ``cells``: per cell, its coefficients {position: exact
+        coefficient} in the order the rule read them, zeros kept. Raises
+        NonLinearRuleError at the first cell where the rule fails."""
+        game, forms = _SymbolicGame(players), []
+        for S, pi in cells:
+            try:
+                forms.append((_LinearForm({}) + self.restricted_worth(game, i, S, pi)).coef)
+            except TypeError as exc:
+                raise NonLinearRuleError(self.label, players, i, (S, pi), str(exc)) from None
+        return forms
+
+    def _removal_row(self, players: Coalition, i: int, p: int) -> tuple:
+        """Row p of removing ``i`` from ``players`` as (positions, coefficients,
+        den): the cached matrix's row when there is one, else ``_cell_forms``
+        at that one cell, built on first read and cached over its own
+        denominator, zeros kept."""
+        matrix = self._matrices.get((players, i))
+        if matrix is not None:
+            positions, coefficients, _ = matrix.rows[p]  # a removal matrix's scales are 1
+            return positions, coefficients, matrix.den
+        rows = self._rows.setdefault((players, i), {})
+        row = rows.get(p)
+        if row is None:
+            (form,) = self._cell_forms(
+                players, i, partitions.enumerate_embedded(players & ~(1 << i))[p:p + 1])
+            den, coefficients = over_common_denominator(form.values())
+            row = rows[p] = (tuple(form), coefficients, den)
+        return row
 
     def auxiliary_map(self, players: Coalition) -> LinearMap:
         """The auxiliary game as a matrix, built once per player set and cached:
@@ -215,19 +247,28 @@ class RestrictionOperator:
         denominator, reading the worths that give what S keeps once the players
         outside S are removed in ascending order.
 
-        The removal matrices are fetched in the depth-first order of the lattice
-        of removed sets, so the first rule that fails is the first removal of
-        that walk. Each row is the unit row at S's grand-coalition cell pulled
-        back through its chain of removals, expanding only the matrix rows it
-        reads. Raises NonLinearRuleError when the rule is not linear.
+        Each row is the unit row at S's grand-coalition cell pulled back
+        through its chain of removals, last removal first. Each step reads
+        the removal rows (``_removal_row``) its row names, zero coefficients
+        included, and folds in the lcm of their denominators; so the cell rule
+        runs only on the cells some chain reads. The coalitions are taken in
+        the depth-first order of the lattice of removed sets, and the first
+        cell read whose rule fails raises: NonLinearRuleError when the rule
+        fails on linear forms, else the rule's own error, such as
+        PositivityError. A rule that fails only on cells no chain reads gives
+        a map, though ``restrict`` refuses it.
         """
         aux = self._auxiliary_maps.get(players)
         if aux is None:
             rows = {}
             for S, chain in self._removal_chains(players, -1, ()):
                 row, den = {cell_index(S, S, ()): 1} if S else {}, 1
-                for matrix in reversed(chain):
-                    row, den = matrix.pull_back(row), den * matrix.den
+                for M, h in reversed(chain):
+                    read = {p: self._removal_row(M, h, p) for p in row}
+                    step = math.lcm(*{d for _, _, d in read.values()})
+                    row = pull_back(row, {p: (positions, coefficients, step // d)
+                                          for p, (positions, coefficients, d) in read.items()})
+                    den *= step
                 rows[S] = {q: Fraction(x, den) for q, x in row.items()}
             aux = self._auxiliary_maps[players] = _on_one_denominator(
                 map(rows.__getitem__, partitions.subsets(players)))
@@ -235,20 +276,20 @@ class RestrictionOperator:
 
     def _removal_chains(self, players: Coalition, last: int, chain: tuple):
         """Each subgame reached by removing players above ``last`` in ascending
-        order, with the removal matrices that lead to it, depth first."""
+        order, with the removals (player set, player) that lead to it, depth
+        first."""
         yield players, chain
         for h in partitions.members(players):
             if h > last:
-                step = chain + (self.removal_matrix(players, h),)
-                yield from self._removal_chains(players & ~(1 << h), h, step)
+                yield from self._removal_chains(players & ~(1 << h), h, chain + ((players, h),))
 
     def auxiliary_game(self, w: TuxGame) -> TuGame:
         """TU game whose worth of S is what S earns once everyone else is removed.
 
         One pass over the worth table with the cached ``auxiliary_map``; the
         players outside S leave in the ascending order of ``restrict_many``. A
-        rule that is not linear raises NonLinearRuleError, a ValueError naming
-        the operator.
+        rule that fails on linear forms at a cell the map reads raises
+        NonLinearRuleError, a ValueError naming the operator.
         """
         aux = self.auxiliary_map(w.players)
         return TuGame._from_numerators(w.players, aux.den * w.den, aux.apply(w.nums))

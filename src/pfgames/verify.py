@@ -40,6 +40,7 @@ they start, a range past a fixed budget.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -67,7 +68,8 @@ class Report:
 # Budgets, checked before a check starts; past them it is refused (exit 2).
 # Times are CLI wall times on 2 cores, Python 3.11. --nmax 8 runs 31,965
 # null-player witness games: a built-in solution reads them in about 0.4 s
-# (mpw) to 2 s (r-shapley:rstar, mostly its cold auxiliary maps), a callable
+# (mpw) to 0.5-0.7 s (r-shapley:rstar, rp:pstar, whose auxiliary maps, built
+# from the removal rows their chains read, take 0.15-0.2 s of it), a callable
 # without a map runs each (mpw about 14 s); --nmax 9 would run 185,028.
 MAX_NULL_PLAYER_WITNESSES = 50_000
 # --nmax 8 checks 54,719 restriction instances (rstar about 5 s); --nmax 9
@@ -330,8 +332,26 @@ def _lin_probe(N: Coalition) -> TuxGame:
     already reduced and no gcd is taken."""
     empty = partitions.bell_number(partitions.size(N))  # the empty coalition's cells lead
     K = len(partitions.enumerate_embedded(N)) - empty
-    den = math.lcm(*range(1, K + 1))
+    den = _lcm_up_to(K)
     return TuxGame._from_reduced(N, den, [0] * empty + [den // k for k in range(1, K + 1)])
+
+
+@functools.cache
+def _lcm_up_to(K: int) -> int:
+    """lcm(1, ..., K): the product, over the primes p <= K of an integer
+    sieve, of the largest power of p that is at most K; a prime above the
+    square root of K enters once. Cached: K is one count per player count."""
+    root, prime = math.isqrt(K), bytearray([1]) * (K + 1)
+    prime[:2] = bytes(min(2, K + 1))
+    lcm = 1
+    for p in range(2, root + 1):
+        if prime[p]:
+            prime[p * p::p] = bytes(len(range(p * p, K + 1, p)))
+            power = p * p
+            while power * p <= K:
+                power *= p
+            lcm *= power
+    return lcm * math.prod(itertools.compress(range(root + 1, K + 1), prime[root + 1:]))
 
 
 def _restriction_count(player_sets) -> int:

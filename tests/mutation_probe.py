@@ -216,6 +216,17 @@ MUTANTS = [
            "weights[at]",
            "tests/test_integer_kernels.py::test_rp_removal_matrices_equal_the_with_block_"
            "reference[eps:4=1/24]"),
+    Mutant("lazy-lcm-fold", OPS,
+           "(positions, coefficients, step // d)",
+           "(positions, coefficients, 1)",
+           "tests/test_integer_kernels.py::test_auxiliary_map_equals_the_pull_back_through_"
+           "whole_removal_matrices[rp:eps:4=1/24-5]"),
+    Mutant("lazy-zero-reads", OPS,
+           "                    read = {p: self._removal_row(M, h, p) for p in row}\n",
+           "                    row = {p: c for p, c in row.items() if c}\n"
+           "                    read = {p: self._removal_row(M, h, p) for p in row}\n",
+           "tests/test_integer_kernels.py::test_every_auxiliary_route_raises_the_positivity_"
+           "error_of_the_first_zero_cell_read"),
     Mutant("eps-unperturbed", LAWS,
            "        if n <= 3 or eps_n == 0:",
            "        if n >= 4 or eps_n == 0:",

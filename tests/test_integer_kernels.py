@@ -27,16 +27,18 @@ from pfgames.random_partitions import (
     RandomPartitionFamily,
     ewens_family,
     perturbed_family,
+    pull_back,
 )
 from pfgames.restriction_ops import (
     RestrictionOperator,
+    _on_one_denominator,
     crp_restriction,
     nullifying_restriction,
     probability_restriction,
     removal_biased_restriction,
 )
 from pfgames.tu_games import TuGame
-from pfgames.tux_games import TuxGame
+from pfgames.tux_games import TuxGame, cell_index
 from pfgames.verify import check_gen, null_player_witness
 
 from .corpus import prefix, rule_restrict, skewed_table_family
@@ -230,6 +232,26 @@ def ref_auxiliary_game(op, w):
 
     walk(w, -1)
     return TuGame(w.players, worth)
+
+
+def ref_eager_auxiliary_map(op, N):
+    """The auxiliary map pulled back through whole removal matrices: every
+    removal of the lattice of removed sets fetched from ``removal_matrix``
+    (built whole and cached), depth first, and each coalition's unit row at
+    its grand-coalition cell pulled back through the matrices of its chain."""
+    rows = {}
+
+    def walk(M, last, chain):
+        row, den = {cell_index(M, M, ()): 1} if M else {}, 1
+        for matrix in reversed(chain):
+            row, den = pull_back(row, matrix.rows), den * matrix.den
+        rows[M] = {q: Fraction(x, den) for q, x in row.items()}
+        for h in partitions.members(M):
+            if h > last:
+                walk(M & ~(1 << h), h, chain + (op.removal_matrix(M, h),))
+
+    walk(N, -1, ())
+    return _on_one_denominator(map(rows.__getitem__, partitions.subsets(N)))
 
 
 # --- TU kernels ---------------------------------------------------------------
@@ -821,14 +843,109 @@ def test_every_route_of_a_non_linear_rule_names_the_operator():
             solve(TUX_GAMES[3])
 
 
-def test_auxiliary_game_raises_the_positivity_error_of_the_walk_on_subgames():
-    op = probability_restriction(perturbed_family({4: Fraction(1, 8)}))
+def test_every_auxiliary_route_raises_the_positivity_error_of_the_first_zero_cell_read():
+    """The auxiliary map reads removal rows in the depth-first order of its
+    chains, so it names the first cell it reads whose base partition has
+    probability zero, not the first of the whole removal matrix, which the
+    walk on concrete subgames names."""
+    family = perturbed_family({4: Fraction(1, 8)})
+    op = probability_restriction(family)
     w = TUX_GAMES[5]
-    with pytest.raises(PositivityError) as expected:
+    rest = partitions.mask_from([2, 3, 4, 5])
+    base = formats.partition_from_lists([[2], [3], [4, 5]])
+    assert family.prob(rest, base) == 0
+    with pytest.raises(PositivityError) as walked:
         ref_auxiliary_game(op, w)
-    for solve in (op.auxiliary_game, op.potential, op.shapley_value):
+    assert walked.value.players == rest and walked.value.partition != base
+    for solve in (op.auxiliary_game, op.potential, op.shapley_value,
+                  lambda w: op.auxiliary_map(w.players)):
         with pytest.raises(PositivityError) as got:
             solve(w)
-        assert str(got.value) == str(expected.value)
-        assert (got.value.players, got.value.partition) == (
-            expected.value.players, expected.value.partition)
+        assert str(got.value).endswith("to [[2], [3], [4, 5]] on [2, 3, 4, 5]")
+        assert (got.value.players, got.value.partition) == (rest, base)
+
+
+def test_a_zero_coefficient_is_still_a_read_of_the_row_it_names():
+    """On players 0..3 the skewed table weighs the cell where player 1 stays
+    beside the pair {2, 3} by zero, and the removal of player 0 divides by
+    that very partition's probability: the chain of {1} reaches it only
+    through the zero coefficient, and raises there."""
+    op = rp_without_gen_check(skewed_table_family())
+    with pytest.raises(PositivityError) as got:
+        op.auxiliary_map(partitions.mask_from([0, 1, 2, 3]))
+    assert (got.value.players, got.value.partition) == (
+        prefix(3), formats.partition_from_lists([[1], [2, 3]]))
+
+
+def lazy_operators():
+    """The operators whose auxiliary maps are checked against the eager walk,
+    each built fresh on every call."""
+    return {
+        "rstar": crp_restriction,
+        "nullify": nullifying_restriction,
+        "biased": removal_biased_restriction,
+        "rp:pstar": lambda: probability_restriction(PSTAR),
+        "rp:ewens:1/2": lambda: rp_without_gen_check(ewens_family(Fraction(1, 2))),
+        "rp:eps:4=1/24": lambda: probability_restriction(perturbed_family({4: Fraction(1, 24)})),
+        "rp:skewed": lambda: rp_without_gen_check(skewed_table_family()),
+    }
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+@pytest.mark.parametrize("label", list(lazy_operators()))
+def test_auxiliary_map_equals_the_pull_back_through_whole_removal_matrices(label, n):
+    """Built from rows read on demand, from the whole matrices of the top
+    removals plus rows read on demand, and from whole matrices only.
+
+    Past three players the eager walk refuses the skewed table, whose zero
+    lies in a removal no chain reads; the chains read the table only where
+    it agrees with pstar."""
+    fresh, N = lazy_operators()[label], prefix(n)
+    lazy = fresh().auxiliary_map(N)
+    if label == "rp:skewed" and n > 3:
+        with pytest.raises(PositivityError):
+            ref_eager_auxiliary_map(fresh(), N)
+        assert lazy == ref_eager_auxiliary_map(probability_restriction(PSTAR), N)
+        return
+    op = fresh()
+    eager = ref_eager_auxiliary_map(op, N)
+    assert lazy == eager
+    mixed = fresh()
+    for i in partitions.members(N):
+        mixed.removal_matrix(N, i)
+    assert mixed.auxiliary_map(N) == eager
+    assert op.auxiliary_map(N) == eager
+
+
+def bell_sums_below(n):
+    """Sum over s = 1..n-1 of C(n, s) times Bell(0) + ... + Bell(n - s - 1)."""
+    return sum(math.comb(n, s) * sum(map(partitions.bell_number, range(n - s)))
+               for s in range(1, n))
+
+
+@pytest.mark.parametrize("make", [crp_restriction, lambda: probability_restriction(PSTAR)],
+                         ids=["rstar", "rp:pstar"])
+def test_a_fresh_auxiliary_map_runs_the_rule_only_on_the_cells_its_chains_read(make):
+    """A coalition S of size s keeps cells (S, pi) of every subgame its chain
+    passes, pi partitioning up to n - s - 1 of the others: far fewer than
+    the cells of every removal of the lattice."""
+    for n, expected in zip(range(4, 8), (32, 110, 395, 1540)):
+        op, calls = counted(make())
+        N = prefix(n)
+        op.auxiliary_map(N)
+        assert len(calls) == bell_sums_below(n) == expected, n
+        calls.clear()
+        op.auxiliary_map(N)
+        assert not calls
+
+
+def test_removal_matrices_taken_after_the_auxiliary_map_equal_a_fresh_operators():
+    N = prefix(5)
+    for label, fresh in lazy_operators().items():
+        if label == "rp:skewed":
+            continue  # its matrices on players 1..5 refuse the zero of the table
+        op, ref = fresh(), fresh()
+        op.auxiliary_map(N)
+        for M in partitions.subsets(N):
+            for h in partitions.members(M):
+                assert op.removal_matrix(M, h) == ref.removal_matrix(M, h), (label, M, h)

@@ -534,6 +534,12 @@ def test_integer_lin_probe_equals_the_fraction_built_probe(n):
     assert probe == expected
 
 
+def test_lcm_of_one_to_k_by_prime_powers_equals_math_lcm():
+    """K = 17,007 is the nonempty cell count of eight players."""
+    for K in [*range(1, 2001), 17_007]:
+        assert verify._lcm_up_to(K) == math.lcm(*range(1, K + 1)), K
+
+
 def test_rule_that_is_linear_only_symbolically_fails_linearity():
     """The removal map is checked against the rule, through ``restricted_worth``,
     on the dense game with worth 1/k at the k-th nonempty embedded coalition."""
