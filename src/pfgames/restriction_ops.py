@@ -225,13 +225,10 @@ class RestrictionOperator:
 
     def _removal_row(self, players: Coalition, i: int, p: int) -> tuple:
         """Row p of removing ``i`` from ``players`` as (positions, coefficients,
-        den): the cached matrix's row when there is one, else ``_cell_forms``
-        at that one cell, built on first read and cached over its own
-        denominator, zeros kept."""
-        matrix = self._matrices.get((players, i))
-        if matrix is not None:
-            positions, coefficients, _ = matrix.rows[p]  # a removal matrix's scales are 1
-            return positions, coefficients, matrix.den
+        den): ``_cell_forms`` at that one cell, built on first read and cached
+        over its own denominator, zeros kept. It never reads a cached
+        ``removal_matrix``, which drops zeros, so what the auxiliary map reads
+        does not depend on what the operator built before."""
         rows = self._rows.setdefault((players, i), {})
         row = rows.get(p)
         if row is None:

@@ -340,7 +340,8 @@ def _lin_probe(N: Coalition) -> TuxGame:
 def _lcm_up_to(K: int) -> int:
     """lcm(1, ..., K): the product, over the primes p <= K of an integer
     sieve, of the largest power of p that is at most K; a prime above the
-    square root of K enters once. Cached: K is one count per player count."""
+    square root of K enters once. Cached per K: every check on k players
+    probes the same K, and at --nmax 3 the sieves are a few % of a check."""
     root, prime = math.isqrt(K), bytearray([1]) * (K + 1)
     prime[:2] = bytes(min(2, K + 1))
     lcm = 1
