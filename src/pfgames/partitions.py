@@ -20,7 +20,8 @@ game, and ``block_runs``, the p-Shapley game: each a ``LinearMap`` whose
 row of S reads S's run and sits, as S's worth in a TU game does, at
 ``subset_position(players, S)``);
 ``placement_positions(players, i)``, built from ``placements``, serves the
-null-player test, the null-player witness games and the RES check.
+null-player witness games and the RES check, and gives the null-player
+test its one gather, ``placement_classes(players, i)``.
 """
 
 from __future__ import annotations
@@ -296,6 +297,22 @@ def _placement_positions(mask: Coalition, i: int) -> tuple[PlacementRow, ...]:
         (at[(S | bit, pi)], tuple(at[(S, grown)] for _, grown in placements(pi, i)))
         for S, pi in enumerate_embedded(mask & ~bit)
     )
+
+
+def placement_classes(players, i: int) -> tuple[int, ...]:
+    """Per cell of ``enumerate_embedded(players)``, in order, the ``inside``
+    of the one ``placement_positions`` row holding it, as ``inside`` or in
+    ``grown``. Cached per ``(players, i)``; ValueError if ``i`` is no player."""
+    return _placement_classes(as_mask(players), i)
+
+
+@functools.cache
+def _placement_classes(mask: Coalition, i: int) -> tuple[int, ...]:
+    classes = [0] * len(enumerate_embedded(mask))
+    for inside, grown in _placement_positions(mask, i):
+        for k in (inside, *grown):
+            classes[k] = inside
+    return tuple(classes)
 
 
 def placements(pi: Partition, i: int) -> Iterator[tuple[Coalition, Partition]]:

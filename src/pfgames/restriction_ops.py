@@ -18,9 +18,10 @@ with ``LinearMap.after`` for PI. Chaining the removals down the lattice of
 removed sets gives the auxiliary game as one more map per player set, with a
 row per coalition, pulled back from the removal rows its chains read: each
 row is built when first read and cached, so the rule runs on a small part of
-the rows of the lattice's removal matrices (395 of 2,386 at 6 players). The
-operator caches the map too, so the auxiliary game, hence its potential and
-value, is one pass over the worth table.
+the rows of the lattice's removal matrices (395 of 2,386 at 6 players). A row
+reading just its coalition's run, as ``rstar``'s do, is that run, sliced as a
+family's run tables are. The operator caches the map too, so the auxiliary
+game, hence its potential and value, is one pass over the worth table.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class NonLinearRuleError(ValueError):
 def _on_one_denominator(rows) -> LinearMap:
     """Rows {position: exact coefficient} as a LinearMap, in order, each of
     scale 1: zeros dropped, the rest integers over the lcm of their
-    denominators. A row lists the cells in the order the rule read them."""
+    denominators, cells in read order; the form of the removal matrices."""
     rows = [{k: x for k, x in row.items() if x} for row in rows]
     den, flat = over_common_denominator(x for row in rows for x in row.values())
     coefficients = iter(flat)
@@ -248,12 +249,15 @@ class RestrictionOperator:
         through its chain of removals, last removal first. Each step reads
         the removal rows (``_removal_row``) its row names, zero coefficients
         included, and folds in the lcm of their denominators; so the cell rule
-        runs only on the cells some chain reads. The coalitions are taken in
-        the depth-first order of the lattice of removed sets, and the first
-        cell read whose rule fails raises: NonLinearRuleError when the rule
-        fails on linear forms, else the rule's own error, such as
-        PositivityError. A rule that fails only on cells no chain reads gives
-        a map, though ``restrict`` refuses it.
+        runs only on the cells some chain reads. Rows, each reduced by its own
+        gcd, go over the lcm of the reduced denominators, zeros dropped: as the
+        ``range`` of their coalition's run (``partitions.runs``), coefficients
+        in run order, when they read exactly it, else in read order. The
+        coalitions are taken in the depth-first order of the lattice of
+        removed sets, and the first cell read whose rule fails raises:
+        NonLinearRuleError when the rule fails on linear forms, else the
+        rule's own error, such as PositivityError. A rule that fails only on
+        cells no chain reads gives a map, though ``restrict`` refuses it.
         """
         aux = self._auxiliary_maps.get(players)
         if aux is None:
@@ -266,9 +270,15 @@ class RestrictionOperator:
                     row = pull_back(row, {p: (positions, coefficients, step // d)
                                           for p, (positions, coefficients, d) in read.items()})
                     den *= step
-                rows[S] = {q: Fraction(x, den) for q, x in row.items()}
-            aux = self._auxiliary_maps[players] = _on_one_denominator(
-                map(rows.__getitem__, partitions.subsets(players)))
+                rows[S] = row, den
+            lcm = math.lcm(*(den // math.gcd(den, *row.values()) for row, den in rows.values()))
+            table = []
+            for S, run in partitions.runs(players).items():
+                row, den = rows[S]
+                row, run = {q: x * lcm // den for q, x in row.items() if x}, range(*run)
+                table.append((run, tuple(map(row.get, run)), 1) if row.keys() == set(run)
+                             else (tuple(row), tuple(row.values()), 1))
+            aux = self._auxiliary_maps[players] = LinearMap(lcm, tuple(table))
         return aux
 
     def _removal_chains(self, players: Coalition, last: int, chain: tuple):

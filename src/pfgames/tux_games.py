@@ -15,12 +15,13 @@ Fraction per result. The average game and the p-Shapley game are a
 family's cached run table (``outside_runs``, ``block_runs``) applied to
 it, one ``random_partitions.LinearMap`` each: per coalition, the dot
 product of its run of worths with the table's weights, times the row's
-scale. The null-player test finds its cells through
-``partitions.placement_positions``, never by hashing ``(S, pi)``.
+scale. The null-player test is one gather of the worth table through
+``partitions.placement_classes``, never hashing ``(S, pi)``.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
@@ -210,18 +211,14 @@ def is_null_player(w: TuxGame, i: int) -> bool:
 
     Checks worth(S + i, pi) == worth(S, pi with i merged into B) for every
     embedded coalition (S, pi) of the game without i and every target block B
-    including the singleton.
+    including the singleton: the worth table equals its gather through
+    ``partitions.placement_classes``, read whole even past a first mismatch.
     """
     if not w.players & partitions.singleton(i):
         raise ValueError(f"player {i} is not in the game")
     # one common denominator, so equal numerators are equal worths
-    nums = w.nums
-    for inside, grown in partitions.placement_positions(w.players, i):
-        x = nums[inside]
-        for k in grown:
-            if nums[k] != x:
-                return False
-    return True
+    gather = operator.itemgetter(*partitions.placement_classes(w.players, i))
+    return w.nums == gather(w.nums)
 
 
 def productive_pair_game() -> TuxGame:

@@ -21,11 +21,11 @@ The restriction check judges the integer removal matrices each operator
 caches and applies (``random_partitions.LinearMap``): rows against the rule
 run by ``restricted_worth`` on concrete worths (LIN) and by the cells they
 read (RES), and two composed in either order (PI); PNG runs the rule there
-on the null game. RES and the null-player witness games read the table of
-``tux_games.is_null_player``, ``partitions.placement_positions``: a row may
-read only its placement positions, and a witness game is 1 at the positions
-of one row. The empty coalition's rows are empty, and the rule gives it 0,
-so every check passes it.
+on the null game. RES and the null-player witness games read
+``partitions.placement_positions``, the table the class table of
+``tux_games.is_null_player`` comes from: a row may read only its placement
+positions, and a witness game is 1 at the positions of one row. The empty
+coalition's rows are empty, and the rule gives it 0, so every check passes it.
 
 The null-player check decides a solution that carries its exact linear map
 (a ``LinearMap`` per player set, attached by ``cli.parse_solution``: the

@@ -40,6 +40,7 @@ CLI = "src/pfgames/cli.py"
 FORMATS = "src/pfgames/formats.py"
 TUX = "src/pfgames/tux_games.py"
 LAWS = "src/pfgames/random_partitions.py"
+PARTS = "src/pfgames/partitions.py"
 
 
 class Mutant(NamedTuple):
@@ -116,10 +117,13 @@ MUTANTS = [
            "            raise ValueError(f\"table #{pos}: 'entries' must be an array\")\n",
            "",
            "tests/test_formats.py::test_family_table_whose_entries_is_not_an_array_is_refused"),
-    Mutant("null-player-sign", TUX,
-           "            if nums[k] != x:",
-           "            if nums[k] > x:",
-           "tests/test_integer_kernels.py::test_null_player_kernel_equals_its_fraction_reference"),
+    Mutant("null-player-sign", PARTS,
+           "    return tuple(classes)\n",
+           "    (k,) = _placement_positions(mask, i)[-1][1]  # the cell (N - i, ({i},))\n"
+           "    classes[k] = k\n"
+           "    return tuple(classes)\n",
+           "tests/test_integer_kernels.py::"
+           "test_null_player_kernel_equals_the_placement_loop_on_games_null_but_at_one_cell"),
     Mutant("run-sums-first-cell", LAWS,
            "coefficients, nums[p.start:p.stop]",
            "coefficients[1:], nums[p.start + 1:p.stop]",
@@ -227,6 +231,11 @@ MUTANTS = [
            "                    read = {p: self._removal_row(M, h, p) for p in row}\n",
            "tests/test_integer_kernels.py::test_every_auxiliary_route_raises_the_positivity_"
            "error_of_the_first_zero_cell_read"),
+    Mutant("aux-run-order", OPS,
+           "table.append((run, tuple(map(row.get, run)), 1)",
+           "table.append((run, tuple(row.values()), 1)",
+           "tests/test_integer_kernels.py::test_auxiliary_map_equals_the_pull_back_through_"
+           "whole_removal_matrices[rstar-5]"),
     Mutant("eps-unperturbed", LAWS,
            "        if n <= 3 or eps_n == 0:",
            "        if n >= 4 or eps_n == 0:",

@@ -212,6 +212,18 @@ def ref_is_null_player(w, i):
     return True
 
 
+def ref_placement_loop_is_null_player(w, i):
+    """The null-player test as a loop over the placement rows, stopping at
+    the first cell whose worth differs from its row's inside cell."""
+    nums = w.nums
+    for inside, grown in partitions.placement_positions(w.players, i):
+        x = nums[inside]
+        for k in grown:
+            if nums[k] != x:
+                return False
+    return True
+
+
 def ref_null_player_witness(N, i, pi, B):
     remainder = tuple(C for C in pi if C != B)
     coefficients = {(B | 1 << i, remainder): 1}
@@ -409,6 +421,47 @@ def test_null_player_kernel_on_eight_players_sees_one_bumped_cell():
         assert not ref_is_null_player(bumped, i)
 
 
+def test_null_player_kernel_equals_the_placement_loop_on_every_witness_game():
+    for n in range(1, 6):
+        N = prefix(n)
+        for i in partitions.members(N):
+            for pi in partitions.enumerate_partitions(N & ~(1 << i)):
+                for B in pi:
+                    game = null_player_witness(N, i, pi, B)
+                    for j in partitions.members(N):
+                        assert tux_games.is_null_player(game, j) == (
+                            ref_placement_loop_is_null_player(game, j)), (n, i, pi, B, j)
+
+
+def test_null_player_kernel_equals_the_placement_loop_on_games_null_but_at_one_cell():
+    """Player i is null in a game worth r + 1 on the r-th placement row,
+    or 0 where the row's coalition without i is empty; bumping any one
+    nonempty cell, ({i}, pi) whose partners are empty-coalition cells
+    included, makes i not null."""
+    for n in range(1, 5):
+        N = prefix(n)
+        cells = partitions.enumerate_embedded(N)
+        for i in partitions.members(N):
+            base = [0] * len(cells)
+            rows = partitions.placement_positions(N, i)
+            for r, ((S, _), (inside, grown)) in enumerate(
+                    zip(partitions.enumerate_embedded(N & ~(1 << i)), rows)):
+                for k in (inside, *grown):
+                    base[k] = r + 1 if S else 0
+            null = TuxGame._from_numerators(N, 1, base)
+            assert tux_games.is_null_player(null, i)
+            for k, (S, _) in enumerate(cells):
+                if not S:
+                    continue
+                nums = list(base)
+                nums[k] += 1
+                bumped = TuxGame._from_numerators(N, 1, nums)
+                assert not ref_placement_loop_is_null_player(bumped, i)
+                for j in partitions.members(N):
+                    assert tux_games.is_null_player(bumped, j) == (
+                        ref_placement_loop_is_null_player(bumped, j)), (n, i, cells[k], j)
+
+
 # --- position tables -------------------------------------------------------------
 
 TABLE_PLAYER_SETS = [prefix(n) for n in range(0, 6)] + [partitions.mask_from([0, 3, 4, 9, 17])]
@@ -423,6 +476,22 @@ def assert_placement_rows_equal_the_lookups(N, i):
     for (S, pi), (inside, grown) in zip(cells, rows):
         assert inside == at[(S | bit, pi)]
         assert grown == tuple(at[(S, g)] for _, g in partitions.placements(pi, i))
+
+
+def assert_placement_classes_hold_each_cell_once(N, i):
+    """Each cell lies in exactly one placement row, and its class is that
+    row's inside cell: the cell itself when it holds i, else the cell with
+    i moved out of its block into the coalition."""
+    bit = 1 << i
+    cells = partitions.enumerate_embedded(N)
+    held = sorted((k, inside) for inside, grown in partitions.placement_positions(N, i)
+                  for k in (inside, *grown))
+    assert [k for k, _ in held] == list(range(len(cells)))
+    classes = partitions.placement_classes(N, i)
+    assert classes == tuple(inside for _, inside in held)
+    for (S, pi), c in zip(cells, classes):
+        assert cells[c] == ((S, pi) if S & bit else (S | bit, partitions.canonical_partition(
+            B & ~bit for B in pi if B != bit)))
 
 
 def assert_runs_equal_the_embedded_order(N):
@@ -467,6 +536,13 @@ def test_position_tables_equal_the_embedded_index_lookups(N):
     assert_block_runs_equal_the_lookups(N)
 
 
+@pytest.mark.parametrize("N", TABLE_PLAYER_SETS + [prefix(6)],
+                         ids=lambda N: str(partitions.members(N)))
+def test_placement_classes_hold_each_cell_once_at_the_inside_cell_of_its_row(N):
+    for i in partitions.members(N):
+        assert_placement_classes_hold_each_cell_once(N, i)
+
+
 def test_runs_on_every_subset_of_a_set_that_is_not_a_prefix():
     for N in partitions.subsets(partitions.mask_from([0, 3, 4, 9, 17])):
         assert_runs_equal_the_embedded_order(N)
@@ -474,6 +550,7 @@ def test_runs_on_every_subset_of_a_set_that_is_not_a_prefix():
 
 def test_position_tables_on_eight_players():
     assert_placement_rows_equal_the_lookups(prefix(8), 5)
+    assert_placement_classes_hold_each_cell_once(prefix(8), 5)
     assert_runs_equal_the_embedded_order(prefix(8))
     assert_block_runs_equal_the_lookups(prefix(8))
 
@@ -647,8 +724,9 @@ def test_rp_removal_matrices_equal_the_with_block_reference(family):
 
 
 def test_placement_positions_refuse_a_player_outside_the_set():
-    with pytest.raises(ValueError, match="not in the player set"):
-        partitions.placement_positions(prefix(3), 4)
+    for table in (partitions.placement_positions, partitions.placement_classes):
+        with pytest.raises(ValueError, match="not in the player set"):
+            table(prefix(3), 4)
 
 
 def grand_copy_restriction():
@@ -898,12 +976,21 @@ def lazy_operators():
     }
 
 
+def map_content(m):
+    """A map's den and each row's {position: coefficient * scale}: equal for
+    a run row and a tuple row over the same cells, whatever their order."""
+    return m.den, [{p: c * scale for p, c in zip(positions, coefficients)}
+                   for positions, coefficients, scale in m.rows]
+
+
 @pytest.mark.parametrize("n", range(0, 7))
 @pytest.mark.parametrize("label", list(lazy_operators()))
 def test_auxiliary_map_equals_the_pull_back_through_whole_removal_matrices(label, n):
     """Built from rows read on demand, and equal to the walk through whole
     matrices only; equal too when the operator has cached the matrices of
     the top removals first, so the map does not depend on call history.
+    Under a local rule with no zero weight, each nonempty coalition's row
+    is its run.
 
     Past three players the eager walk refuses the skewed table, whose zero
     lies in a removal no chain reads; the chains read the table only where
@@ -913,16 +1000,21 @@ def test_auxiliary_map_equals_the_pull_back_through_whole_removal_matrices(label
     if label == "rp:skewed" and n > 3:
         with pytest.raises(PositivityError):
             ref_eager_auxiliary_map(fresh(), N)
-        assert lazy == ref_eager_auxiliary_map(probability_restriction(PSTAR), N)
+        assert map_content(lazy) == map_content(
+            ref_eager_auxiliary_map(probability_restriction(PSTAR), N))
         return
     op = fresh()
-    eager = ref_eager_auxiliary_map(op, N)
-    assert lazy == eager
+    eager = map_content(ref_eager_auxiliary_map(op, N))
+    assert map_content(lazy) == eager
     mixed = fresh()
     for i in partitions.members(N):
         mixed.removal_matrix(N, i)
-    assert mixed.auxiliary_map(N) == eager
-    assert op.auxiliary_map(N) == eager
+    assert map_content(mixed.auxiliary_map(N)) == eager
+    assert map_content(op.auxiliary_map(N)) == eager
+    if label in ("rstar", "biased", "rp:pstar", "rp:eps:4=1/24"):
+        runs = partitions.runs(N)
+        assert [positions for positions, _, _ in lazy.rows[1:]] == [
+            range(*runs[S]) for S in runs if S]
 
 
 def bell_sums_below(n):
