@@ -10,18 +10,18 @@ and a deliberately order-biased operator used to exercise the axiom checks.
 The cell rule runs in one place, ``restricted_worth``, and never on the empty
 coalition, which is worth 0. Run at one subgame cell on a game whose worths
 are unit linear forms (``_cell_forms``), it gives one exact row of a removal
-(N, i). Run at every cell, it gives the removal's matrix, a
-``random_partitions.LinearMap`` with one integer row per subgame cell over
-one denominator. The operator caches it and ``restrict`` applies it; the
-axiom check judges it against the rule run on concrete worths, composing two
-with ``LinearMap.after`` for PI. Chaining the removals down the lattice of
-removed sets gives the auxiliary game as one more map per player set, with a
-row per coalition, pulled back from the removal rows its chains read: each
-row is built when first read and cached, so the rule runs on a small part of
-the rows of the lattice's removal matrices (395 of 2,386 at 6 players). A row
-reading just its coalition's run, as ``rstar``'s do, is that run, sliced as a
-family's run tables are. The operator caches the map too, so the auxiliary
-game, hence its potential and value, is one pass over the worth table.
+(N, i), which the operator caches with its zeros, once per removal and cell.
+A removal's matrix, a ``random_partitions.LinearMap`` with one integer row per
+subgame cell over one denominator, is assembled from them, zeros dropped;
+``restrict`` applies it, and the axiom check judges it against the rule run
+on concrete worths, composing two with ``LinearMap.after`` for PI. Chaining
+the removals down the lattice of removed sets gives the auxiliary game as one
+more map per player set, with a row per coalition, pulled back from the
+removal rows its chains read: the rule runs on a small part of the lattice's
+rows (395 of 2,386 at 6 players), and a matrix taken afterwards builds only
+the rest. A row reading just its coalition's run, as ``rstar``'s do, is that
+run, sliced as a family's run tables are. The map is cached too, so the
+auxiliary game, hence its potential and value, is one pass over the worths.
 """
 
 from __future__ import annotations
@@ -130,17 +130,6 @@ class NonLinearRuleError(ValueError):
         self.players, self.player, self.cell, self.error = players, player, cell, error
 
 
-def _on_one_denominator(rows) -> LinearMap:
-    """Rows {position: exact coefficient} as a LinearMap, in order, each of
-    scale 1: zeros dropped, the rest integers over the lcm of their
-    denominators, cells in read order; the form of the removal matrices."""
-    rows = [{k: x for k, x in row.items() if x} for row in rows]
-    den, flat = over_common_denominator(x for row in rows for x in row.values())
-    coefficients = iter(flat)
-    return LinearMap(den, tuple(
-        (tuple(row), tuple(map(next, [coefficients] * len(row))), 1) for row in rows))
-
-
 class RestrictionOperator:
     """A rule producing subgames, plus the potential and value it induces:
     the TU potential and the Shapley value of its auxiliary game. For path
@@ -159,8 +148,7 @@ class RestrictionOperator:
         self.label = label
         self._cell_rule = cell_rule
         self.explicit_player_sets = explicit_player_sets
-        self._matrices: dict[tuple[Coalition, int], LinearMap] = {}
-        # removal rows built when first read, per removal: {cell position: row}
+        # per removal, its rows built so far: {cell position: (positions, coefficients, den)}
         self._rows: dict[tuple[Coalition, int], dict[int, tuple]] = {}
         self._auxiliary_maps: dict[Coalition, LinearMap] = {}
 
@@ -175,8 +163,8 @@ class RestrictionOperator:
         return self._cell_rule(w, i, S, pi) if S else ZERO
 
     def restrict(self, w: TuxGame, i: int) -> TuxGame:
-        """The subgame without player ``i``: the cached ``removal_matrix`` applied
-        to the worths. A non-linear rule raises NonLinearRuleError (a ValueError)."""
+        """The subgame without player ``i``: its ``removal_matrix`` applied to
+        the worths. A non-linear rule raises NonLinearRuleError (a ValueError)."""
         if not w.players & partitions.singleton(i):
             raise ValueError(f"player {i} is not in the game")
         m = self.removal_matrix(w.players, i)
@@ -196,20 +184,33 @@ class RestrictionOperator:
         return w
 
     def removal_matrix(self, players: Coalition, i: int) -> LinearMap:
-        """The exact matrix of removing ``i`` from ``players``: ``_cell_forms``
-        at every cell, then cached, one row per cell of the subgame in
-        ``enumerate_embedded`` order; empty coalitions have empty rows.
-
-        Raises NonLinearRuleError when the rule fails on linear forms.
-        """
-        key = (players, i)
-        matrix = self._matrices.get(key)
-        if matrix is None:
-            if not players & partitions.singleton(i):
-                raise ValueError(f"player {i} is not in the player set")
-            matrix = self._matrices[key] = _on_one_denominator(self._cell_forms(
-                players, i, partitions.enumerate_embedded(players & ~(1 << i))))
-        return matrix
+        """The exact matrix of removing ``i`` from ``players``, one row per cell
+        of the subgame in ``enumerate_embedded`` order (empty for an empty
+        coalition), assembled from the removal rows: those not cached yet are
+        built in one ``_cell_forms`` pass over one denominator and cached, then
+        all go over the lcm of their denominators, zeros dropped. Raises
+        NonLinearRuleError when the rule fails on linear forms."""
+        if not players & partitions.singleton(i):
+            raise ValueError(f"player {i} is not in the player set")
+        cells = partitions.enumerate_embedded(players & ~(1 << i))
+        rows = self._rows.setdefault((players, i), {})
+        missing = [p for p in range(len(cells)) if p not in rows] if rows else range(len(cells))
+        if missing:
+            forms = self._cell_forms(players, i, map(cells.__getitem__, missing))
+            den, flat = over_common_denominator(x for form in forms for x in form.values())
+            end = 0
+            for p, form in zip(missing, forms):
+                start, end = end, end + len(form)
+                rows[p] = tuple(form), flat[start:end], den
+        if len(missing) < len(cells):  # some rows were cached over their own denominators
+            den = math.lcm(*{d for _, _, d in rows.values()})
+        table = []
+        for positions, coefficients, d in map(rows.__getitem__, range(len(cells))):
+            if d != den or 0 in coefficients:
+                row = {q: x * (den // d) for q, x in zip(positions, coefficients) if x}
+                positions, coefficients = tuple(row), tuple(row.values())
+            table.append((positions, coefficients, 1))
+        return LinearMap(den, tuple(table))
 
     def _cell_forms(self, players: Coalition, i: int, cells) -> list[dict]:
         """The cell rule of removing ``i`` from ``players`` run on unit linear
@@ -219,17 +220,17 @@ class RestrictionOperator:
         game, forms = _SymbolicGame(players), []
         for S, pi in cells:
             try:
-                forms.append((_LinearForm({}) + self.restricted_worth(game, i, S, pi)).coef)
+                worth = self.restricted_worth(game, i, S, pi)
+                # ZERO, the empty coalition's worth, reads no cell
+                forms.append(worth.coef if type(worth) is _LinearForm else {} if worth is ZERO
+                             else (_LinearForm({}) + worth).coef)
             except TypeError as exc:
                 raise NonLinearRuleError(self.label, players, i, (S, pi), str(exc)) from None
         return forms
 
     def _removal_row(self, players: Coalition, i: int, p: int) -> tuple:
         """Row p of removing ``i`` from ``players`` as (positions, coefficients,
-        den): ``_cell_forms`` at that one cell, built on first read and cached
-        over its own denominator, zeros kept. It never reads a cached
-        ``removal_matrix``, which drops zeros, so what the auxiliary map reads
-        does not depend on what the operator built before."""
+        den), zeros kept: cached, else ``_cell_forms`` at that cell alone."""
         rows = self._rows.setdefault((players, i), {})
         row = rows.get(p)
         if row is None:
@@ -247,17 +248,15 @@ class RestrictionOperator:
 
         Each row is the unit row at S's grand-coalition cell pulled back
         through its chain of removals, last removal first. Each step reads
-        the removal rows (``_removal_row``) its row names, zero coefficients
-        included, and folds in the lcm of their denominators; so the cell rule
-        runs only on the cells some chain reads. Rows, each reduced by its own
-        gcd, go over the lcm of the reduced denominators, zeros dropped: as the
-        ``range`` of their coalition's run (``partitions.runs``), coefficients
-        in run order, when they read exactly it, else in read order. The
-        coalitions are taken in the depth-first order of the lattice of
-        removed sets, and the first cell read whose rule fails raises:
-        NonLinearRuleError when the rule fails on linear forms, else the
-        rule's own error, such as PositivityError. A rule that fails only on
-        cells no chain reads gives a map, though ``restrict`` refuses it.
+        the removal rows (``_removal_row``) its row names, zeros included,
+        whatever the operator built before, and folds in the lcm of their
+        denominators. Rows, each reduced by its own gcd, go over the lcm of
+        the reduced denominators, zeros dropped: as their coalition's run
+        (``partitions.runs``) in run order when they read exactly it, else in
+        read order. Chains go depth first down the lattice of removed sets;
+        the first cell read whose rule fails raises NonLinearRuleError, or
+        the rule's own error, such as PositivityError, and a rule that fails
+        only on cells no chain reads gives a map, though ``restrict`` refuses it.
         """
         aux = self._auxiliary_maps.get(players)
         if aux is None:

@@ -18,11 +18,11 @@ built only for a witness, by the public helper that replays it
 ``monotonicity_instance``).
 
 The restriction check judges the integer removal matrices each operator
-caches and applies (``random_partitions.LinearMap``): rows against the rule
-run by ``restricted_worth`` on concrete worths (LIN) and by the cells they
-read (RES), and two composed in either order (PI); PNG runs the rule there
-on the null game. RES and the null-player witness games read
-``partitions.placement_positions``, the table the class table of
+assembles from its cached rows and applies (``random_partitions.LinearMap``):
+rows against the rule run by ``restricted_worth`` on concrete worths (LIN)
+and by the cells they read (RES), and two composed in either order (PI); PNG
+runs the rule there on the null game. RES and the null-player witness games
+read ``partitions.placement_positions``, the table the class table of
 ``tux_games.is_null_player`` comes from: a row may read only its placement
 positions, and a witness game is 1 at the positions of one row. The empty
 coalition's rows are empty, and the rule gives it 0, so every check passes it.
@@ -373,19 +373,19 @@ def _restriction_count(player_sets) -> int:
 def check_restriction_axioms(op, n_max: int) -> Report:
     """Linearity, cell locality, null-game preservation and path independence.
 
-    Judges ``op.removal_matrix``: the exact matrix of each removal, from the
-    cell rule run on unit linear forms, which is also what ``restrict`` and
-    the auxiliary game, potential and value apply. LIN: the rule evaluates
-    on forms (no truth tests, comparisons, products of worths or constant
-    terms) and each row of its matrix matches the rule (``restricted_worth``)
-    on the game with worth 1/k at the k-th nonempty cell of
-    ``enumerate_embedded(N)``. RES: each row reads only the cells where the
-    removed player joins an outside block or stays alone. PNG: the rule maps
-    the null game to the null game. PI: the cached matrices of both removal
-    orders, composed with ``LinearMap.after``, agree column by column, so
-    the orders agree on every game at once; the witness names a Dirac game
-    (``coalition``, ``outside``) and a cell where they differ. Refuses, before
-    judging any, more instances than ``MAX_RESTRICTION_INSTANCES``.
+    Judges ``op.removal_matrix``: the exact matrix of each removal, built
+    from the removal rows that ``restrict`` and the auxiliary game, potential
+    and value read too. LIN: the rule evaluates on forms (no truth tests,
+    comparisons, products of worths or constant terms) and each row of its
+    matrix matches the rule (``restricted_worth``) on the game with worth 1/k
+    at the k-th nonempty cell of ``enumerate_embedded(N)``. RES: each row
+    reads only the cells where the removed player joins an outside block or
+    stays alone. PNG: the rule maps the null game to the null game. PI: the
+    matrices of both removal orders (as judged, where judged on a smaller
+    player set), composed with ``LinearMap.after``, agree column by column,
+    so the orders agree on every game at once; the witness names a Dirac
+    game (``coalition``, ``outside``) and a cell where they differ. Refuses,
+    before judging any, more instances than ``MAX_RESTRICTION_INSTANCES``.
     """
     from . import restriction_ops  # the family checks never load it
 
@@ -394,13 +394,13 @@ def check_restriction_axioms(op, n_max: int) -> Report:
     if count > MAX_RESTRICTION_INSTANCES:
         raise ValueError(f"the restriction check at --nmax {n_max} would check {count} "
                          f"instances, over the budget of {MAX_RESTRICTION_INSTANCES}")
-    checked, witness = 0, None
+    checked, witness, judged = 0, None, {}
     try:
         for N in player_sets:
             ids = partitions.members(N)
             cells = partitions.enumerate_embedded(N)
             probe = _lin_probe(N)
-            matrices = {i: _judge_removal(op, probe, i) for i in ids}
+            judged.update({(N, i): _judge_removal(op, probe, i) for i in ids})
             null = tux_games.null_game(N)
             for i in ids:
                 checked += sum(1 for S, _ in partitions.enumerate_embedded(N & ~(1 << i)) if S) + 1
@@ -410,8 +410,9 @@ def check_restriction_axioms(op, n_max: int) -> Report:
                                          rhs=ZERO, cell_coalition=S, cell_partition=pi)
             for i, j in itertools.combinations(ids, 2):
                 rest = N & ~(1 << i) & ~(1 << j)
-                first = op.removal_matrix(N & ~(1 << i), j).after(matrices[i])
-                second = op.removal_matrix(N & ~(1 << j), i).after(matrices[j])
+                first = judged.get((N & ~(1 << i), j)) or op.removal_matrix(N & ~(1 << i), j)
+                second = judged.get((N & ~(1 << j), i)) or op.removal_matrix(N & ~(1 << j), i)
+                first, second = first.after(judged[N, i]), second.after(judged[N, j])
                 checked += sum(1 for S, _ in partitions.enumerate_embedded(rest) if S)
                 # composed rows have scale 1
                 for (S, pi), (lhs_at, lhs_row, _), (rhs_at, rhs_row, _) in zip(

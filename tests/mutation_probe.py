@@ -236,6 +236,28 @@ MUTANTS = [
            "table.append((run, tuple(row.values()), 1)",
            "tests/test_integer_kernels.py::test_auxiliary_map_equals_the_pull_back_through_"
            "whole_removal_matrices[rstar-5]"),
+    Mutant("matrix-rescale-dropped", OPS,
+           "x * (den // d) for q, x in zip(positions, coefficients) if x}",
+           "x for q, x in zip(positions, coefficients) if x}",
+           "tests/test_integer_kernels.py::test_removal_matrices_equal_the_eager_reference_"
+           "fresh_and_after_the_auxiliary_map[rstar-(1, 2, 3)]"),
+    Mutant("matrix-zeros-kept", OPS,
+           "            if d != den or 0 in coefficients:",
+           "            if d != den:",
+           "tests/test_integer_kernels.py::test_removal_matrices_equal_the_eager_reference_"
+           "fresh_and_after_the_auxiliary_map[rp:skewed-(0, 1, 2, 3)]"),
+    Mutant("placements-order", PARTS,
+           "        if B & -B < bit:",
+           "        if B & -B > bit:",
+           "tests/test_partitions.py::test_placements_keep_blocks_canonical"),
+    Mutant("validate-negative", LAWS,
+           "    if min(nums) < 0:",
+           "    if min(nums) < -1:",
+           "tests/test_random_partitions.py::test_a_custom_rule_is_validated_like_a_table[negative]"),
+    Mutant("validate-sum", LAWS,
+           "    if total != den:",
+           "    if total > den:",
+           "tests/test_inclusion_kernels.py::test_validation_messages_are_unchanged"),
     Mutant("eps-unperturbed", LAWS,
            "        if n <= 3 or eps_n == 0:",
            "        if n >= 4 or eps_n == 0:",

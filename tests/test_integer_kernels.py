@@ -26,12 +26,14 @@ from pfgames.random_partitions import (
     LinearMap,
     RandomPartitionFamily,
     ewens_family,
+    over_common_denominator,
     perturbed_family,
     pull_back,
 )
 from pfgames.restriction_ops import (
     RestrictionOperator,
-    _on_one_denominator,
+    _LinearForm,
+    _SymbolicGame,
     crp_restriction,
     nullifying_restriction,
     probability_restriction,
@@ -244,6 +246,27 @@ def ref_auxiliary_game(op, w):
 
     walk(w, -1)
     return TuGame(w.players, worth)
+
+
+def _on_one_denominator(rows) -> LinearMap:
+    """Rows {position: exact coefficient} as a LinearMap, in order, each of
+    scale 1: zeros dropped, the rest integers over the lcm of their
+    denominators, cells in read order: the form ``removal_matrix`` gives,
+    built here without its row cache, for the eager references below."""
+    rows = [{k: x for k, x in row.items() if x} for row in rows]
+    den, flat = over_common_denominator(x for row in rows for x in row.values())
+    coefficients = iter(flat)
+    return LinearMap(den, tuple(
+        (tuple(row), tuple(map(next, [coefficients] * len(row))), 1) for row in rows))
+
+
+def ref_eager_removal_matrix(op, N, i):
+    """The removal matrix built eagerly, apart from the operator's row cache:
+    the rule run on unit linear forms at every cell of the subgame, then put
+    on one denominator."""
+    game = _SymbolicGame(N)
+    return _on_one_denominator((_LinearForm({}) + op.restricted_worth(game, i, S, pi)).coef
+                               for S, pi in partitions.enumerate_embedded(N & ~(1 << i)))
 
 
 def ref_eager_auxiliary_map(op, N):
@@ -882,11 +905,12 @@ def test_dropped_families_never_leak_cached_distributions():
 
 
 def counted(op):
-    """The operator's rule, counting its calls."""
+    """The operator's rule, recording each call as (player set, removed
+    player, coalition, partition)."""
     calls = []
 
     def cell(w, i, S, pi):
-        calls.append(1)
+        calls.append((w.players, i, S, pi))
         return op.restricted_worth(w, i, S, pi)
 
     return RestrictionOperator(f"counted-{op.label}", cell), calls
@@ -948,18 +972,28 @@ def test_a_zero_coefficient_is_still_a_read_of_the_row_it_names():
     beside the pair {2, 3} by zero, and the removal of player 0 divides by
     that very partition's probability: the chain of {1} reaches it only
     through the zero coefficient, and raises there. It still does once the
-    whole matrices of the removals from {1, 2, 3} are cached: they divide by
-    pstar on two players and drop the zero, and the map's reads must not
-    depend on them."""
-    for warm in (False, True):
+    matrices of the removals from {1, 2, 3}, which drop the zero, have been
+    taken, and once the matrix of removing 0, which divides by it too, has
+    failed part way: the map's reads must not depend on them. Neither may
+    the matrices of removing 1, 2 or 3 depend on the failed map."""
+    N = partitions.mask_from([0, 1, 2, 3])
+    zero = (prefix(3), formats.partition_from_lists([[1], [2, 3]]))
+    for history in ("fresh", "warm", "failed matrix"):
         op = rp_without_gen_check(skewed_table_family())
-        if warm:
+        if history == "warm":
             for h in partitions.members(prefix(3)):
                 op.removal_matrix(prefix(3), h)
+        if history == "failed matrix":
+            with pytest.raises(PositivityError) as got:
+                op.removal_matrix(N, 0)
+            assert str(got.value).endswith("to [[1], [2, 3]] on [1, 2, 3]")
+            assert (got.value.players, got.value.partition) == zero
         with pytest.raises(PositivityError) as got:
-            op.auxiliary_map(partitions.mask_from([0, 1, 2, 3]))
-        assert (got.value.players, got.value.partition) == (
-            prefix(3), formats.partition_from_lists([[1], [2, 3]])), warm
+            op.auxiliary_map(N)
+        assert (got.value.players, got.value.partition) == zero, history
+        fresh = rp_without_gen_check(skewed_table_family())
+        for h in (1, 2, 3):
+            assert op.removal_matrix(N, h) == fresh.removal_matrix(N, h), (history, h)
 
 
 def lazy_operators():
@@ -1049,3 +1083,74 @@ def test_removal_matrices_taken_after_the_auxiliary_map_equal_a_fresh_operators(
         for M in partitions.subsets(N):
             for h in partitions.members(M):
                 assert op.removal_matrix(M, h) == ref.removal_matrix(M, h), (label, M, h)
+
+
+def removal_cells(removals):
+    """(player set, removed player, S, pi) for each nonempty cell (S, pi) of
+    the subgame of each removal: the calls of the rule that build them."""
+    return [(M, h, S, pi) for M, h in removals
+            for S, pi in partitions.enumerate_embedded(M & ~(1 << h)) if S]
+
+
+def lattice_removals(N):
+    return [(M, h) for M in partitions.subsets(N) for h in partitions.members(M)]
+
+
+@pytest.mark.parametrize("make", [crp_restriction, lambda: probability_restriction(PSTAR)],
+                         ids=["rstar", "rp:pstar"])
+def test_removal_matrices_after_the_auxiliary_map_reuse_the_rows_it_built(make):
+    """Over the auxiliary map and every removal matrix of its lattice the
+    rule runs once per removal and subgame cell: a matrix builds only the
+    rows the map's chains did not read. So does ``restrict`` after
+    ``auxiliary_game``, and its subgames are the rule's."""
+    for n in range(4, 7):
+        op, calls = counted(make())
+        N = prefix(n)
+        op.auxiliary_map(N)
+        assert len(calls) == bell_sums_below(n), n
+        for M, h in lattice_removals(N):
+            op.removal_matrix(M, h)
+        assert sorted(calls) == sorted(removal_cells(lattice_removals(N))), n
+    op, calls = counted(make())
+    w = TUX_GAMES[5]
+    op.auxiliary_game(w)
+    read = set(calls)
+    for i in partitions.members(w.players):
+        assert op.restrict(w, i) == rule_restrict(make(), w, i), i
+    removals = [(w.players, i) for i in partitions.members(w.players)]
+    assert sorted(calls) == sorted(read | set(removal_cells(removals)))
+
+
+def removal_matrix_cases():
+    """(label, player set): each operator under test on prefixes of up to
+    five players, and the skewed table on players 0..3, whose removals from
+    {1, 2, 3} hold a zero coefficient."""
+    cases = [(label, prefix(n)) for label in lazy_operators() for n in range(1, 6)]
+    return cases + [("rp:skewed", partitions.mask_from([0, 1, 2, 3]))]
+
+
+@pytest.mark.parametrize("label, N", removal_matrix_cases(),
+                         ids=lambda case: str(partitions.members(case))
+                         if isinstance(case, int) else case)
+def test_removal_matrices_equal_the_eager_reference_fresh_and_after_the_auxiliary_map(label, N):
+    """Every removal of the lattice, on a fresh operator and on one whose
+    auxiliary map has cached rows over their own denominators, zeros kept:
+    the same den, rows and cells as the rule run at every cell on one
+    denominator, zeros dropped; or the same PositivityError."""
+    make = lazy_operators()[label]
+    fresh, after, ref = make(), make(), make()
+    try:
+        after.auxiliary_map(N)
+    except PositivityError:
+        pass  # the skewed table on players 0..3 refuses the map part way
+    for M, h in lattice_removals(N):
+        try:
+            expected = ref_eager_removal_matrix(ref, M, h)
+        except PositivityError as exc:
+            for op in (fresh, after):
+                with pytest.raises(PositivityError) as got:
+                    op.removal_matrix(M, h)
+                assert (got.value.players, got.value.partition) == (exc.players, exc.partition)
+            continue
+        assert fresh.removal_matrix(M, h) == expected, (M, h)
+        assert after.removal_matrix(M, h) == expected, (M, h)
