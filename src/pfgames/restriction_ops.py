@@ -8,11 +8,13 @@ partition, its closed form for the uniform CRP law, the nullifying operator,
 and a deliberately order-biased operator used to exercise the axiom checks.
 
 The cell rule runs in one place, ``restricted_worth``, and never on the empty
-coalition, which is worth 0. Run at one subgame cell on a game whose worths
-are unit linear forms (``_cell_forms``), it gives one exact row of a removal
-(N, i), which the operator caches with its zeros, once per removal and cell.
-A removal's matrix, a ``random_partitions.LinearMap`` with one integer row per
-subgame cell over one denominator, is assembled from them, zeros dropped;
+coalition, which is worth 0. Run at one subgame cell on a game whose
+numerators ``nums`` are unit linear forms (``_cell_forms``), it gives one
+integer row of a removal (N, i) over its own denominator, cached with its
+zeros, once per removal and cell; the built-in rules read ``nums`` and scale
+once per cell, by one Fraction that folds in ``den``. A removal's matrix, a
+``random_partitions.LinearMap`` with one integer row per subgame cell over
+the lcm of their denominators, is assembled from them, zeros dropped;
 ``restrict`` applies it, and the axiom check judges it against the rule run
 on concrete worths, composing two with ``LinearMap.after`` for PI. Chaining
 the removals down the lattice of removed sets gives the auxiliary game as one
@@ -33,8 +35,7 @@ from typing import Callable
 from . import partitions, tu_games
 from .errors import PositivityError
 from .partitions import Coalition, Partition
-from .random_partitions import (ONE, ZERO, LinearMap, RandomPartitionFamily,
-                                over_common_denominator, pull_back)
+from .random_partitions import ZERO, LinearMap, RandomPartitionFamily, pull_back
 from .tu_games import PayoffVector, TuGame
 from .tux_games import TuxGame, cell_index
 
@@ -42,31 +43,37 @@ CellRule = Callable[[TuxGame, int, Coalition, Partition], Fraction]
 
 
 class _LinearForm:
-    """Exact linear form {cell position: coefficient} in a game's worths.
+    """Exact linear form in a game's worths: integer coefficients {cell
+    position: coefficient} over one positive integer ``den``.
 
     Only sums and differences of forms, and products and quotients by exact
-    scalars, are defined; truth tests, comparisons, products of worths and
-    nonzero constant terms raise TypeError.
+    scalars, are defined: an int scales the coefficients, a Fraction p/q
+    scales them by p and ``den`` by q, and forms over two dens add over their
+    lcm. Truth tests, comparisons, products of worths and nonzero constant
+    terms raise TypeError.
     """
 
-    __slots__ = ("coef", "unit")
+    __slots__ = ("coef", "den")
 
-    def __init__(self, coef, unit=None):
-        self.coef = coef
-        self.unit = unit  # the cell of a single worth read, whose coefficient is 1
+    def __init__(self, coef, den=1):
+        self.coef, self.den = coef, den
 
     def __add__(self, other):
         if not isinstance(other, _LinearForm):
             if isinstance(other, (int, Fraction)) and other == 0:
                 return self
             raise TypeError(f"constant term {other!r}")
-        big, small = self.coef, other.coef
+        big, small, den = self.coef, other.coef, self.den
+        if other.den != den:
+            den = math.lcm(den, other.den)
+            big = {cell: x * (den // self.den) for cell, x in big.items()}
+            small = {cell: x * (den // other.den) for cell, x in small.items()}
         if len(big) < len(small):
             big, small = small, big
         total = dict(big)
         for cell, x in small.items():
             total[cell] = total[cell] + x if cell in total else x
-        return _LinearForm(total)
+        return _LinearForm(total, den)
 
     __radd__ = __add__
 
@@ -82,9 +89,9 @@ class _LinearForm:
     def __mul__(self, k):
         if not isinstance(k, (int, Fraction)):
             return NotImplemented
-        if self.unit is not None:
-            return _LinearForm({self.unit: k})
-        return _LinearForm({cell: x * k for cell, x in self.coef.items()})
+        p, q = k.as_integer_ratio()
+        return _LinearForm(self.coef if p == 1 else {cell: x * p for cell, x in self.coef.items()},
+                           self.den * q)
 
     __rmul__ = __mul__
 
@@ -98,18 +105,34 @@ class _LinearForm:
         raise TypeError("comparing worths is not linear")
 
 
+_NO_CELL = _LinearForm({})
+
+
+class _UnitForms:
+    """The ``nums`` of a ``_SymbolicGame``: at position k the unit form of
+    cell k, built when read, or the empty form at an empty coalition's cell."""
+
+    def __init__(self, empty: int):
+        self.empty = empty
+
+    def __getitem__(self, k: int) -> _LinearForm:
+        return _LinearForm({k: 1}) if k >= self.empty else _NO_CELL
+
+
 class _SymbolicGame:
-    """Stands in for the TuxGame a cell rule reads: each worth is the unit
-    form of its position in ``enumerate_embedded`` order."""
+    """Stands in for the TuxGame a cell rule reads: over ``den`` 1, its
+    numerators ``nums`` are the unit forms of the positions in
+    ``enumerate_embedded`` order, and ``worth`` reads through them."""
+
+    den = 1
 
     def __init__(self, players: Coalition):
         self.players, self.n = players, partitions.size(players)
         # the cells of the empty coalition come first, one per partition
-        self._empty_cells = partitions.bell_number(self.n)
+        self.nums = _UnitForms(partitions.bell_number(self.n))
 
     def worth(self, coalition, pi: Partition) -> _LinearForm:
-        k = cell_index(self.players, coalition, pi)
-        return _LinearForm({k: ONE}, unit=k) if k >= self._empty_cells else _LinearForm({})
+        return self.nums[cell_index(self.players, coalition, pi)]
 
 
 class NonLinearRuleError(ValueError):
@@ -135,8 +158,9 @@ class RestrictionOperator:
     the TU potential and the Shapley value of its auxiliary game. For path
     dependent operators (``biased``) both follow ``restrict_many``'s order.
 
-    The rule reads the game only through ``worth``, ``players`` and ``n``;
-    the subgames, potential and value need it to be linear in the worths.
+    The rule reads the game only through ``worth``, ``players``, ``n``, and
+    the numerators ``nums`` over ``den``; the subgames, potential and value
+    need it to be linear in the worths.
     """
 
     def __init__(
@@ -187,23 +211,19 @@ class RestrictionOperator:
         """The exact matrix of removing ``i`` from ``players``, one row per cell
         of the subgame in ``enumerate_embedded`` order (empty for an empty
         coalition), assembled from the removal rows: those not cached yet are
-        built in one ``_cell_forms`` pass over one denominator and cached, then
-        all go over the lcm of their denominators, zeros dropped. Raises
-        NonLinearRuleError when the rule fails on linear forms."""
+        built in one ``_cell_forms`` pass, each over its own reduced
+        denominator, and cached, then all go over the lcm of their
+        denominators, zeros dropped. Raises NonLinearRuleError when the rule
+        fails on linear forms."""
         if not players & partitions.singleton(i):
             raise ValueError(f"player {i} is not in the player set")
         cells = partitions.enumerate_embedded(players & ~(1 << i))
         rows = self._rows.setdefault((players, i), {})
         missing = [p for p in range(len(cells)) if p not in rows] if rows else range(len(cells))
-        if missing:
-            forms = self._cell_forms(players, i, map(cells.__getitem__, missing))
-            den, flat = over_common_denominator(x for form in forms for x in form.values())
-            end = 0
-            for p, form in zip(missing, forms):
-                start, end = end, end + len(form)
-                rows[p] = tuple(form), flat[start:end], den
-        if len(missing) < len(cells):  # some rows were cached over their own denominators
-            den = math.lcm(*{d for _, _, d in rows.values()})
+        forms = self._cell_forms(players, i, map(cells.__getitem__, missing))
+        for p, (form, d) in zip(missing, forms):
+            rows[p] = tuple(form), tuple(form.values()), d
+        den = math.lcm(*{d for _, _, d in rows.values()})
         table = []
         for positions, coefficients, d in map(rows.__getitem__, range(len(cells))):
             if d != den or 0 in coefficients:
@@ -212,20 +232,24 @@ class RestrictionOperator:
             table.append((positions, coefficients, 1))
         return LinearMap(den, tuple(table))
 
-    def _cell_forms(self, players: Coalition, i: int, cells) -> list[dict]:
+    def _cell_forms(self, players: Coalition, i: int, cells) -> list[tuple[dict, int]]:
         """The cell rule of removing ``i`` from ``players`` run on unit linear
-        forms at each of ``cells``: per cell, its coefficients {position: exact
-        coefficient} in the order the rule read them, zeros kept. Raises
-        NonLinearRuleError at the first cell where the rule fails."""
+        forms at each of ``cells``: per cell, its integer coefficients
+        {position: coefficient} in the order the rule read them, zeros kept,
+        and their den, reduced by their gcd. Raises NonLinearRuleError at the
+        first cell where the rule fails."""
         game, forms = _SymbolicGame(players), []
         for S, pi in cells:
             try:
                 worth = self.restricted_worth(game, i, S, pi)
-                # ZERO, the empty coalition's worth, reads no cell
-                forms.append(worth.coef if type(worth) is _LinearForm else {} if worth is ZERO
-                             else (_LinearForm({}) + worth).coef)
+                if type(worth) is not _LinearForm:  # ZERO, the empty coalition's, reads no cell
+                    worth = _NO_CELL if worth is ZERO else _NO_CELL + worth
             except TypeError as exc:
                 raise NonLinearRuleError(self.label, players, i, (S, pi), str(exc)) from None
+            coef, den = worth.coef, worth.den
+            g = math.gcd(den, *coef.values())
+            forms.append((coef, den) if g == 1
+                         else ({k: x // g for k, x in coef.items()}, den // g))
         return forms
 
     def _removal_row(self, players: Coalition, i: int, p: int) -> tuple:
@@ -234,10 +258,9 @@ class RestrictionOperator:
         rows = self._rows.setdefault((players, i), {})
         row = rows.get(p)
         if row is None:
-            (form,) = self._cell_forms(
+            ((form, den),) = self._cell_forms(
                 players, i, partitions.enumerate_embedded(players & ~(1 << i))[p:p + 1])
-            den, coefficients = over_common_denominator(form.values())
-            row = rows[p] = (tuple(form), coefficients, den)
+            row = rows[p] = (tuple(form), tuple(form.values()), den)
         return row
 
     def auxiliary_map(self, players: Coalition) -> LinearMap:
@@ -321,12 +344,11 @@ def crp_restriction() -> RestrictionOperator:
     """
 
     def cell(w: TuxGame, i: int, S: Coalition, pi: Partition) -> Fraction:
-        outside = w.n - S.bit_count()
-        total = ZERO
+        at, total = partitions.embedded_index(w.players), 0
         for B, grown in partitions.placements(pi, i):
             # alone (B = 0) weighs like a block of one
-            total += w.worth(S, grown) * Fraction(B.bit_count() or 1, outside)
-        return total
+            total += w.nums[at[S, grown]] * (B.bit_count() or 1)
+        return total * Fraction(1, (w.n - S.bit_count()) * w.den)
 
     return RestrictionOperator("rstar", cell)
 
@@ -376,12 +398,13 @@ def probability_restriction(family: RandomPartitionFamily) -> RestrictionOperato
             )
         den, rows = family.block_runs(w.players)
         cells, weights, _ = rows[partitions.subset_position(w.players, S)]
-        total = 0
+        index, total = partitions.embedded_index(w.players), 0
         for _, grown in partitions.placements(pi, i):
-            total += w.worth(S, grown) * weights[cell_index(w.players, S, grown) - cells.start]
+            k = index[S, grown]
+            total += w.nums[k] * weights[k - cells.start]
         n, s = w.n, S.bit_count()
-        # n/(n-s) over p_{N-i}(base), both probabilities' denominators cleared
-        return total * Fraction(n * rest_den, (n - s) * den * q)
+        # n/(n-s) over p_{N-i}(base), both probabilities' and the worths' denominators cleared
+        return total * Fraction(n * rest_den, (n - s) * den * q * w.den)
 
     return RestrictionOperator(
         f"rp:{family.label}", cell, explicit_player_sets=family.explicit_player_sets
@@ -406,10 +429,9 @@ def removal_biased_restriction() -> RestrictionOperator:
     """
 
     def cell(w: TuxGame, i: int, S: Coalition, pi: Partition) -> Fraction:
-        total = ZERO
+        at, total = partitions.embedded_index(w.players), 0
         for B, grown in partitions.placements(pi, i):
-            worth = w.worth(S, grown)
-            total += worth * (i + 1) if B else worth
-        return total
+            total += w.nums[at[S, grown]] * (i + 1 if B else 1)
+        return total * Fraction(1, w.den)
 
     return RestrictionOperator("biased", cell)

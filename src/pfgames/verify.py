@@ -72,8 +72,8 @@ class Report:
 # from the removal rows their chains read, take 0.15-0.2 s of it), a callable
 # without a map runs each (mpw about 14 s); --nmax 9 would run 185,028.
 MAX_NULL_PLAYER_WITNESSES = 50_000
-# --nmax 8 checks 54,719 restriction instances (rstar about 5 s); --nmax 9
-# would check 325,259.
+# --nmax 8 checks 54,719 restriction instances (rstar 4.2-5.5 s, rp:pstar
+# 5.3-6.9 s); --nmax 9 would check 325,259.
 MAX_RESTRICTION_INSTANCES = 100_000
 
 
@@ -308,10 +308,10 @@ def _judge_removal(op, probe: TuxGame, i: int) -> LinearMap:
     for (S, pi), (_, grown), (positions, _, _), num in zip(
             partitions.enumerate_embedded(N & ~(1 << i)), partitions.placement_positions(N, i),
             matrix.rows, matrix.apply(probe.nums)):
-        where = dict(players=N, player=i, cell_coalition=S, cell_partition=pi)
         rhs = op.restricted_worth(probe, i, S, pi)
         if num * rhs.denominator != rhs.numerator * den:
-            raise _Violation(axiom="LIN", **where, lhs=Fraction(num, den), rhs=Fraction(rhs))
+            raise _Violation(axiom="LIN", players=N, player=i, cell_coalition=S,
+                             cell_partition=pi, lhs=Fraction(num, den), rhs=Fraction(rhs))
         for k in positions:
             if k not in grown:
                 # the last placement leaves i alone
@@ -319,7 +319,8 @@ def _judge_removal(op, probe: TuxGame, i: int) -> LinearMap:
                 T, tau = cells[k]
                 bumped = base + tux_games.dirac_game(N, T, tau)
                 raise _Violation(
-                    axiom="RES", **where, probe_coalition=T, probe_outside=tau,
+                    axiom="RES", players=N, player=i, cell_coalition=S, cell_partition=pi,
+                    probe_coalition=T, probe_outside=tau,
                     lhs=op.restricted_worth(base, i, S, pi),
                     rhs=op.restricted_worth(bumped, i, S, pi))
     return matrix

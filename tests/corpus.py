@@ -62,6 +62,32 @@ def rule_restrict(op, w, i):
         w.players & ~(1 << i), lambda S, pi: op.restricted_worth(w, i, S, pi))
 
 
+def mixed_denominator_cell(w, i, S, pi):
+    """13/30 of the ``rstar`` cell, each placement's term t taken as t/2 +
+    t/3 - t*2/5: on linear forms, terms over 2, 3 and 5 times n - s added over
+    their lcm, and each cell read three times."""
+    outside, total = w.n - S.bit_count(), 0
+    for B, grown in partitions.placements(pi, i):
+        t = w.worth(S, grown) * (B.bit_count() or 1) / outside
+        total += t / 2 + t / 3 - t * Fraction(2, 5)
+    return total
+
+
+def numerator_rule(with_den=True):
+    """3/7 of the ``rstar`` cell, read as the built-in rules read a game: the
+    numerators ``nums`` at their ``embedded_index`` positions times integer
+    weights, scaled once by a Fraction that folds in ``den``, or that leaves
+    it out when ``with_den`` is false."""
+
+    def cell(w, i, S, pi):
+        at, total = partitions.embedded_index(w.players), 0
+        for B, grown in partitions.placements(pi, i):
+            total += w.nums[at[S, grown]] * (B.bit_count() or 1)
+        return total * Fraction(3, 7 * (w.n - S.bit_count()) * (w.den if with_den else 1))
+
+    return cell
+
+
 def rule_restrict_many(op, w, removed):
     """``rule_restrict`` once per removed player, in ascending id order."""
     for i in partitions.members(partitions.as_mask(removed)):

@@ -216,10 +216,26 @@ MUTANTS = [
            "[den // (k + 1) for k in range(1, K + 1)]",
            "tests/test_verify.py::test_integer_lin_probe_equals_the_fraction_built_probe[2]"),
     Mutant("rp-rest-cell", OPS,
-           "weights[cell_index(w.players, S, grown) - cells.start]",
+           "weights[k - cells.start]",
            "weights[at]",
            "tests/test_integer_kernels.py::test_rp_removal_matrices_equal_the_with_block_"
            "reference[eps:4=1/24]"),
+    Mutant("rule-den-dropped", OPS,
+           "return total * Fraction(1, (w.n - S.bit_count()) * w.den)",
+           "return total * Fraction(1, w.n - S.bit_count())",
+           "tests/test_integer_kernels.py::test_built_in_rules_on_numerators_equal_their_"
+           "worth_references[rstar]"),
+    Mutant("form-lcm-dropped", OPS,
+           "            big = {cell: x * (den // self.den) for cell, x in big.items()}\n"
+           "            small = {cell: x * (den // other.den) for cell, x in small.items()}\n",
+           "",
+           "tests/test_verify.py::test_rules_over_several_denominators_or_on_numerators_"
+           "pass[mixed-denominators]"),
+    Mutant("form-fraction-den", OPS,
+           "                           self.den * q)",
+           "                           self.den)",
+           "tests/test_integer_kernels.py::test_custom_rules_over_several_denominators_equal_"
+           "the_eager_reference[numerators]"),
     Mutant("lazy-lcm-fold", OPS,
            "(positions, coefficients, step // d)",
            "(positions, coefficients, 1)",

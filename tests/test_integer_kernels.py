@@ -43,7 +43,13 @@ from pfgames.tu_games import TuGame
 from pfgames.tux_games import TuxGame, cell_index
 from pfgames.verify import check_gen, null_player_witness
 
-from .corpus import prefix, rule_restrict, skewed_table_family
+from .corpus import (
+    mixed_denominator_cell,
+    numerator_rule,
+    prefix,
+    rule_restrict,
+    skewed_table_family,
+)
 
 ZERO = Fraction(0)
 WIDE = (10**12 + 39, 10**12 + 61, 999_999_999_989)
@@ -262,11 +268,13 @@ def _on_one_denominator(rows) -> LinearMap:
 
 def ref_eager_removal_matrix(op, N, i):
     """The removal matrix built eagerly, apart from the operator's row cache:
-    the rule run on unit linear forms at every cell of the subgame, then put
-    on one denominator."""
+    the rule run on unit linear forms at every cell of the subgame, each
+    form's coefficients read over its den, then put on one denominator."""
     game = _SymbolicGame(N)
-    return _on_one_denominator((_LinearForm({}) + op.restricted_worth(game, i, S, pi)).coef
-                               for S, pi in partitions.enumerate_embedded(N & ~(1 << i)))
+    forms = (_LinearForm({}) + op.restricted_worth(game, i, S, pi)
+             for S, pi in partitions.enumerate_embedded(N & ~(1 << i)))
+    return _on_one_denominator({k: Fraction(x, form.den) for k, x in form.coef.items()}
+                               for form in forms)
 
 
 def ref_eager_auxiliary_map(op, N):
@@ -744,6 +752,81 @@ def test_rp_removal_matrices_equal_the_with_block_reference(family):
                     str(exc), exc.players, exc.partition)
                 continue
             assert op.removal_matrix(N, i) == expected, (N, i)
+
+
+def ref_crp_cell(w, i, S, pi):
+    """The ``rstar`` rule as it read worths: a Fraction weight b/(n - s) per
+    placement, 1/(n - s) for the removed player alone."""
+    outside, total = w.n - S.bit_count(), 0
+    for B, grown in partitions.placements(pi, i):
+        total += w.worth(S, grown) * Fraction(B.bit_count() or 1, outside)
+    return total
+
+
+def ref_biased_cell(w, i, S, pi):
+    """The ``biased`` rule as it read worths: weight i + 1 on each block."""
+    total = 0
+    for B, grown in partitions.placements(pi, i):
+        worth = w.worth(S, grown)
+        total += worth * (i + 1) if B else worth
+    return total
+
+
+@pytest.mark.parametrize("make, ref", [
+    (crp_restriction, ref_crp_cell),
+    (removal_biased_restriction, ref_biased_cell),
+    (lambda: probability_restriction(PSTAR), ref_rp_rule(PSTAR)),
+    (lambda: probability_restriction(perturbed_family({4: Fraction(1, 24)})),
+     ref_rp_rule(perturbed_family({4: Fraction(1, 24)}))),
+], ids=["rstar", "biased", "rp:pstar", "rp:eps:4=1/24"])
+def test_built_in_rules_on_numerators_equal_their_worth_references(make, ref):
+    """At every cell of every removal of games over wide denominators, the
+    built-in rule, reading ``nums`` over ``den``, gives the Fraction that the
+    rule reading ``worth`` gives."""
+    op = make()
+    for w in TUX_GAMES[2:]:
+        assert w.den > 1
+        for i in partitions.members(w.players):
+            for S, pi in partitions.enumerate_embedded(w.players & ~(1 << i)):
+                if S:
+                    assert op.restricted_worth(w, i, S, pi) == ref(w, i, S, pi), (i, S, pi)
+
+
+def test_linear_forms_carry_integer_coefficients_over_one_den():
+    """An int scales the coefficients, a Fraction p/q scales them by p and the
+    den by q, and forms over two dens add over their lcm; the empty
+    coalition's cells read as the empty form."""
+    N = prefix(2)
+    game = _SymbolicGame(N)
+    k, h = cell_index(N, 0b010, (0b100,)), cell_index(N, N, ())
+    assert game.den == 1 and game.worth(N, ()).coef == {h: 1}
+    assert game.worth(0, (0b010, 0b100)).coef == {}
+    a, b = game.nums[k], game.nums[h]
+    form = a * Fraction(2, 3) + b / 4 - a
+    assert (form.coef, form.den) == ({k: -4, h: 3}, 12)
+    form = 5 * (a / 6 + a * Fraction(-1, 10)) + b
+    assert (form.coef, form.den) == ({k: 10, h: 30}, 30)
+
+
+CUSTOM_RULES = {"mixed-denominators": (mixed_denominator_cell, Fraction(13, 30)),
+                "numerators": (numerator_rule(), Fraction(3, 7))}
+
+
+@pytest.mark.parametrize("label", CUSTOM_RULES)
+def test_custom_rules_over_several_denominators_equal_the_eager_reference(label):
+    """A rule adding forms over several dens and a rule reading ``nums`` over
+    ``den``: every removal of the lattice of up to four players ``==`` the
+    rule run at every cell, and restricts a game as the rule does, to its
+    multiple of the ``rstar`` subgame."""
+    cell, scale = CUSTOM_RULES[label]
+    op, ref = RestrictionOperator(label, cell), RestrictionOperator(label, cell)
+    for n in range(1, 5):
+        for M, h in lattice_removals(prefix(n)):
+            assert op.removal_matrix(M, h) == ref_eager_removal_matrix(ref, M, h), (M, h)
+        w = TUX_GAMES[n]
+        for i in partitions.members(w.players):
+            assert op.restrict(w, i) == rule_restrict(op, w, i), (n, i)
+            assert op.restrict(w, i) == crp_restriction().restrict(w, i) * scale, (n, i)
 
 
 def test_placement_positions_refuse_a_player_outside_the_set():

@@ -34,7 +34,13 @@ from pfgames.verify import (
     null_player_witness,
 )
 
-from .corpus import prefix, random_tux_game, rule_restrict
+from .corpus import (
+    mixed_denominator_cell,
+    numerator_rule,
+    prefix,
+    random_tux_game,
+    rule_restrict,
+)
 
 EWENS_HALF = ewens_family(Fraction(1, 2))
 EWENS_TWO = ewens_family(2)
@@ -653,6 +659,32 @@ def test_a_linear_rule_written_with_subtraction_and_division_passes():
     w = random_tux_game(prefix(4), random.Random(31))
     for i in partitions.members(w.players):
         assert op.restrict(w, i) == rule_restrict(op, w, i) == crp_restriction().restrict(w, i)
+
+
+@pytest.mark.parametrize("cell", [mixed_denominator_cell, numerator_rule()],
+                         ids=["mixed-denominators", "numerators"])
+def test_rules_over_several_denominators_or_on_numerators_pass(cell):
+    """Forms over several dens added over their lcm, and numerators read over
+    ``den``, match the rule on the LIN probe, whose den is lcm(1..K)."""
+    report = check_restriction_axioms(RestrictionOperator("custom", cell), 4)
+    assert (report.passed, report.checked) == (True, 82)
+
+
+def test_a_rule_on_numerators_without_den_fails_linearity():
+    """Numerators read without their den agree with the forms, whose den is
+    1, and not with the rule on the probe, whose den at two players is 6."""
+    op = RestrictionOperator("den-dropped", numerator_rule(with_den=False))
+    assert check_restriction_axioms(op, 1).passed
+    report = check_restriction_axioms(op, 2)
+    assert not report.passed
+    witness = report.witness
+    assert (witness["axiom"], witness["players"]) == ("LIN", [1, 2])
+    probe = verify._lin_probe(prefix(2))
+    assert probe.den == 6
+    S = formats.coalition_from_list(witness["cell_coalition"])
+    pi = formats.partition_from_lists(witness["cell_partition"])
+    rhs = op.restricted_worth(probe, witness["player"], S, pi)
+    assert Fraction(witness["rhs"]) == rhs == Fraction(witness["lhs"]) * probe.den
 
 
 def test_gen_notes_routes_that_disagree_while_block_probability_holds():
