@@ -72,8 +72,8 @@ class Report:
 # from the removal rows their chains read, take 0.15-0.2 s of it), a callable
 # without a map runs each (mpw about 14 s); --nmax 9 would run 185,028.
 MAX_NULL_PLAYER_WITNESSES = 50_000
-# --nmax 8 checks 54,719 restriction instances (rstar 4.2-5.5 s, rp:pstar
-# 5.3-6.9 s); --nmax 9 would check 325,259.
+# --nmax 8 checks 54,719 restriction instances (rstar 3.9-4.4 s, rp:pstar
+# 5.2-6.4 s); --nmax 9 would check 325,259.
 MAX_RESTRICTION_INSTANCES = 100_000
 
 
