@@ -9,9 +9,10 @@ and a deliberately order-biased operator used to exercise the axiom checks.
 
 The cell rule runs in one place, ``restricted_worth``, and never on the empty
 coalition, which is worth 0. Run at one subgame cell on a game whose
-numerators ``nums`` are unit linear forms (``_cell_forms``), it gives one
-integer row of a removal (N, i) over its own denominator, cached with its
-zeros, once per removal and cell; the built-in rules read ``nums`` and scale
+numerators ``nums`` are unit linear forms, it gives one integer row of a
+removal (N, i) over its own denominator; ``_removal_rows``, the one method
+that fills and reads the row cache, builds each row once per removal and
+cell and caches it with its zeros. The built-in rules read ``nums`` and scale
 once per cell, by one Fraction that folds in ``den``. A removal's matrix, a
 ``random_partitions.LinearMap`` with one integer row per subgame cell over
 the lcm of their denominators, is assembled from them, zeros dropped;
@@ -108,31 +109,24 @@ class _LinearForm:
 _NO_CELL = _LinearForm({})
 
 
-class _UnitForms:
-    """The ``nums`` of a ``_SymbolicGame``: at position k the unit form of
-    cell k, built when read, or the empty form at an empty coalition's cell."""
-
-    def __init__(self, empty: int):
-        self.empty = empty
-
-    def __getitem__(self, k: int) -> _LinearForm:
-        return _LinearForm({k: 1}) if k >= self.empty else _NO_CELL
-
-
 class _SymbolicGame:
-    """Stands in for the TuxGame a cell rule reads: over ``den`` 1, its
-    numerators ``nums`` are the unit forms of the positions in
-    ``enumerate_embedded`` order, and ``worth`` reads through them."""
+    """Stands in for the TuxGame a cell rule reads: over ``den`` 1, it is its
+    own numerators ``nums``, whose item k is the unit form of the k-th cell
+    in ``enumerate_embedded`` order, built when read, or the empty form at an
+    empty coalition's cell; ``worth`` reads through them."""
 
     den = 1
 
     def __init__(self, players: Coalition):
-        self.players, self.n = players, partitions.size(players)
+        self.players, self.n, self.nums = players, partitions.size(players), self
         # the cells of the empty coalition come first, one per partition
-        self.nums = _UnitForms(partitions.bell_number(self.n))
+        self.empty = partitions.bell_number(self.n)
+
+    def __getitem__(self, k: int) -> _LinearForm:
+        return _LinearForm({k: 1}) if k >= self.empty else _NO_CELL
 
     def worth(self, coalition, pi: Partition) -> _LinearForm:
-        return self.nums[cell_index(self.players, coalition, pi)]
+        return self[cell_index(self.players, coalition, pi)]
 
 
 class NonLinearRuleError(ValueError):
@@ -181,10 +175,17 @@ class RestrictionOperator:
 
     def restricted_worth(self, w: TuxGame, i: int, S, pi: Partition) -> Fraction:
         """Worth of one embedded coalition of the subgame without player ``i``,
-        the only call of the cell rule; the empty coalition is 0 without it."""
+        the only call of the cell rule; the empty coalition is 0 without it.
+        A rule that looks up a cell outside the subgame gets the ValueError
+        naming it, as ``cell_index`` refuses it; a rule that reads no cell,
+        like ``nullify``'s, refuses none."""
         if type(S) is not int or S < 0:
             S = partitions.as_mask(S)
-        return self._cell_rule(w, i, S, pi) if S else ZERO
+        try:
+            return self._cell_rule(w, i, S, pi) if S else ZERO
+        except KeyError:
+            cell_index(w.players & ~(1 << i), S, pi)
+            raise
 
     def restrict(self, w: TuxGame, i: int) -> TuxGame:
         """The subgame without player ``i``: its ``removal_matrix`` applied to
@@ -210,58 +211,46 @@ class RestrictionOperator:
     def removal_matrix(self, players: Coalition, i: int) -> LinearMap:
         """The exact matrix of removing ``i`` from ``players``, one row per cell
         of the subgame in ``enumerate_embedded`` order (empty for an empty
-        coalition), assembled from the removal rows: those not cached yet are
-        built in one ``_cell_forms`` pass, each over its own reduced
-        denominator, and cached, then all go over the lcm of their
-        denominators, zeros dropped. Raises NonLinearRuleError when the rule
-        fails on linear forms."""
+        coalition): its ``_removal_rows``, each over its own reduced
+        denominator, put over the lcm of their denominators, zeros dropped.
+        Raises NonLinearRuleError when the rule fails on linear forms."""
         if not players & partitions.singleton(i):
             raise ValueError(f"player {i} is not in the player set")
-        cells = partitions.enumerate_embedded(players & ~(1 << i))
-        rows = self._rows.setdefault((players, i), {})
-        missing = [p for p in range(len(cells)) if p not in rows] if rows else range(len(cells))
-        forms = self._cell_forms(players, i, map(cells.__getitem__, missing))
-        for p, (form, d) in zip(missing, forms):
-            rows[p] = tuple(form), tuple(form.values()), d
-        den = math.lcm(*{d for _, _, d in rows.values()})
+        rows = self._removal_rows(players, i, range(len(
+            partitions.enumerate_embedded(players & ~(1 << i)))))
+        den = math.lcm(*{d for _, _, d in rows})
         table = []
-        for positions, coefficients, d in map(rows.__getitem__, range(len(cells))):
+        for positions, coefficients, d in rows:
             if d != den or 0 in coefficients:
                 row = {q: x * (den // d) for q, x in zip(positions, coefficients) if x}
                 positions, coefficients = tuple(row), tuple(row.values())
             table.append((positions, coefficients, 1))
         return LinearMap(den, tuple(table))
 
-    def _cell_forms(self, players: Coalition, i: int, cells) -> list[tuple[dict, int]]:
-        """The cell rule of removing ``i`` from ``players`` run on unit linear
-        forms at each of ``cells``: per cell, its integer coefficients
-        {position: coefficient} in the order the rule read them, zeros kept,
-        and their den, reduced by their gcd. Raises NonLinearRuleError at the
-        first cell where the rule fails."""
-        game, forms = _SymbolicGame(players), []
-        for S, pi in cells:
-            try:
-                worth = self.restricted_worth(game, i, S, pi)
-                if type(worth) is not _LinearForm:  # ZERO, the empty coalition's, reads no cell
-                    worth = _NO_CELL if worth is ZERO else _NO_CELL + worth
-            except TypeError as exc:
-                raise NonLinearRuleError(self.label, players, i, (S, pi), str(exc)) from None
-            coef, den = worth.coef, worth.den
-            g = math.gcd(den, *coef.values())
-            forms.append((coef, den) if g == 1
-                         else ({k: x // g for k, x in coef.items()}, den // g))
-        return forms
-
-    def _removal_row(self, players: Coalition, i: int, p: int) -> tuple:
-        """Row p of removing ``i`` from ``players`` as (positions, coefficients,
-        den), zeros kept: cached, else ``_cell_forms`` at that cell alone."""
+    def _removal_rows(self, players: Coalition, i: int, positions) -> list[tuple]:
+        """Rows ``positions`` of removing ``i`` from ``players``, each as
+        (positions read, coefficients, den), zeros kept: the cached ones, and
+        the rest, the one writer of the cache, built in order in one pass of
+        the cell rule on unit linear forms, each reduced by its gcd. Raises
+        NonLinearRuleError at the first cell where the rule fails on forms."""
         rows = self._rows.setdefault((players, i), {})
-        row = rows.get(p)
-        if row is None:
-            ((form, den),) = self._cell_forms(
-                players, i, partitions.enumerate_embedded(players & ~(1 << i))[p:p + 1])
-            row = rows[p] = (tuple(form), tuple(form.values()), den)
-        return row
+        missing = [p for p in positions if p not in rows] if rows else positions
+        if missing:
+            cells, game = partitions.enumerate_embedded(players & ~(1 << i)), _SymbolicGame(players)
+            for p in missing:
+                S, pi = cells[p]
+                try:
+                    worth = self.restricted_worth(game, i, S, pi)
+                    if type(worth) is not _LinearForm:  # ZERO, the empty coalition's, reads no cell
+                        worth = _NO_CELL if worth is ZERO else _NO_CELL + worth
+                except TypeError as exc:
+                    raise NonLinearRuleError(self.label, players, i, (S, pi), str(exc)) from None
+                coef, den = worth.coef, worth.den
+                g = math.gcd(den, *coef.values())
+                if g != 1:
+                    coef, den = {k: x // g for k, x in coef.items()}, den // g
+                rows[p] = tuple(coef), tuple(coef.values()), den
+        return list(map(rows.__getitem__, positions))
 
     def auxiliary_map(self, players: Coalition) -> LinearMap:
         """The auxiliary game as a matrix, built once per player set and cached:
@@ -271,15 +260,16 @@ class RestrictionOperator:
 
         Each row is the unit row at S's grand-coalition cell pulled back
         through its chain of removals, last removal first. Each step reads
-        the removal rows (``_removal_row``) its row names, zeros included,
-        whatever the operator built before, and folds in the lcm of their
-        denominators. Rows, each reduced by its own gcd, go over the lcm of
-        the reduced denominators, zeros dropped: as their coalition's run
-        (``partitions.runs``) in run order when they read exactly it, else in
-        read order. Chains go depth first down the lattice of removed sets;
-        the first cell read whose rule fails raises NonLinearRuleError, or
-        the rule's own error, such as PositivityError, and a rule that fails
-        only on cells no chain reads gives a map, though ``restrict`` refuses it.
+        the removal rows its row names, zeros included, in one
+        ``_removal_rows`` call, whatever the operator built before, and folds
+        in the lcm of their denominators. Rows, each reduced by its own gcd,
+        go over the lcm of the reduced denominators, zeros dropped: as their
+        coalition's run (``partitions.runs``) in run order when they read
+        exactly it, else in read order. Chains go depth first down the lattice
+        of removed sets; the first cell read whose rule fails raises
+        NonLinearRuleError, or the rule's own error, such as PositivityError,
+        and a rule that fails only on cells no chain reads gives a map, though
+        ``restrict`` refuses it.
         """
         aux = self._auxiliary_maps.get(players)
         if aux is None:
@@ -287,7 +277,7 @@ class RestrictionOperator:
             for S, chain in self._removal_chains(players, -1, ()):
                 row, den = {cell_index(S, S, ()): 1} if S else {}, 1
                 for M, h in reversed(chain):
-                    read = {p: self._removal_row(M, h, p) for p in row}
+                    read = dict(zip(row, self._removal_rows(M, h, row)))
                     step = math.lcm(*{d for _, _, d in read.values()})
                     row = pull_back(row, {p: (positions, coefficients, step // d)
                                           for p, (positions, coefficients, d) in read.items()})

@@ -356,18 +356,23 @@ def _lcm_up_to(K: int) -> int:
     return lcm * math.prod(itertools.compress(range(root + 1, K + 1), prime[root + 1:]))
 
 
+def _nonempty_cells(m: int) -> int:
+    """Embedded coalitions of m players with a nonempty coalition: the
+    Bell(m + 1) cells less the Bell(m) of the empty coalition."""
+    return partitions.bell_number(m + 1) - partitions.bell_number(m)
+
+
 def _restriction_count(player_sets) -> int:
     """Instances of ``check_restriction_axioms`` on these player sets: on k
     players, k removals, each with the Bell(k) - Bell(k - 1) nonempty cells
     of its subgame plus one PNG instance, and C(k, 2) pairs of removals with
     the Bell(k - 1) - Bell(k - 2) nonempty cells of theirs."""
-    bell = partitions.bell_number
     count = 0
     for N in player_sets:
         k = partitions.size(N)
-        count += k * (bell(k) - bell(k - 1) + 1)
+        count += k * (_nonempty_cells(k - 1) + 1)
         if k >= 2:
-            count += math.comb(k, 2) * (bell(k - 1) - bell(k - 2))
+            count += math.comb(k, 2) * _nonempty_cells(k - 2)
     return count
 
 
@@ -404,7 +409,7 @@ def check_restriction_axioms(op, n_max: int) -> Report:
             judged.update({(N, i): _judge_removal(op, probe, i) for i in ids})
             null = tux_games.null_game(N)
             for i in ids:
-                checked += sum(1 for S, _ in partitions.enumerate_embedded(N & ~(1 << i)) if S) + 1
+                checked += _nonempty_cells(len(ids) - 1) + 1
                 for S, pi in partitions.enumerate_embedded(N & ~(1 << i)):
                     if x := op.restricted_worth(null, i, S, pi):
                         raise _Violation(axiom="PNG", players=N, player=i, lhs=Fraction(x),
@@ -414,7 +419,7 @@ def check_restriction_axioms(op, n_max: int) -> Report:
                 first = judged.get((N & ~(1 << i), j)) or op.removal_matrix(N & ~(1 << i), j)
                 second = judged.get((N & ~(1 << j), i)) or op.removal_matrix(N & ~(1 << j), i)
                 first, second = first.after(judged[N, i]), second.after(judged[N, j])
-                checked += sum(1 for S, _ in partitions.enumerate_embedded(rest) if S)
+                checked += _nonempty_cells(len(ids) - 2)
                 # composed rows have scale 1
                 for (S, pi), (lhs_at, lhs_row, _), (rhs_at, rhs_row, _) in zip(
                         partitions.enumerate_embedded(rest), first.rows, second.rows):

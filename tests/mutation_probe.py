@@ -242,11 +242,21 @@ MUTANTS = [
            "tests/test_integer_kernels.py::test_auxiliary_map_equals_the_pull_back_through_"
            "whole_removal_matrices[rp:eps:4=1/24-5]"),
     Mutant("lazy-zero-reads", OPS,
-           "                    read = {p: self._removal_row(M, h, p) for p in row}\n",
+           "                    read = dict(zip(row, self._removal_rows(M, h, row)))\n",
            "                    row = {p: c for p, c in row.items() if c}\n"
-           "                    read = {p: self._removal_row(M, h, p) for p in row}\n",
+           "                    read = dict(zip(row, self._removal_rows(M, h, row)))\n",
            "tests/test_integer_kernels.py::test_every_auxiliary_route_raises_the_positivity_"
            "error_of_the_first_zero_cell_read"),
+    Mutant("rows-unreduced", OPS,
+           "                if g != 1:\n",
+           "                if False:\n",
+           "tests/test_integer_kernels.py::test_removal_matrices_equal_the_eager_reference_"
+           "fresh_and_after_the_auxiliary_map[rp:pstar-(1, 2, 3, 4, 5)]"),
+    Mutant("rows-wrong-key", OPS,
+           "        rows = self._rows.setdefault((players, i), {})\n",
+           "        rows = self._rows.setdefault(players & ~(1 << i), {})\n",
+           "tests/test_integer_kernels.py::test_removal_matrices_taken_after_the_auxiliary_map_"
+           "equal_a_fresh_operators"),
     Mutant("aux-run-order", OPS,
            "table.append((run, tuple(map(row.get, run)), 1)",
            "table.append((run, tuple(row.values()), 1)",

@@ -1237,3 +1237,38 @@ def test_removal_matrices_equal_the_eager_reference_fresh_and_after_the_auxiliar
             continue
         assert fresh.removal_matrix(M, h) == expected, (M, h)
         assert after.removal_matrix(M, h) == expected, (M, h)
+
+
+def cache_order_operator(label):
+    """A fresh operator: one of the built-in ones, or a custom rule."""
+    if label in CUSTOM_RULES:
+        return RestrictionOperator(label, CUSTOM_RULES[label][0])
+    return lazy_operators()[label]()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("label", ["rstar", "rp:pstar", "biased", *CUSTOM_RULES])
+def test_the_row_cache_does_not_depend_on_the_calls_that_filled_it(label, n):
+    """Operators filled first by every removal matrix, by the auxiliary map
+    or by ``restrict_many`` on every removed set, then by every removal
+    matrix, cache the same rows: per removal and cell, the same positions
+    and coefficients in the order the rule read them, over the same den."""
+    N, w = prefix(n), TUX_GAMES[n]
+    firsts = {
+        "removal_matrix": lambda op: [op.removal_matrix(M, h) for M, h in lattice_removals(N)],
+        "auxiliary_map": lambda op: op.auxiliary_map(N),
+        "restrict_many": lambda op: [op.restrict_many(w, T) for T in partitions.subsets(N)],
+    }
+    caches = {}
+    for first, fill in firsts.items():
+        op = cache_order_operator(label)
+        fill(op)
+        for M, h in lattice_removals(N):
+            op.removal_matrix(M, h)
+        caches[first] = op._rows
+    reference = caches.pop("removal_matrix")
+    assert sorted(reference) == sorted(lattice_removals(N))
+    for first, rows in caches.items():
+        assert rows.keys() == reference.keys(), first
+        for key, row in reference.items():
+            assert rows[key] == row, (first, key)

@@ -442,6 +442,22 @@ def test_a_rule_that_reads_a_non_cell_is_refused_at_every_entry_point():
             solve()
 
 
+@pytest.mark.parametrize("make", [crp_restriction, removal_biased_restriction,
+                                  lambda: probability_restriction(PSTAR)],
+                         ids=["rstar", "biased", "rp:pstar"])
+def test_every_placement_rule_refuses_a_cell_outside_the_subgame(make):
+    """Asked for the worth of a cell the subgame does not have, each rule
+    that places the removed player names the cell, as ``TuxGame.worth``
+    does; ``nullify`` reads no cell and gives 0."""
+    w = null_game({1, 2, 3})
+    for S, pi, shown in (({2}, blocks([4]), "([2], [[4]])"),
+                         ({2}, blocks([2, 3]), "([2], [[2, 3]])")):
+        with pytest.raises(ValueError) as got:
+            make().restricted_worth(w, 1, S, pi)
+        assert str(got.value) == f"{shown} is not an embedded coalition of this game"
+    assert nullifying_restriction().restricted_worth(w, 1, {2}, blocks([4])) == 0
+
+
 @pytest.mark.parametrize("spec", ["pstar", "eps:4=1/24", "eps:4=-1/48,5=1/200"])
 def test_p_shapley_is_the_marginal_expected_accumulated_worth(spec):
     """The paper's induced solution: player i's p-Shapley payoff is the
