@@ -6,10 +6,12 @@ nonempty block masks sorted by least member; an embedded coalition is a pair
 ``(S, pi)`` where ``pi`` partitions the complement of ``S``. ``placements``
 is the one way a partition grows by a player: the player joins a block or
 stays alone. Everything is an immutable value, so all operations here are
-pure. The tables built per player set are memoized with ``functools.cache``
-(the partition positions by one dict, filled a player set at a time); a
-concurrent first use may build a table twice, but both builds are equal, so
-the tables are safe to share across threads.
+pure. The tables built per player set go through one decorator,
+``_per_player_set``, which coerces the players to a mask, refuses a mask
+past the universe bound on every call, warm or cold, and caches each table
+with ``functools.cache`` (the partition positions live in one dict, filled
+a player set at a time). A concurrent first use may build a table twice,
+but both builds are equal, so the tables are safe to share across threads.
 
 Two lazily built tables give integer positions in ``enumerate_embedded``
 order, so hot loops index a worth table instead of hashing ``(S, pi)``:
@@ -124,14 +126,6 @@ def subsets(mask: Coalition) -> Iterator[Coalition]:
         sub = (sub - mask) & mask
 
 
-def _check_capacity(mask: Coalition) -> None:
-    n = mask.bit_count()
-    if n > _universe_bound:
-        raise CapacityError(
-            f"player set of size {n} exceeds the universe bound {_universe_bound}"
-        )
-
-
 def canonical_partition(blocks: Iterable[Coalition]) -> Partition:
     """Sort blocks by least member and validate disjointness/nonemptiness."""
     blocks = tuple(blocks)
@@ -172,66 +166,62 @@ def block_of(pi: Partition, i: int) -> Coalition:
     raise ValueError(f"player {i} is not covered by the partition")
 
 
-def enumerate_partitions(players) -> tuple[Partition, ...]:
+def _per_player_set(build):
+    """A table per player set: ``build(mask, *args)`` cached, served for an
+    int mask or an iterable of ids alike, and CapacityError for a player set
+    past the universe bound on every call, warm or cold."""
+    cached = functools.cache(build)
+
+    @functools.wraps(build)
+    def table(players, *args):
+        mask = as_mask(players)
+        n = mask.bit_count()
+        if n > _universe_bound:
+            raise CapacityError(
+                f"player set of size {n} exceeds the universe bound {_universe_bound}"
+            )
+        return cached(mask, *args)
+
+    return table
+
+
+@_per_player_set
+def enumerate_partitions(players: Coalition) -> tuple[Partition, ...]:
     """All partitions of the player set, canonical, in deterministic order.
 
-    The empty set has exactly one partition, the empty tuple. Raises
-    CapacityError beyond the universe bound.
+    The empty set has exactly one partition, the empty tuple.
     """
-    mask = as_mask(players)
-    _check_capacity(mask)
-    return _partitions(mask)
-
-
-@functools.cache
-def _partitions(mask: Coalition) -> tuple[Partition, ...]:
     # grow by each player in ascending order: into every block, then alone
     result: list[Partition] = [()]
-    for i in members(mask):
+    for i in members(players):
         result = [grown for pi in result for _, grown in placements(pi, i)]
     return tuple(result)
 
 
-def enumerate_embedded(players) -> tuple[EmbeddedCoalition, ...]:
+@_per_player_set
+def enumerate_embedded(players: Coalition) -> tuple[EmbeddedCoalition, ...]:
     """All pairs ``(S, pi)`` with ``S`` a subset and ``pi`` partitioning the rest.
 
     Includes ``S = 0``; the empty set yields the single pair ``(0, ())``.
     """
-    mask = as_mask(players)
-    _check_capacity(mask)
-    return _embedded(mask)
+    return tuple((S, pi) for S in subsets(players) for pi in enumerate_partitions(players & ~S))
 
 
-@functools.cache
-def _embedded(mask: Coalition) -> tuple[EmbeddedCoalition, ...]:
-    return tuple((S, pi) for S in subsets(mask) for pi in enumerate_partitions(mask & ~S))
-
-
-def embedded_index(players) -> dict[EmbeddedCoalition, int]:
+@_per_player_set
+def embedded_index(players: Coalition) -> dict[EmbeddedCoalition, int]:
     """Position of each embedded coalition in ``enumerate_embedded`` order."""
-    return _embedded_index(as_mask(players))
+    return {cell: k for k, cell in enumerate(enumerate_embedded(players))}
 
 
-@functools.cache
-def _embedded_index(mask: Coalition) -> dict[EmbeddedCoalition, int]:
-    return {cell: k for k, cell in enumerate(enumerate_embedded(mask))}
-
-
-def runs(players) -> dict[Coalition, tuple[int, int]]:
+@_per_player_set
+def runs(players: Coalition) -> dict[Coalition, tuple[int, int]]:
     """Where each coalition's cells lie: ``{S: (start, end)}`` in ``subsets``
     order, the cells ``(S, rho)`` being positions ``start`` to ``end - 1`` of
     ``enumerate_embedded(players)``, with ``rho`` in ``enumerate_partitions``
-    order of the rest. Built on first use per player set."""
-    mask = as_mask(players)
-    _check_capacity(mask)
-    return _runs(mask)
-
-
-@functools.cache
-def _runs(mask: Coalition) -> dict[Coalition, tuple[int, int]]:
+    order of the rest."""
     table, end = {}, 0
-    for S in subsets(mask):
-        start, end = end, end + bell_number(size(mask & ~S))
+    for S in subsets(players):
+        start, end = end, end + bell_number(size(players & ~S))
         table[S] = start, end
     return table
 
@@ -274,42 +264,34 @@ def partition_position(pi: Partition) -> int:
 PlacementRow = tuple[int, tuple[int, ...]]
 
 
-def placement_positions(players, i: int) -> tuple[PlacementRow, ...]:
+@_per_player_set
+def placement_positions(players: Coalition, i: int) -> tuple[PlacementRow, ...]:
     """Where player ``i`` can go, as positions in ``enumerate_embedded(players)``.
 
     One row ``(inside, grown)`` per embedded coalition ``(S, pi)`` of the
     players other than ``i``, in their ``enumerate_embedded`` order:
     ``inside`` is the position of ``(S + i, pi)``, and ``grown`` holds the
     positions of ``(S, grown)`` for each of ``placements(pi, i)`` in order,
-    so ``grown[-1]`` leaves ``i`` alone. Built on first use per ``(players,
-    i)``; ValueError when ``i`` is not a player.
+    so ``grown[-1]`` leaves ``i`` alone. ValueError when ``i`` is not a
+    player.
     """
-    return _placement_positions(as_mask(players), i)
-
-
-@functools.cache
-def _placement_positions(mask: Coalition, i: int) -> tuple[PlacementRow, ...]:
     bit = singleton(i)
-    if not mask & bit:
+    if not players & bit:
         raise ValueError(f"player {i} is not in the player set")
-    at = embedded_index(mask)
+    at = embedded_index(players)
     return tuple(
         (at[(S | bit, pi)], tuple(at[(S, grown)] for _, grown in placements(pi, i)))
-        for S, pi in enumerate_embedded(mask & ~bit)
+        for S, pi in enumerate_embedded(players & ~bit)
     )
 
 
-def placement_classes(players, i: int) -> tuple[int, ...]:
+@_per_player_set
+def placement_classes(players: Coalition, i: int) -> tuple[int, ...]:
     """Per cell of ``enumerate_embedded(players)``, in order, the ``inside``
     of the one ``placement_positions`` row holding it, as ``inside`` or in
-    ``grown``. Cached per ``(players, i)``; ValueError if ``i`` is no player."""
-    return _placement_classes(as_mask(players), i)
-
-
-@functools.cache
-def _placement_classes(mask: Coalition, i: int) -> tuple[int, ...]:
-    classes = [0] * len(enumerate_embedded(mask))
-    for inside, grown in _placement_positions(mask, i):
+    ``grown``. ValueError if ``i`` is no player."""
+    classes = [0] * len(enumerate_embedded(players))
+    for inside, grown in placement_positions(players, i):
         for k in (inside, *grown):
             classes[k] = inside
     return tuple(classes)
@@ -362,5 +344,7 @@ def bell_number(n: int) -> int:
 
 
 def embedded_count(n: int) -> int:
-    """Number of embedded coalitions on an n-set: sum C(n,s) B(n-s)."""
-    return sum(math.comb(n, s) * bell_number(n - s) for s in range(n + 1))
+    """Number of embedded coalitions on an n-set, sum C(n,s) B(n-s), which
+    is B(n+1): with one more point added, ``(S, pi)`` is the partition of
+    the n + 1 points whose block of the new point is S plus that point."""
+    return bell_number(n + 1)

@@ -44,7 +44,6 @@ from . import partitions
 from .partitions import Coalition, Partition
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 Distribution = dict[Partition, Fraction]
 IntegerView = tuple[int, tuple[int, ...]]

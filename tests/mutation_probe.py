@@ -41,6 +41,7 @@ FORMATS = "src/pfgames/formats.py"
 TUX = "src/pfgames/tux_games.py"
 LAWS = "src/pfgames/random_partitions.py"
 PARTS = "src/pfgames/partitions.py"
+SAMPLING = "src/pfgames/sampling.py"
 
 
 class Mutant(NamedTuple):
@@ -119,7 +120,7 @@ MUTANTS = [
            "tests/test_formats.py::test_family_table_whose_entries_is_not_an_array_is_refused"),
     Mutant("null-player-sign", PARTS,
            "    return tuple(classes)\n",
-           "    (k,) = _placement_positions(mask, i)[-1][1]  # the cell (N - i, ({i},))\n"
+           "    (k,) = placement_positions(players, i)[-1][1]  # the cell (N - i, ({i},))\n"
            "    classes[k] = k\n"
            "    return tuple(classes)\n",
            "tests/test_integer_kernels.py::"
@@ -276,6 +277,51 @@ MUTANTS = [
            "        if B & -B < bit:",
            "        if B & -B > bit:",
            "tests/test_partitions.py::test_placements_keep_blocks_canonical"),
+    Mutant("capacity-dropped", PARTS,
+           "        n = mask.bit_count()\n"
+           "        if n > _universe_bound:\n",
+           "        n = mask.bit_count()\n"
+           "        if False:\n",
+           "tests/test_partitions.py::test_capacity_error"),
+    Mutant("capacity-cold-only", PARTS,
+           "    cached = functools.cache(build)\n"
+           "\n"
+           "    @functools.wraps(build)\n"
+           "    def table(players, *args):\n"
+           "        mask = as_mask(players)\n"
+           "        n = mask.bit_count()\n"
+           "        if n > _universe_bound:\n",
+           "    def checked(mask, *args):\n"
+           "        if mask.bit_count() > _universe_bound:\n"
+           "            raise CapacityError(f\"player set of size {mask.bit_count()} exceeds \"\n"
+           "                                f\"the universe bound {_universe_bound}\")\n"
+           "        return build(mask, *args)\n"
+           "\n"
+           "    cached = functools.cache(checked)\n"
+           "\n"
+           "    @functools.wraps(build)\n"
+           "    def table(players, *args):\n"
+           "        mask = as_mask(players)\n"
+           "        n = mask.bit_count()\n"
+           "        if False:\n",
+           "tests/test_partitions.py::test_every_table_refuses_past_the_bound_once_built"),
+    Mutant("seating-founder", SAMPLING,
+           "prev[:, 2 * j]",
+           "prev[:, 2 * j + 1] & 0",
+           "tests/test_sampler_exact.py::"
+           "test_each_seating_table_is_the_loop_run_through_every_draw"),
+    Mutant("queue-ahead-strict", SAMPLING,
+           "c - d <= prev >> 8",
+           "c - d < prev >> 8",
+           "tests/test_sampler_exact.py::test_each_queue_table_is_the_loop_run_through_every_draw"),
+    Mutant("expand-one-bit", SAMPLING,
+           "expand[: 1 << t] | bits[t]",
+           "bits[t]",
+           "tests/test_sampling.py::test_sample_crp_matches_the_one_draw_reference"),
+    Mutant("cell-lookup-low", SAMPLING,
+           "low = ((np.cumsum(seen) - 1) * span)",
+           "low = ((np.cumsum(seen) * span) % len(seen))",
+           "tests/test_sampling.py::test_cell_lookup_finds_every_embedded_coalition"),
     Mutant("validate-negative", LAWS,
            "    if min(nums) < 0:",
            "    if min(nums) < -1:",

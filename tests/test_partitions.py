@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +19,8 @@ from pfgames.partitions import (
     set_universe_bound,
     subsets,
 )
+
+from .corpus import prefix
 
 
 def blocks(*ids_lists):
@@ -86,6 +90,15 @@ def test_embedded_counts(n, count):
         assert is_partition_of(pi, mask & ~S)
 
 
+def test_embedded_count_is_the_next_bell_number():
+    """Adding a point to N makes each ``(S, pi)`` the partition of N plus the
+    point whose block of the point is S plus it, over the range the bound
+    check asks for."""
+    for n in range(33):
+        assert embedded_count(n) == bell_number(n + 1) == sum(
+            math.comb(n, s) * bell_number(n - s) for s in range(n + 1))
+
+
 def test_embedded_of_single_player():
     one = mask_from([1])
     # the empty coalition comes first, then the player itself
@@ -102,6 +115,32 @@ def test_capacity_error(small_universe):
     with pytest.raises(CapacityError):
         enumerate_embedded([1, 2, 3, 4])
     assert len(enumerate_partitions([1, 2, 3])) == 5
+
+
+@pytest.fixture
+def restored_bound():
+    old = partitions.universe_bound()
+    yield
+    set_universe_bound(old)
+
+
+@pytest.mark.parametrize("name", [
+    "enumerate_partitions", "enumerate_embedded", "embedded_index", "runs",
+    "placement_positions", "placement_classes",
+])
+def test_every_table_refuses_past_the_bound_once_built(name, restored_bound):
+    """A table built at the default bound is refused, not served from its
+    cache, once the bound falls below its player set; ids and the mask
+    name one cached table."""
+    table = getattr(partitions, name)
+    args = (1,) if name.startswith("placement") else ()
+    built = table(prefix(5), *args)
+    assert table([1, 2, 3, 4, 5], *args) is built
+    set_universe_bound(3)
+    for players in (prefix(5), [1, 2, 3, 4, 5]):
+        with pytest.raises(CapacityError, match="size 5 exceeds the universe bound 3"):
+            table(players, *args)
+    assert table([1, 2, 3], *args) is table(0b1110, *args)
 
 
 def test_insert_as_singleton():
