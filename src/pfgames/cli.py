@@ -273,8 +273,9 @@ def _cmd_enumerate(args) -> int:
 
 
 class _Once(argparse.Action):
-    """Stores an option that may be given once: a second value is a usage
-    error (exit 2), not a silent replacement of the first."""
+    """Stores an option that may be given once, the default action of every
+    parser of ``build_parser``: a second value is a usage error (exit 2), not
+    a silent replacement of the first."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         given = vars(namespace).setdefault("_given_once", set())
@@ -293,13 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # on every parser, an option that takes a value takes it once unless it
+    # names another action
     def add(name, fn, *parents, **kwargs):
         p = sub.add_parser(name, parents=list(parents), **kwargs)
+        p.register("action", None, _Once)
         p.set_defaults(fn=fn)
         return p
 
     # the output options every exact-value command shares
     exact = argparse.ArgumentParser(add_help=False)
+    exact.register("action", None, _Once)
     exact.add_argument("--float", action="store_true")
     exact.add_argument("--format", choices=["json", "table"], default="json")
 
@@ -309,24 +314,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("potential", _cmd_potential, exact, help="potential of a game")
     p.add_argument("--game", required=True)
-    p.add_argument("--op", action=_Once, help="restriction operator for games with externalities")
+    p.add_argument("--op", help="restriction operator for games with externalities")
 
     p = add("mpw", _cmd_mpw, exact, help="MPW solution of a partition-function game")
     p.add_argument("--game", required=True)
 
     p = add("p-shapley", _cmd_p_shapley, exact, help="p-Shapley value for a family")
     p.add_argument("--game", required=True)
-    p.add_argument("--family", action=_Once, default="pstar")
+    p.add_argument("--family", default="pstar")
     p.add_argument("--player", type=int)
 
     p = add("restrict", _cmd_restrict, help="subgame after removing players")
     p.add_argument("--game", required=True)
-    p.add_argument("--op", action=_Once, required=True)
+    p.add_argument("--op", required=True)
     p.add_argument("--remove", required=True, help="comma-separated player ids")
 
     p = add("aux-game", _cmd_aux_game, help="auxiliary TU game of an operator")
     p.add_argument("--game", required=True)
-    p.add_argument("--op", action=_Once, required=True)
+    p.add_argument("--op", required=True)
 
     p = add("verify", _cmd_verify, help="run axiom checks, one JSON report per line")
     p.add_argument(
@@ -335,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=[*FAMILY_CHECKS, "restriction", "null-player"],
     )
-    p.add_argument("--family", action=_Once)
-    p.add_argument("--op", action=_Once)
-    p.add_argument("--solution", action=_Once)
+    p.add_argument("--family")
+    p.add_argument("--op")
+    p.add_argument("--solution")
     p.add_argument("--nmax", type=int, default=4)
 
     p = add("sample", _cmd_sample, help="Monte Carlo payoff estimate")

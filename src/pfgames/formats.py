@@ -216,13 +216,15 @@ def load_game(path):
 def family_table_from_json(data, label="table") -> RandomPartitionFamily:
     """Build a family from explicit tables, falling back to pstar elsewhere.
 
-    Accepts a single table object or a list of them. A table names its player
-    set either explicitly ("players": [...]) or by cardinality ("n": 4,
-    meaning players 1..n); a table naming both must name the same set.
-    Distribution invariants are enforced here, once.
+    Accepts a single table object or a nonempty list of them. A table names
+    its player set either explicitly ("players": [...]) or by cardinality
+    ("n": 4, meaning players 1..n); a table naming both must name the same
+    set. Distribution invariants are enforced here, once.
     """
     tables, named = {}, {}
     items = data if isinstance(data, list) else [data]
+    if not items:
+        raise ValueError("an empty list of tables names no player set")
     for pos, table in enumerate(items):
         if not isinstance(table, dict):
             raise ValueError(f"table #{pos}: expected an object, got {table!r}")

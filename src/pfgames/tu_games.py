@@ -218,6 +218,26 @@ def shapley_value(v: TuGame) -> PayoffVector:
             for i, column in zip(v.member_ids(), member)}
 
 
+def shapley_rows(table: random_partitions.LinearMap, players) -> dict[int, list[int]]:
+    """The Shapley value of the TU game that ``table`` makes of a game on the
+    players, one integer row per player i over the worth cells: row . nums
+    is n! table.den den times i's payoff on every game (den, nums). Row i
+    sums c_i(T) times the table's row of T, c_i(T) = (t-1)!(n-t)! if T holds
+    i and -t!(n-t-1)! if not, the weights ``shapley_value`` sums."""
+    N = partitions.as_mask(players)
+    n = partitions.size(N)
+    _, w, *_ = _shapley_table(n)
+    rows = [[0] * partitions.embedded_count(n) for _ in range(n)]
+    # the k-th subset holds the j-th player iff bit j of k is set
+    for k, (positions, coefficients, scale) in enumerate(table.rows):
+        t = k.bit_count()
+        for j, row in enumerate(rows):
+            c = scale * (w[t - 1] if k >> j & 1 else -w[t])
+            for p, x in zip(positions, coefficients):
+                row[p] += c * x
+    return dict(zip(partitions.members(N), rows))
+
+
 def potential(v: TuGame) -> Fraction:
     """Potential via the efficiency recursion over one-player removals.
 

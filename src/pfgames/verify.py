@@ -7,7 +7,10 @@ operations of the corresponding module. Exact arithmetic throughout, so a
 check passes only when the identity holds with zero tolerance.
 
 Player sets are the prefixes {1}, {1,2}, ..., up to the requested size,
-together with any player sets a table-backed family pins explicitly.
+with any a table-backed family (or an ``rp:`` operator on one) names; the
+null-player check runs on the prefixes alone. No other player set is
+checked, so a rule that reads player ids is judged on the prefixes only;
+of the built-in families and operators only ``biased`` reads them.
 
 The family checks (gen, ci, pos, monotonicity) decide each instance on the
 integers a family caches per player set: its distribution numerators and
@@ -29,12 +32,11 @@ coalition's rows are empty, and the rule gives it 0, so every check passes it.
 
 The null-player check decides a solution that carries its exact linear map
 (a ``LinearMap`` per player set, attached by ``cli.parse_solution``: the
-very table the solution applies) on one integer row per player: the
-Shapley weights summed over the map, so a witness game's payoff is the sum
-of a row over its placement row. Other callables run on each witness game.
-Either way the first paid witness is replayed through the solution, which
-gives the reported payoff. Both it and the restriction check refuse, before
-they start, a range past a fixed budget.
+very table the solution applies) on one integer row per player,
+``tu_games.shapley_rows``: only a witness game that the row pays, summed
+over its placement row, runs through the solution. Other callables run on
+each game. Both it and the restriction check refuse, before they start, a
+range past a fixed budget.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from . import formats, partitions, tu_games, tux_games
-from .partitions import Coalition, Partition, PlacementRow
+from .partitions import Coalition, Partition
 from .random_partitions import ZERO, LinearMap, RandomPartitionFamily
 from .tux_games import TuxGame
 
@@ -204,9 +206,10 @@ def _gen_witness(family: RandomPartitionFamily, route: str, N: Coalition, i, T) 
 def check_gen(family: RandomPartitionFamily, n_max: int) -> Report:
     """Does the family's expected accumulated worth equal the TU potential?
 
-    Verifies the block-probability condition for every coalition, and that
-    the two equivalent routes (expected accumulated worth on the Dirac TU
-    basis, one-player reduction identity) agree with it. The block and
+    Verifies the block-probability condition for every nonempty coalition
+    of the prefixes {1, ..., k}, k <= n_max, and the sets the family names,
+    and that the two equivalent routes (expected accumulated worth on the
+    Dirac TU basis, one-player reduction identity) agree with it. The block and
     reduction routes read the family's inclusion masses; the expected-worth
     route reads the p-Shapley game of one lifted game per player set
     (``_all_ones_game``) against the potential of each Dirac game, scaled
@@ -257,7 +260,8 @@ def _ci_instances(family: RandomPartitionFamily, N: Coalition):
 
 
 def check_ci(family: RandomPartitionFamily, n_max: int) -> Report:
-    """Does the family factor over blocks (conditional independence)?"""
+    """Does the family factor over blocks (conditional independence)? On
+    the prefixes {1, ..., k} for k <= n_max and the sets the family names."""
     checked = 0
     witness = None
     for N in _player_sets(n_max, family.explicit_player_sets):
@@ -274,7 +278,8 @@ def check_ci(family: RandomPartitionFamily, n_max: int) -> Report:
 
 
 def check_pos(family: RandomPartitionFamily, n_max: int) -> Report:
-    """Is every partition probability strictly positive?"""
+    """Is every partition probability strictly positive? On the prefixes
+    {1, ..., k} for k <= n_max and the sets the family names."""
     checked = 0
     witness = None
     for N in _player_sets(n_max, family.explicit_player_sets):
@@ -377,7 +382,9 @@ def _restriction_count(player_sets) -> int:
 
 
 def check_restriction_axioms(op, n_max: int) -> Report:
-    """Linearity, cell locality, null-game preservation and path independence.
+    """Linearity, cell locality, null-game preservation and path independence,
+    on the prefixes {1, ..., k} for k <= n_max and the sets an ``rp:``
+    operator's family names.
 
     Judges ``op.removal_matrix``: the exact matrix of each removal, built
     from the removal rows that ``restrict`` and the auxiliary game, potential
@@ -457,11 +464,13 @@ def _placement_args(players, i: int, pi: Partition, block) -> tuple[Coalition, C
     return N, B
 
 
-def _placement_row(N: Coalition, i: int, pi: Partition, B: Coalition) -> PlacementRow:
-    """The row of ``placement_positions(N, i)`` at the cell (B, pi - B) of the
-    players other than ``i`` (unchecked)."""
-    row = partitions.embedded_index(N & ~(1 << i))[(B, tuple(C for C in pi if C != B))]
-    return partitions.placement_positions(N, i)[row]
+def _witness_game(N: Coalition, inside: int, grown) -> TuxGame:
+    """The game on N that is 1 at the positions of one row of
+    ``placement_positions``, ``inside`` and ``grown``, and 0 elsewhere."""
+    nums = [0] * partitions.embedded_count(partitions.size(N))
+    for k in (inside, *grown):
+        nums[k] = 1
+    return TuxGame._from_numerators(N, 1, nums)
 
 
 def null_player_witness(players, i: int, pi: Partition, block) -> TuxGame:
@@ -472,11 +481,8 @@ def null_player_witness(players, i: int, pi: Partition, block) -> TuxGame:
     the null player property must pay i nothing here.
     """
     N, B = _placement_args(players, i, pi, block)
-    inside, grown = _placement_row(N, i, pi, B)
-    nums = [0] * len(partitions.enumerate_embedded(N))
-    for k in (inside, *grown):
-        nums[k] = 1
-    return TuxGame._from_numerators(N, 1, nums)
+    row = partitions.embedded_index(N & ~(1 << i))[(B, tuple(C for C in pi if C != B))]
+    return _witness_game(N, *partitions.placement_positions(N, i)[row])
 
 
 Solution = Callable[[TuxGame], Mapping[int, Fraction]]
@@ -489,64 +495,23 @@ def _null_player_count(n_max: int) -> int:
     return sum(k * (bell(k) - bell(k - 1)) for k in range(1, n_max + 1)) + (n_max >= 4)
 
 
-def _null_player_rows(linear_map, N: Coalition) -> dict[int, list[int]]:
-    """Per player i of N, the integer row with row . nums = n! den times i's
-    payoff on every game on N, den that of the solution's ``LinearMap`` L
-    times the game's: row_i = sum over T of c_i(T) L[T], with c_i(T) =
-    (t-1)!(n-t)! if T holds i and -t!(n-t-1)! if not, the weights
-    ``tu_games.shapley_value`` sums; the empty coalition's row is empty."""
-    n = partitions.size(N)
-    _, w, *_ = tu_games._shapley_table(n)
-    _, terms = linear_map(N)
-    rows = [[0] * len(partitions.enumerate_embedded(N)) for _ in range(n)]
-    # the k-th subset holds the j-th player iff bit j of k is set
-    for k, (positions, coefficients, scale) in enumerate(terms):
-        t = k.bit_count()
-        for j, row in enumerate(rows):
-            c = scale * (w[t - 1] if k >> j & 1 else -w[t])
-            for p, x in zip(positions, coefficients):
-                row[p] += c * x
-    return dict(zip(partitions.members(N), rows))
-
-
-def _row_route(linear_map, N: Coalition):
-    """Whether a witness game on N is paid, read from the rows: its worths
-    are 1 on one placement row, so its payoff is the sum of row_i there."""
-    rows = _null_player_rows(linear_map, N)
-
-    def pays(i, pi, B):
-        row = rows[i]
-        inside, grown = _placement_row(N, i, pi, B)
-        return row[inside] + sum(map(row.__getitem__, grown)) != 0
-
-    return pays
-
-
-def _dense_route(solution: Solution, N: Coalition):
-    """Whether a witness game on N is paid, by running the solution on it."""
-
-    def pays(i, pi, B):
-        return solution(null_player_witness(N, i, pi, B))[i] != 0
-
-    return pays
-
-
 def check_null_player_axiom(
     solution: Solution, n_max: int, label: str | None = None
 ) -> Report:
     """Does the solution pay zero to players that never affect any worth?
 
-    Checks the constructed witness family over every player set, player,
-    outside partition, and target block, plus the four-player showcase game
-    whose player 1 is null. Refuses, before running any, more witness games
-    than ``MAX_NULL_PLAYER_WITNESSES``.
+    Checks the constructed witness family on the prefixes {1, ..., k},
+    k <= n_max, for every player, outside partition, and target block, plus
+    the four-player showcase game whose player 1 is null. Refuses, before
+    running any, more witness games than ``MAX_NULL_PLAYER_WITNESSES``.
 
-    A solution that carries a ``linear_map`` (a ``LinearMap`` per
-    player set, as ``cli.parse_solution`` attaches) is the Shapley value of
-    that map, so each witness game is decided on one integer row per player
-    (``_null_player_rows``); any other callable runs on each game. The scan
-    order is the same, and the first paid witness is replayed through the
-    solution, whose payoff the report gives, so both routes report alike.
+    A solution that carries a ``linear_map`` (a ``LinearMap`` per player
+    set, as ``cli.parse_solution`` attaches) is the Shapley value of that
+    map, so a witness game's payoff is first read from one integer row per
+    player (``tu_games.shapley_rows``), summed over the game's placement
+    row; only a game the row pays runs through the solution, whose payoff
+    the report gives (a RuntimeError if it is 0). Any other callable runs
+    on each game; the reports are alike.
     """
     if label is None:
         label = getattr(solution, "__name__", "solution")
@@ -556,22 +521,28 @@ def check_null_player_axiom(
         raise ValueError(f"the null-player check at --nmax {n_max} would run {count} "
                          f"witness games, over the budget of {MAX_NULL_PLAYER_WITNESSES}")
     linear_map = getattr(solution, "linear_map", None)
-    checked = 0
-    witness = None
+    checked, witness = 0, None
     for N in player_sets:
-        pays = _dense_route(solution, N) if linear_map is None else _row_route(linear_map, N)
+        rows = None if linear_map is None else tu_games.shapley_rows(linear_map(N), N)
         for i in partitions.members(N):
-            for pi in partitions.enumerate_partitions(N & ~(1 << i)):
+            rest, row = N & ~(1 << i), None if rows is None else rows[i]
+            at, placed = partitions.embedded_index(rest), partitions.placement_positions(N, i)
+            for pi in partitions.enumerate_partitions(rest):
                 for B in pi:
                     checked += 1
-                    if pays(i, pi, B) and witness is None:
-                        payoff = solution(null_player_witness(N, i, pi, B))[i]
-                        if payoff == 0:
+                    if witness is not None:
+                        continue
+                    # the witness game is 1 at the cells of the row of (B, pi - B)
+                    inside, grown = placed[at[B, tuple(C for C in pi if C != B)]]
+                    if row is None or row[inside] + sum(map(row.__getitem__, grown)) != 0:
+                        payoff = solution(_witness_game(N, inside, grown))[i]
+                        if payoff != 0:
+                            witness = _witness("null-player", kind="witness-family",
+                                               players=N, player=i, partition=pi, block=B,
+                                               payoff=payoff)
+                        elif row is not None:
                             raise RuntimeError(f"the linear map of {label} pays player {i} "
                                                "on a witness game that the solution does not")
-                        witness = _witness("null-player", kind="witness-family",
-                                           players=N, player=i, partition=pi, block=B,
-                                           payoff=payoff)
     if n_max >= 4:
         showcase = tux_games.productive_pair_game()
         payoff = solution(showcase)[1]
@@ -620,7 +591,8 @@ def _monotonicity_instances(family: RandomPartitionFamily, N: Coalition):
 
 
 def check_monotonicity_conditions(family: RandomPartitionFamily, n_max: int) -> Report:
-    """Do the linear conditions behind monotone p-Shapley payoffs all hold?"""
+    """Do the linear conditions behind monotone p-Shapley payoffs all hold?
+    On the prefixes {1, ..., k} for k <= n_max and the sets the family names."""
     checked = 0
     witness = None
     for N in _player_sets(n_max, family.explicit_player_sets):

@@ -39,6 +39,7 @@ OPS = "src/pfgames/restriction_ops.py"
 CLI = "src/pfgames/cli.py"
 FORMATS = "src/pfgames/formats.py"
 TUX = "src/pfgames/tux_games.py"
+TU = "src/pfgames/tu_games.py"
 LAWS = "src/pfgames/random_partitions.py"
 PARTS = "src/pfgames/partitions.py"
 SAMPLING = "src/pfgames/sampling.py"
@@ -60,8 +61,8 @@ MUTANTS = [
            "tests/test_verify.py::"
            "test_path_dependence_past_the_first_cell_of_a_row_fails_path_independence"),
     Mutant("V6", VERIFY,
-           "        return solution(null_player_witness(N, i, pi, B))[i] != 0",
-           "        return solution(null_player_witness(N, i, pi, B))[i] > 0",
+           "                        if payoff != 0:\n",
+           "                        if payoff > 0:\n",
            "tests/test_verify.py::"
            "test_null_player_check_flags_negative_payoffs_like_positive_ones"),
     Mutant("showcase-sign", VERIFY,
@@ -189,12 +190,12 @@ MUTANTS = [
            "from . import formats, partitions, random_partitions, tu_games, tux_games, verify\n",
            "tests/test_import_budget.py::"
            "test_command_loads_only_the_modules_it_runs[enumerate --players 1,2,3 --embedded]"),
-    Mutant("row-sign-outside", VERIFY,
+    Mutant("row-sign-outside", TU,
            "w[t - 1] if k >> j & 1 else -w[t])",
            "w[t - 1] if k >> j & 1 else w[t])",
            "tests/test_verify.py::test_each_row_times_the_worths_is_n_factorial_den_"
            "times_the_payoff[mpw]"),
-    Mutant("row-weight-off-by-one", VERIFY,
+    Mutant("row-weight-off-by-one", TU,
            "w[t - 1] if k >> j & 1 else -w[t])",
            "w[t] if k >> j & 1 else -w[t])",
            "tests/test_verify.py::test_each_row_times_the_worths_is_n_factorial_den_"
@@ -208,6 +209,14 @@ MUTANTS = [
            "row[inside] + sum(map(row.__getitem__, grown)) != 0",
            "row[inside] != 0",
            "tests/test_verify.py::test_row_route_reports_equal_the_dense_route[mpw]"),
+    Mutant("shapley-grand-inside", TU,
+           "    both = [0] + [w[t - 1] + w[t] for t in range(1, n + 1)]",
+           "    both = [0] + [w[t - 1] + w[t] for t in range(1, n)] + [w[n - 1] + 1] * (n > 0)",
+           "tests/test_tu_games.py::test_dirac_shapley_closed_form[1]"),
+    Mutant("crp-potential-at-7", TU,
+           "    return Fraction(total, pden * v.den)",
+           "    return Fraction(total + (v.n == 7), pden * v.den)",
+           "tests/test_integer_kernels.py::test_tu_kernels_equal_their_fraction_references[n=7]"),
     Mutant("showcase-dropped", VERIFY,
            "    if n_max >= 4:\n        showcase = tux_games.productive_pair_game()",
            "    if False:\n        showcase = tux_games.productive_pair_game()",

@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 
@@ -510,27 +511,37 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("argv, option", [
-    (["verify", "--check", "gen", "--family", "ewens:1/2", "--check", "ci", "--family", "pstar"],
-     "--family"),
-    (["verify", "--check", "restriction", "--op", "biased", "--op", "rstar"], "--op"),
-    (["verify", "--check", "null-player", "--solution", "mpw", "--solution", "mpw"],
-     "--solution"),
-    (["restrict", "--op", "biased", "--op", "rstar", "--remove", "2"], "--op"),
-    (["aux-game", "--op", "rstar", "--op", "nullify"], "--op"),
-    (["potential", "--op", "rstar", "--op", "nullify"], "--op"),
-    (["p-shapley", "--family", "pstar", "--family", "ewens:1/2"], "--family"),
-], ids=["verify-family", "verify-op", "verify-solution", "restrict-op", "aux-game-op",
-        "potential-op", "p-shapley-family"])
-def test_a_repeated_single_valued_option_exits_two_naming_it(capsys, showcase_path, argv, option):
-    if argv[0] != "verify":
-        argv = argv + ["--game", showcase_path]
+def single_valued_options():
+    """(command, option, value) for every option of every subcommand that
+    takes a value, except ``--check``, which may repeat; the value is the
+    option's first choice, else one that every type accepts."""
+    parser = cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    for command, sub in commands.items():
+        for action in sub._actions:
+            if action.option_strings and action.nargs != 0 and action.dest != "check":
+                value = action.choices[0] if action.choices else "1"
+                yield pytest.param(command, action.option_strings[0], value,
+                                   id=f"{command}-{action.option_strings[0][2:]}")
+
+
+@pytest.mark.parametrize("command, option, value", single_valued_options())
+def test_a_repeated_single_valued_option_exits_two_naming_it(capsys, command, option, value):
     with pytest.raises(SystemExit) as err:
-        cli.main(argv)
+        cli.main([command, option, value, option, value])
     captured = capsys.readouterr()
     assert err.value.code == 2
     assert captured.out == ""
     assert f"argument {option}: given twice" in captured.err
+
+
+def test_the_walk_finds_the_value_options_and_leaves_out_flags_and_check():
+    ids = {param.id for param in single_valued_options()}
+    assert {"mpw-game", "verify-nmax", "sample-seed", "verify-family", "verify-op",
+            "verify-solution", "restrict-op", "aux-game-op", "potential-op",
+            "p-shapley-family", "shapley-format"} <= ids
+    assert not ids & {"verify-check", "enumerate-embedded", "mpw-float", "mpw-help"}
 
 
 def test_verify_flag_requirements(capsys):

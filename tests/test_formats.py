@@ -239,6 +239,16 @@ def test_family_table_naming_two_player_sets_is_refused(table):
         formats.family_table_from_json(table)
 
 
+def test_an_empty_list_of_family_tables_is_refused(tmp_path):
+    """An empty list names no player set; it is not read as pstar."""
+    with pytest.raises(ValueError, match="empty list of tables"):
+        formats.family_table_from_json([])
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    with pytest.raises(ValueError, match="empty.json: an empty list of tables"):
+        formats.load_family_table(path)
+
+
 @pytest.mark.parametrize("n", [[2], True, "2"])
 def test_family_table_with_players_and_a_non_integer_n_is_refused(n):
     with pytest.raises(ValueError, match="table #0: 'n' must be an integer"):

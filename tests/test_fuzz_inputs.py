@@ -92,3 +92,20 @@ def test_cli_exits_zero_or_two_on_any_json_file(data):
                 io.StringIO()
             ):
                 assert cli.main(argv) in (0, 2)
+
+
+def test_an_empty_table_list_exits_two_naming_the_file(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(formats.tu_game_to_json(tu_games.dirac_game([1, 2], [1]))))
+    for argv in (
+        ["verify", "--check", "null-player", "--solution", f"p-shapley:table:{path}",
+         "--nmax", "5"],
+        ["verify", "--check", "gen", "--family", f"table:{path}"],
+        ["p-shapley", "--game", str(game), "--family", f"table:{path}"],
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert cli.main(argv) == 2, argv
+        assert "empty.json" in err.getvalue(), argv

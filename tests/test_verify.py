@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pfgames import cli, formats, partitions, tux_games, verify
+from pfgames import cli, formats, partitions, tu_games, tux_games, verify
 from pfgames.random_partitions import (
     PSTAR,
     RandomPartitionFamily,
@@ -298,6 +298,24 @@ def test_row_route_replays_its_witness_and_refuses_a_map_the_solution_disagrees_
         check_null_player_axiom(zero, 2, "zero")
 
 
+@pytest.mark.parametrize("route", ["rows", "dense"])
+def test_the_null_player_check_reads_each_players_placement_rows_once(route, monkeypatch):
+    """One lookup of each table per player set and player (3 + 2 + 1 at
+    nmax 3), however many witnesses the player has."""
+    solution, label = cli.parse_solution("mpw")
+    if route == "dense":
+        solution = lambda w: dict.fromkeys(w.member_ids(), 0)
+    check_null_player_axiom(solution, 3, label)  # the solution's maps are built and cached
+    calls = {}
+    for name in ("embedded_index", "placement_positions"):
+        def counted(*args, table=getattr(partitions, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return table(*args)
+        monkeypatch.setattr(partitions, name, counted)
+    assert check_null_player_axiom(solution, 3, label).checked == 11
+    assert calls == {"embedded_index": 6, "placement_positions": 6}
+
+
 def ci_game8():
     """The dense 8-player game of the CI workflow."""
     rng = random.Random(8)
@@ -314,7 +332,7 @@ def test_each_row_times_the_worths_is_n_factorial_den_times_the_payoff(spec):
     games += [random_tux_game(partitions.mask_from([0, 3, 5, 9]), rng), ci_game8()]
     for w in games:
         den, _ = solution.linear_map(w.players)
-        rows = verify._null_player_rows(solution.linear_map, w.players)
+        rows = tu_games.shapley_rows(solution.linear_map(w.players), w.players)
         payoff = solution(w)
         assert sorted(rows) == sorted(payoff)
         for i, row in rows.items():
